@@ -1,252 +1,92 @@
-"""Hot inner loops: constrained Euler walks for constant-coefficient
-polyhedral systems.
+"""Kernels of the reflected walks: the Skorokhod problem on polyhedra and on
+the half-line.
 
-Every kernel exists twice with identical arithmetic: a numba-compiled
-version (default) and the pure-numpy source it was compiled from.  Setting
-the environment variable REFDIFF_PURE_NUMPY=1 (or running without numba
-installed) selects the fallback.  `refdiff.benchmarks` compares the two.
+A reflected path is x = y + sum_i eta_i gamma_i, with eta >= 0 nondecreasing
+and eta_i growing only while x lies on face i.  For a polyhedral domain with
+face normals N and constant reflection vectors Gamma this has a unique
+solution when N Gamma^T is a P-matrix (Harrison & Reiman 1981);
+`project_polyhedral` solves it for one step, a linear complementarity
+problem, and `constrained_walk` applies it after every Euler step.
+
+On the half-line {s >= 0} the Skorokhod map is explicit.  With the free path
+F_k = s0 + sum_{j<k} inc_j and the running minimum F_j + dmin_j of each
+step's Brownian bridge,
+
+    L_k = max(0, max_{j<k} -(F_j + dmin_j)),    s_k = F_k + L_k,
+
+and drawing dmin from its exact law makes `halfline_bridge_walk` exact in law
+for constant drift and diffusion (Asmussen, Glynn & Pitman 1995).
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-_DISABLED = os.environ.get("REFDIFF_PURE_NUMPY", "").strip() not in ("", "0", "false")
-
-try:  # pragma: no cover - import guard
-    if _DISABLED:
-        raise ImportError
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    numba = None
-    HAVE_NUMBA = False
-
-
-def _project_polyhedral_impl(y, normals, offsets, gammas, ptol):
-    """Project y onto the polyhedral domain along the faces' reflection vectors.
-
-    Solves x = y + sum_i eta_i gamma_i with eta >= 0, eta_i > 0 only on active
-    faces, by iterative active-set complementarity.  Returns (x, eta, ok).
-    """
-    m = normals.shape[0]
-    J = normals.shape[1]
-    active = np.zeros(m, np.bool_)
-    eta = np.zeros(m)
-    x = y.copy()
-    ok = False
-    for _ in range(16 * m + 64):
-        new_violation = False
-        for i in range(m):
-            v = 0.0
-            for j in range(J):
-                v += normals[i, j] * x[j]
-            v -= offsets[i]
-            if v < -ptol and not active[i]:
-                active[i] = True
-                new_violation = True
-        na = 0
-        for i in range(m):
-            if active[i]:
-                na += 1
-        if na == 0:
-            for i in range(m):
-                eta[i] = 0.0
-            return x, eta, True
-        idx = np.empty(na, np.int64)
-        k = 0
-        for i in range(m):
-            if active[i]:
-                idx[k] = i
-                k += 1
-        M = np.empty((na, na))
-        r = np.empty(na)
-        for a in range(na):
-            ia = idx[a]
-            s = 0.0
-            for j in range(J):
-                s += normals[ia, j] * y[j]
-            r[a] = offsets[ia] - s
-            for b in range(na):
-                ib = idx[b]
-                t = 0.0
-                for j in range(J):
-                    t += normals[ia, j] * gammas[ib, j]
-                M[a, b] = t
-        sol = np.linalg.solve(M, r)
-        neg = -1
-        negv = -ptol
-        for a in range(na):
-            if sol[a] < negv:
-                negv = sol[a]
-                neg = a
-        if neg >= 0:
-            active[idx[neg]] = False
-            continue
-        for j in range(J):
-            x[j] = y[j]
-        for a in range(na):
-            for j in range(J):
-                x[j] += sol[a] * gammas[idx[a], j]
-        done = True
-        for i in range(m):
-            v = 0.0
-            for j in range(J):
-                v += normals[i, j] * x[j]
-            v -= offsets[i]
-            if v < -ptol:
-                done = False
-                break
-        if done:
-            for i in range(m):
-                eta[i] = 0.0
-            for a in range(na):
-                eta[idx[a]] = sol[a]
-            return x, eta, True
-    return x, eta, False
-
-
-def _walk_impl(x0, b, sigma, normals, offsets, gammas, noise, dt, ptol):
-    """Constrained Euler walk; noise holds standard normal rows.
-
-    Returns (states, cumulative pushing coefficients, fail_step);
-    fail_step = -1 on success, else the first step whose projection failed.
-    """
-    n = noise.shape[0]
-    J = x0.shape[0]
-    m = normals.shape[0]
-    N = sigma.shape[1]
-    sq = math.sqrt(dt)
-    states = np.empty((n + 1, J))
-    push = np.zeros((n + 1, m))
-    x = x0.copy()
-    for j in range(J):
-        states[0, j] = x[j]
-    y = np.empty(J)
-    for k in range(n):
-        for j in range(J):
-            acc = x[j] + b[j] * dt
-            for l in range(N):
-                acc += sigma[j, l] * noise[k, l] * sq
-            y[j] = acc
-        xn, eta, ok = _project_polyhedral_impl(y, normals, offsets, gammas,
-                                               ptol)
-        if not ok:
-            for j in range(J):
-                states[k + 1, j] = x[j]
-            return states[:k + 1], push[:k + 1], k
-        for j in range(J):
-            x[j] = xn[j]
-            states[k + 1, j] = x[j]
-        for i in range(m):
-            push[k + 1, i] = push[k, i] + eta[i]
-    return states, push, -1
-
-
-def _halfline_bridge_impl(s0, drift, diff, noise, logu, dt):
-    """Exact reflected step on the half-line via the bridge minimum.
-
-    In the face coordinate s >= 0, each step draws the unconstrained
-    endpoint y and the running minimum m of the Brownian bridge between the
-    states; the reflected endpoint is y + max(0, -m) and the push is the
-    correction.  Exact in law for constant drift and diffusion.
-    """
-    n = noise.shape[0]
-    states = np.empty(n + 1)
-    push = np.zeros(n + 1)
-    s = s0
-    states[0] = s
-    sq = math.sqrt(dt)
-    for k in range(n):
-        y = s + drift * dt + diff * sq * noise[k]
-        d = s - y
-        m = 0.5 * (s + y - math.sqrt(d * d - 2.0 * diff * diff * dt * logu[k]))
-        corr = -m
-        if corr < 0.0:
-            corr = 0.0
-        s = y + corr
-        states[k + 1] = s
-        push[k + 1] = push[k] + corr
-    return states, push
-
-
-if HAVE_NUMBA:  # pragma: no branch
-    _project_polyhedral_nb = numba.njit(cache=True)(_project_polyhedral_impl)
-    _halfline_bridge_nb = numba.njit(cache=True)(_halfline_bridge_impl)
-
-    # the walk body is repeated because the compiled version must call the
-    # compiled projection; keep both copies in sync
-
-    @numba.njit(cache=True)
-    def _walk_nb(x0, b, sigma, normals, offsets, gammas, noise, dt, ptol):
-        n = noise.shape[0]
-        J = x0.shape[0]
-        m = normals.shape[0]
-        N = sigma.shape[1]
-        sq = math.sqrt(dt)
-        states = np.empty((n + 1, J))
-        push = np.zeros((n + 1, m))
-        x = x0.copy()
-        for j in range(J):
-            states[0, j] = x[j]
-        y = np.empty(J)
-        for k in range(n):
-            for j in range(J):
-                acc = x[j] + b[j] * dt
-                for l in range(N):
-                    acc += sigma[j, l] * noise[k, l] * sq
-                y[j] = acc
-            xn, eta, ok = _project_polyhedral_nb(y, normals, offsets, gammas,
-                                                 ptol)
-            if not ok:
-                for j in range(J):
-                    states[k + 1, j] = x[j]
-                return states[:k + 1], push[:k + 1], k
-            for j in range(J):
-                x[j] = xn[j]
-                states[k + 1, j] = x[j]
-            for i in range(m):
-                push[k + 1, i] = push[k, i] + eta[i]
-        return states, push, -1
-
 
 def project_polyhedral(y, normals, offsets, gammas, ptol=1e-12):
-    """Dispatching wrapper around the projection kernel."""
-    y = np.ascontiguousarray(y, dtype=np.float64)
-    normals = np.ascontiguousarray(normals, dtype=np.float64)
-    offsets = np.ascontiguousarray(offsets, dtype=np.float64)
-    gammas = np.ascontiguousarray(gammas, dtype=np.float64)
-    if HAVE_NUMBA:
-        return _project_polyhedral_nb(y, normals, offsets, gammas, ptol)
-    return _project_polyhedral_impl(y, normals, offsets, gammas, ptol)
+    """Project y onto {normals @ x >= offsets} along the faces' reflection
+    vectors: x = y + eta @ gammas with eta >= 0 only on faces active at x.
+
+    Principal pivoting with Murty's least-index rule: flip the first face
+    whose eta is negative (active) or whose constraint is violated
+    (inactive), then re-solve on the active block.  This ends for every
+    P-matrix N Gamma^T (Murty 1974).  Returns (x, eta, ok); ok is False when
+    the pivots did not settle.
+    """
+    x = np.array(y, dtype=float)
+    m = len(offsets)
+    eta = np.zeros(m)
+    active = np.zeros(m, dtype=bool)
+    resid = normals @ x - offsets        # eta on active faces, slack elsewhere
+    for _ in range(16 * m + 64):
+        # a list scan: numpy reductions cost more than the work on m <= 4 faces
+        bad = [i for i, r in enumerate(resid.tolist()) if r < -ptol]
+        if not bad:
+            return x, eta, True
+        active[bad[0]] = not active[bad[0]]
+        idx = np.flatnonzero(active)
+        eta = np.zeros(m)
+        eta[idx] = np.linalg.solve(normals[idx] @ gammas[idx].T,
+                                   offsets[idx] - normals[idx] @ y)
+        x = y + eta @ gammas
+        resid = np.where(active, eta, normals @ x - offsets)
+    return x, eta, False
 
 
 def constrained_walk(x0, b, sigma, normals, offsets, gammas, noise, dt,
                      ptol=1e-12):
-    """Dispatching wrapper around the Euler walk kernel."""
-    args = [np.ascontiguousarray(np.atleast_1d(a), dtype=np.float64)
-            for a in (x0, b)]
-    sigma = np.ascontiguousarray(np.atleast_2d(sigma), dtype=np.float64)
-    normals = np.ascontiguousarray(np.atleast_2d(normals), dtype=np.float64)
-    offsets = np.ascontiguousarray(np.atleast_1d(offsets), dtype=np.float64)
-    gammas = np.ascontiguousarray(np.atleast_2d(gammas), dtype=np.float64)
-    noise = np.ascontiguousarray(np.atleast_2d(noise), dtype=np.float64)
-    fn = _walk_nb if HAVE_NUMBA else _walk_impl
-    return fn(args[0], args[1], sigma, normals, offsets, gammas, noise,
-              float(dt), float(ptol))
+    """Projected Euler walk from x0; noise holds one standard normal row per step.
+
+    Returns (states, cumulative pushing, fail_step); fail_step is -1 on
+    success, else the first step whose projection failed, and the arrays
+    stop at the state before it.
+    """
+    inc = b * dt + noise @ (sigma.T * math.sqrt(dt))
+    n = len(inc)
+    states = np.empty((n + 1, len(x0)))
+    push = np.zeros((n + 1, len(offsets)))
+    x = states[0] = x0
+    for k in range(n):
+        x, eta, ok = project_polyhedral(x + inc[k], normals, offsets, gammas,
+                                        ptol)
+        if not ok:
+            return states[:k + 1], push[:k + 1], k
+        states[k + 1] = x
+        push[k + 1] = push[k] + eta
+    return states, push, -1
 
 
 def halfline_bridge_walk(s0, drift, diff, noise, logu, dt):
-    """Dispatching wrapper around the exact half-line step kernel."""
-    noise = np.ascontiguousarray(noise, dtype=np.float64)
-    logu = np.ascontiguousarray(logu, dtype=np.float64)
-    fn = _halfline_bridge_nb if HAVE_NUMBA else _halfline_bridge_impl
-    return fn(float(s0), float(drift), float(diff), noise, logu, float(dt))
+    """Exact reflected walk on {s >= 0} from s0; noise holds one standard
+    normal and logu the log of one uniform per step.
 
-
-def backend_name() -> str:
-    return "numba" if HAVE_NUMBA else "numpy"
+    Returns (states, cumulative pushing).
+    """
+    inc = drift * dt + diff * math.sqrt(dt) * noise
+    dmin = 0.5 * (inc - np.sqrt(inc * inc - 2.0 * diff * diff * dt * logu))
+    free = np.cumsum(np.concatenate(([s0], inc)))
+    push = np.zeros_like(free)
+    np.maximum.accumulate(np.maximum(0.0, -(free[:-1] + dmin)), out=push[1:])
+    return free + push, push

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -22,6 +21,7 @@ import numpy as np
 
 from . import domain as dom
 from . import errors
+from ._csv import write_csv
 from .coefficients import Density
 from .gallery import closed_form_density, make_example
 from .operators import verify_bar, weak_residual
@@ -63,16 +63,6 @@ def _write_json(path, payload, cfg):
     out = {"_meta": _header(cfg), **payload}
     with open(path, "w") as fh:
         json.dump(out, fh, sort_keys=True, indent=1, default=float)
-    return path
-
-
-def _write_csv(path, header_cols, rows, cfg):
-    with open(path, "w") as fh:
-        fh.write(f"# {_header(cfg)}\n")
-        fh.write(",".join(header_cols) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
     return path
 
 
@@ -213,14 +203,10 @@ def cmd_simulate(cfg):
                          seed=int(cfg.get("seed", 0)))
     out = cfg.get("output", "trajectory.csv")
     stride = max(1, int(cfg.get("stride", 1)))
-    sub = traj.states[::stride]
-    push = traj.pushing[::stride]
-    ts = traj.times[::stride]
-    rows = [tuple(map(float, np.concatenate([[t], s, p])))
-            for t, s, p in zip(ts, sub, push)]
-    cols = (["t"] + [f"x{k}" for k in range(sub.shape[1])]
-            + [f"push{k}" for k in range(push.shape[1])])
-    _write_csv(out, cols, rows, cfg)
+    cols = (["t"] + [f"x{k}" for k in range(traj.states.shape[1])]
+            + [f"push{k}" for k in range(traj.pushing.shape[1])])
+    data = np.column_stack([traj.times, traj.states, traj.pushing])
+    write_csv(out, cols, data[::stride], _header(cfg))
     occ = occupation_measure(traj, burn_in=_num(cfg.get("burn_in", 0.1)))
     fb, fv = boundary_occupation(system.domain, traj,
                                  shell=_num(cfg.get("shell", 0.01)),
@@ -272,7 +258,7 @@ def cmd_weak_check(cfg):
         if wr.value > 3.0 * wr.error:
             ok = False
     out = cfg.get("output", "weak.csv")
-    _write_csv(out, ["function", "value", "error"], rows, cfg)
+    write_csv(out, ["function", "value", "error"], rows, _header(cfg))
     print(f"wrote {out}: {len(rows)} residuals, verdict {'pass' if ok else 'fail'}")
     return EXIT_OK if ok else EXIT_VERDICT
 
@@ -306,9 +292,7 @@ def cmd_solve(cfg):
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     out = cfg.get("output", "measure.csv")
-    rows = [tuple(map(float, np.concatenate([x, [w]])))
-            for x, w in zip(res.measure.points, res.measure.weights)]
-    _write_csv(out, [f"x{k}" for k in range(J)] + ["w"], rows, cfg)
+    res.measure.to_csv(out, header_meta=_header(cfg))
     rep_out = cfg.get("report_output", "solve.json")
     _write_json(rep_out, {"objective": res.objective,
                           "iterations": res.iterations,
@@ -389,8 +373,6 @@ def build_parser():
     ap.add_argument("--output")
     ap.add_argument("--report-output", dest="report_output")
     ap.add_argument("--inputs", nargs="*")
-    ap.add_argument("--threads", type=int,
-                    default=int(os.environ.get("REFDIFF_THREADS", "1")))
     return ap
 
 

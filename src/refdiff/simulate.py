@@ -18,6 +18,7 @@ import numpy as np
 
 from . import _kernels
 from . import domain as dom
+from ._csv import write_csv
 from .coefficients import CoefficientField
 from .errors import NoConvergence
 from .operators import apply_generator_batch
@@ -56,7 +57,7 @@ def reflect(domain: dom.DomainSpec, y, max_iter: int = 50, tol: float = 1e-10):
 
     Returns (x, eta) with x = y + sum_i eta_i gamma_i(x), eta >= 0 supported
     on the faces active at x.  Polyhedral constant-reflection domains use an
-    exact active-set solve; state-dependent fields use fixed-point iteration
+    exact complementarity solve; state-dependent fields use fixed-point iteration
     on the arrival point's directions.  Raises NoConvergence on failure.
     """
     y = np.asarray(y, dtype=float)
@@ -125,16 +126,10 @@ class Trajectory:
         return len(self.states) - 1
 
     def to_csv(self, path, header_meta: str = ""):
-        n, J = self.states.shape
-        m = self.pushing.shape[1]
-        cols = ["t"] + [f"x{k}" for k in range(J)] + [f"push{k}" for k in range(m)]
+        cols = (["t"] + [f"x{k}" for k in range(self.states.shape[1])]
+                + [f"push{k}" for k in range(self.pushing.shape[1])])
         data = np.column_stack([self.times, self.states, self.pushing])
-        with open(path, "w") as fh:
-            if header_meta:
-                fh.write(f"# {header_meta}\n")
-            fh.write(",".join(cols) + "\n")
-            for row in data:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        write_csv(path, cols, data, header_meta)
 
 
 @dataclass
@@ -147,48 +142,53 @@ class EmpiricalMeasure:
     error_kind: str = "empirical"
 
 
+# Steps drawn per kernel call: a failed projection discards at most this many
+# pre-drawn increments, so the cost of retries stays linear in the path length.
+_BLOCK = 4096
+
+
 def _simulate_constant(domain, coef, x0, n_steps, dt, seed, path_index=0):
     normals, offsets, gammas = _polyhedral_arrays(domain)
-    b = coef.b(np.asarray(x0, dtype=float))
-    sigma = coef.sigma(np.asarray(x0, dtype=float))
-    noise = _rng(seed, path_index).standard_normal((n_steps, sigma.shape[1]))
-    states, push, fail = _kernels.constrained_walk(
-        x0, b, sigma, normals, offsets, gammas, noise, dt, _PTOL)
-    events = []
-    while fail >= 0:
+    b = coef.b(x0)
+    sigma = coef.sigma(x0)
+    n_noise = sigma.shape[1]
+
+    def walk(x, noise, h):
+        return _kernels.constrained_walk(x, b, sigma, normals, offsets, gammas,
+                                         noise, h, _PTOL)
+
+    x, p = x0, np.zeros(len(offsets))
+    states, push, events = [x[None, :]], [p[None, :]], []
+    rng = _rng(seed, path_index)
+    k = 0
+    while k < n_steps:
+        st, pu, fail = walk(x, rng.standard_normal(
+            (min(_BLOCK, n_steps - k), n_noise)), dt)
+        states.append(st[1:])
+        push.append(p + pu[1:])
+        k += len(st) - 1
+        x, p = st[-1], p + pu[-1]
+        if fail < 0:
+            continue
         # local refinement: retry the failed step at halved step sizes
-        x_cur = states[-1]
-        k_global = len(states) - 1
-        fixed = None
+        x_next, push_inc = x, np.zeros_like(p)
         for level in range(1, 9):
             sub = 2 ** level
-            nz = _rng(seed, path_index, block=k_global * 16 + level)
-            sub_noise = nz.standard_normal((sub, sigma.shape[1]))
-            st2, pu2, f2 = _kernels.constrained_walk(
-                x_cur, b, sigma, normals, offsets, gammas, sub_noise,
-                dt / sub, _PTOL)
+            sub_noise = _rng(seed, path_index, block=k * 16 + level
+                             ).standard_normal((sub, n_noise))
+            st2, pu2, f2 = walk(x, sub_noise, dt / sub)
             if f2 < 0:
-                fixed = (st2[-1], pu2[-1])
+                x_next, push_inc = st2[-1], pu2[-1]
                 break
-        if fixed is None:
-            events.append({"step": k_global, "point": x_cur.copy(),
+        else:
+            events.append({"step": k, "point": x.copy(),
                            "kind": "NoConvergence"})
-            fixed = (x_cur, np.zeros(push.shape[1]))
-        x_next, push_inc = fixed
-        states = np.vstack([states, x_next[None, :]])
-        push = np.vstack([push, (push[-1] + push_inc)[None, :]])
-        remaining = n_steps - (len(states) - 1)
-        if remaining <= 0:
-            fail = -1
-            break
-        noise_rest = _rng(seed, path_index,
-                          block=(len(states) - 1) * 16 + 9).standard_normal(
-            (remaining, sigma.shape[1]))
-        st3, pu3, fail = _kernels.constrained_walk(
-            states[-1], b, sigma, normals, offsets, gammas, noise_rest, dt, _PTOL)
-        states = np.vstack([states, st3[1:]])
-        push = np.vstack([push, (push[-1] + pu3[1:])])
-    return states, push, events
+        x, p = x_next, p + push_inc
+        states.append(x[None, :])
+        push.append(p[None, :])
+        k += 1
+        rng = _rng(seed, path_index, block=k * 16 + 9)
+    return np.concatenate(states), np.concatenate(push), events
 
 
 def _bridge_applicable(domain, coef) -> bool:

@@ -17,6 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import domain as dom
+from ._csv import write_csv
 from .coefficients import CoefficientField, Density
 from .errors import Infeasible, NotInH
 from .operators import apply_generator_batch, weak_residual
@@ -56,13 +57,9 @@ class GridMeasure:
         return self._refine()
 
     def to_csv(self, path, header_meta: str = ""):
-        J = self.points.shape[1]
-        with open(path, "w") as fh:
-            if header_meta:
-                fh.write(f"# {header_meta}\n")
-            fh.write(",".join([f"x{k}" for k in range(J)] + ["w"]) + "\n")
-            for x, w in zip(self.points, self.weights):
-                fh.write(",".join(f"{v:.17g}" for v in x) + f",{w:.17g}\n")
+        cols = [f"x{k}" for k in range(self.points.shape[1])] + ["w"]
+        write_csv(path, cols, np.column_stack([self.points, self.weights]),
+                  header_meta)
 
 
 def interior_grid(domain: dom.DomainSpec, per_axis, box=None) -> np.ndarray:

@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from refdiff import cli
+from refdiff._csv import write_csv
 
 
 def run(args):
@@ -85,3 +87,42 @@ def test_weak_check(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[1] == "function,value,error"
     assert len(lines) > 3
+
+
+def _csv_row_loop(cols, rows, header_meta):
+    # per-value reference for the block writer
+    lines = [f"# {header_meta}", ",".join(cols)]
+    lines += [",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
+                       for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_writer_matches_row_loop(tmp_path):
+    rng = np.random.default_rng(0)
+    data = rng.standard_normal((5000, 3)) * 10.0 ** rng.integers(-300, 300, (5000, 3))
+    data[0] = [1.0 / 3.0, -0.0, 2.0 ** 0.5]
+    out = tmp_path / "a.csv"
+    write_csv(out, ["t", "x0", "push0"], data, "config=abc seed=1")
+    assert out.read_text() == _csv_row_loop(["t", "x0", "push0"],
+                                            data.tolist(), "config=abc seed=1")
+    rows = [(f"f{k}", float(v), float(e)) for k, (v, e) in enumerate(data[:7, :2])]
+    write_csv(out, ["function", "value", "error"], rows, "m")
+    assert out.read_text() == _csv_row_loop(["function", "value", "error"],
+                                            rows, "m")
+
+
+def test_simulate_failed_projections_exit_numeric(tmp_path):
+    # N Gamma^T = [[1, -2], [-2, 1]] is not a P-matrix, and the drift runs
+    # into the corner, where the projection fails
+    system = tmp_path / "trap.json"
+    system.write_text(json.dumps({"dimension": 2, "pieces": [
+        {"kind": "half-space", "normal": [1.0, 0.0], "offset": 0.0,
+         "gamma": [1.0, -2.0]},
+        {"kind": "half-space", "normal": [0.0, 1.0], "offset": 0.0,
+         "gamma": [-2.0, 1.0]}]}))
+    out = tmp_path / "trap.csv"
+    code = run(["simulate", "--system-file", str(system), "--b=-1,-1",
+                "--sigma", "0.1", "--x0", "0.05,0.05", "--T", "0.2",
+                "--dt", "0.01", "--output", str(out)])
+    assert code == cli.EXIT_NUMERIC
+    assert len(out.read_text().splitlines()) == 2 + 21

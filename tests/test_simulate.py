@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import refdiff as rd
 from refdiff import _kernels
 from refdiff.coefficients import CoefficientField
-from refdiff.simulate import EmpiricalMeasure, occupation_measure
+from refdiff.simulate import (EmpiricalMeasure, _polyhedral_arrays, _rng,
+                              occupation_measure)
 
 
 @pytest.fixture(scope="module")
@@ -162,24 +167,129 @@ def test_resolvent_small_lambda_displacement(halfline):
     assert disp.mean() <= 3.0 * np.sqrt(lam)
 
 
-def test_kernel_backends_agree():
-    rng = np.random.default_rng(8)
-    noise = rng.standard_normal((500, 2))
-    args = (np.array([1.0, 1.0]), np.array([-1.0, -0.5]), np.eye(2),
-            np.eye(2), np.zeros(2), np.eye(2), noise, 1e-2, 1e-12)
-    states_py, push_py, fail_py = _kernels._walk_impl(*args)
-    if _kernels.HAVE_NUMBA:
-        states_nb, push_nb, fail_nb = _kernels._walk_nb(*args)
-        assert fail_py == fail_nb
-        assert np.array_equal(states_py, states_nb)
-        assert np.array_equal(push_py, push_nb)
-    logu = np.log(rng.uniform(size=500))
-    s_py, p_py = _kernels._halfline_bridge_impl(0.5, -1.0, 1.0, noise[:, 0],
-                                                logu, 1e-2)
-    if _kernels.HAVE_NUMBA:
-        s_nb, p_nb = _kernels._halfline_bridge_nb(0.5, -1.0, 1.0, noise[:, 0],
-                                                  logu, 1e-2)
-        assert np.array_equal(s_py, s_nb)
+def _halfline_bridge_loop(s0, drift, diff, noise, logu, dt):
+    """Per-step reference for the half-line bridge walk: reflect each step's
+    endpoint by the sampled minimum of its Brownian bridge."""
+    states = np.empty(len(noise) + 1)
+    push = np.zeros(len(noise) + 1)
+    s = states[0] = s0
+    sq = math.sqrt(dt)
+    for k in range(len(noise)):
+        y = s + drift * dt + diff * sq * noise[k]
+        d = s - y
+        m = 0.5 * (s + y - math.sqrt(d * d - 2.0 * diff * diff * dt * logu[k]))
+        corr = max(0.0, -m)
+        s = states[k + 1] = y + corr
+        push[k + 1] = push[k] + corr
+    return states, push
+
+
+@pytest.mark.parametrize("dt", [1e-3, 0.1])
+def test_halfline_bridge_walk_matches_loop(dt):
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        noise = rng.standard_normal(20_000)
+        logu = np.log(rng.uniform(size=20_000))
+        ref = _halfline_bridge_loop(0.5, -1.0, 1.0, noise, logu, dt)
+        states, push = _kernels.halfline_bridge_walk(0.5, -1.0, 1.0, noise,
+                                                     logu, dt)
+        assert np.max(np.abs(states - ref[0])) <= 1e-9
+        assert np.max(np.abs(push - ref[1])) <= 1e-9
+        assert states.min() >= 0.0
+        assert np.all(np.diff(push) >= 0.0)
+
+
+@st.composite
+def _p_matrix_problems(draw):
+    """Polyhedral data {N x >= c} with N Gamma^T = I + E strictly diagonally
+    dominant (so a P-matrix), and a point y to project."""
+    J = draw(st.sampled_from([2, 3]))
+    unit = st.floats(-1.0, 1.0)
+    F = np.array(draw(st.lists(unit, min_size=J * J, max_size=J * J))).reshape(J, J)
+    E = np.array(draw(st.lists(unit, min_size=J * J, max_size=J * J))).reshape(J, J)
+    normals = np.eye(J) + 0.3 * F
+    E = 0.45 / (J - 1) * E
+    np.fill_diagonal(E, 0.0)
+    gammas = np.linalg.solve(normals, np.eye(J) + E).T
+    offsets = np.array(draw(st.lists(unit, min_size=J, max_size=J)))
+    y = 3.0 * np.array(draw(st.lists(unit, min_size=J, max_size=J)))
+    return y, normals, offsets, gammas
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_p_matrix_problems())
+# dropping the negative eta and re-adding the face at the stale point cycles
+# here; the unique solution is eta = (0, 3)
+@example((np.array([-0.75, -3.0]), np.eye(2), np.zeros(2),
+          np.array([[1.0, 0.0], [0.45, 1.0]])))
+def test_project_polyhedral_solves_skorokhod_problem(problem):
+    y, normals, offsets, gammas = problem
+    x, eta, ok = _kernels.project_polyhedral(y, normals, offsets, gammas)
+    assert ok
+    slack = normals @ x - offsets
+    assert slack.min() >= -1e-9                       # x in the closed domain
+    assert eta.min() >= 0.0
+    assert np.max(np.abs(eta * slack)) <= 1e-9        # complementarity
+    assert np.allclose(x - y, eta @ gammas, atol=1e-9)
+
+
+def test_constrained_walk_orthant_invariants():
+    gammas = np.array([[1.0, -0.4], [-0.3, 1.0]])
+    noise = np.random.default_rng(8).standard_normal((3000, 2))
+    states, push, fail = _kernels.constrained_walk(
+        np.array([0.5, 0.5]), np.array([-1.0, -0.5]), np.eye(2), np.eye(2),
+        np.zeros(2), gammas, noise, 1e-2)
+    assert fail == -1 and len(states) == 3001
+    assert states.min() >= -1e-12
+    dpush = np.diff(push, axis=0)
+    assert dpush.min() >= 0.0
+    for i in range(2):                # pushing grows only on the active face
+        grows = dpush[:, i] > 0
+        assert grows.any()
+        assert np.max(np.abs(states[1:][grows, i])) <= 1e-12
+    assert np.allclose(np.diff(states, axis=0),
+                       0.01 * np.array([-1.0, -0.5]) + 0.1 * noise + dpush @ gammas,
+                       atol=1e-12)
+
+
+def test_constant_walk_keeps_one_noise_stream():
+    # paths longer than one kernel block follow the single (seed, path) stream
+    o = rd.make_example("orthant", J=2, D=np.array([[1.0, -0.4], [-0.4, 1.0]]))
+    n = 10_000
+    traj = rd.simulate_path(o.domain, o.coefficients, [0.5, 0.5], T=n * 1e-3,
+                            dt=1e-3, seed=13, path_index=2)
+    normals, offsets, gammas = _polyhedral_arrays(o.domain)
+    noise = _rng(13, 2).standard_normal((n, 2))
+    states, push, fail = _kernels.constrained_walk(
+        np.array([0.5, 0.5]), o.coefficients.b(np.zeros(2)),
+        o.coefficients.sigma(np.zeros(2)), normals, offsets, gammas, noise, 1e-3)
+    assert fail == -1 and not traj.events
+    assert np.array_equal(traj.states, states)
+    assert np.allclose(traj.pushing, push, rtol=0.0, atol=1e-12)
+
+
+def _corner_trap():
+    # N Gamma^T = [[1, -2], [-2, 1]] is not a P-matrix: at the corner the
+    # active set cycles and the projection fails
+    return rd.domain_from_json({"dimension": 2, "pieces": [
+        {"kind": "half-space", "normal": [1.0, 0.0], "offset": 0.0,
+         "gamma": [1.0, -2.0]},
+        {"kind": "half-space", "normal": [0.0, 1.0], "offset": 0.0,
+         "gamma": [-2.0, 1.0]}]})
+
+
+def test_failed_projections_are_events():
+    coef = CoefficientField.constant([-1.0, -1.0], 0.1 * np.eye(2))
+    traj = rd.simulate_path(_corner_trap(), coef, [0.05, 0.05], T=0.2,
+                            dt=0.01, seed=0)
+    assert traj.n_steps == 20 and traj.pushing.shape == (21, 2)
+    steps = [e["step"] for e in traj.events]
+    assert len(steps) >= 5 and steps == sorted(set(steps))
+    for e in traj.events:
+        assert e["kind"] == "NoConvergence" and 0 <= e["step"] < 20
+        # the path stays at the point where the step failed
+        assert np.array_equal(e["point"], traj.states[e["step"]])
+        assert np.array_equal(e["point"], traj.states[e["step"] + 1])
 
 
 def test_bridge_scheme_guard(halfline):
