@@ -25,7 +25,7 @@ from ._csv import write_csv
 from .coefficients import Density
 from .gallery import closed_form_density, make_example
 from .operators import verify_bar, weak_residual
-from .simulate import boundary_occupation, occupation_measure, simulate_path
+from .simulate import boundary_occupation, simulate_path
 from .solver import (default_family, density_grid_measure, interior_grid,
                      polar_grid, residual_report, solve_stationary)
 from .testfunctions import assemble_cover_family
@@ -207,7 +207,6 @@ def cmd_simulate(cfg):
             + [f"push{k}" for k in range(traj.pushing.shape[1])])
     data = np.column_stack([traj.times, traj.states, traj.pushing])
     write_csv(out, cols, data[::stride], _header(cfg))
-    occ = occupation_measure(traj, burn_in=_num(cfg.get("burn_in", 0.1)))
     fb, fv = boundary_occupation(system.domain, traj,
                                  shell=_num(cfg.get("shell", 0.01)),
                                  burn_in=_num(cfg.get("burn_in", 0.1)))

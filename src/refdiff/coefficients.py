@@ -82,6 +82,14 @@ class CoefficientField:
         s = self.sigma(x)
         return s @ s.T
 
+    def generator(self, X, G, H) -> np.ndarray:
+        """(L f)(x) = <b, grad f> + 1/2 a : hess f at the rows of X, given f's
+        (n, J) gradients G and (n, J, J) Hessians H there."""
+        if self.is_constant:
+            return G @ self._const_b + 0.5 * np.einsum("nij,ij->n", H, self._const_a)
+        return np.array([float(np.dot(self.b(x), g) + 0.5 * np.sum(self.a(x) * h))
+                         for x, g, h in zip(X, G, H)])
+
     @property
     def has_analytic_derivatives(self) -> bool:
         return self._db is not None and self._da is not None and self._d2a is not None

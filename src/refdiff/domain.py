@@ -87,6 +87,11 @@ class BoundaryPiece:
             raise ValueError("piece needs a reflection field gamma")
         self._gamma = gamma
 
+    @property
+    def constant_reflection(self) -> bool:
+        """A flat face with one reflection vector for all of its points."""
+        return self.kind == "half-space" and not callable(self._gamma)
+
     def value(self, x) -> float:
         """Signed piece value: positive inside, zero on the piece boundary."""
         x = np.asarray(x, dtype=float)
@@ -211,6 +216,11 @@ class DomainSpec:
             if cls == EXTERIOR:
                 raise ValueError(f"declared singular point {v.x} lies outside the closed domain")
 
+    @property
+    def constant_reflection(self) -> bool:
+        """Polyhedral with a constant reflection vector on every face."""
+        return all(p.constant_reflection for p in self.pieces)
+
     def tol_at(self, x) -> float:
         return self.active_tol * (1.0 + float(np.linalg.norm(x)))
 
@@ -300,6 +310,52 @@ def direction_cone(domain: DomainSpec, x) -> list:
     """Generators {gamma_i(x) : i active at x} of the reflection cone."""
     idx = active_set(domain, x)
     return [domain.pieces[i].gamma(x) for i in idx]
+
+
+@dataclass
+class BoundaryFrame:
+    """Active (point, piece) pairs of a point batch with their reflection vectors.
+
+    Pair k says piece[k] is active at points[row[k]], with reflection vector
+    gamma[k]; pairs are ordered by row, then piece.
+    """
+
+    points: np.ndarray
+    row: np.ndarray
+    piece: np.ndarray
+    gamma: np.ndarray
+
+    def active_sets(self) -> dict:
+        """Row -> tuple of its active pieces, for every row with one."""
+        out: dict = {}
+        for r, i in zip(self.row.tolist(), self.piece.tolist()):
+            out[r] = out.get(r, ()) + (i,)
+        return out
+
+    def inner(self, f) -> np.ndarray:
+        """<gamma_i(y), grad f(y)> for every pair; f's gradient is taken once."""
+        if not len(self.row):
+            return np.empty(0)
+        return np.einsum("kj,kj->k", f.gradient(self.points)[self.row], self.gamma)
+
+
+def boundary_frame(domain: DomainSpec, B, rel_tol: Optional[float] = None) -> BoundaryFrame:
+    """The boundary frame of a batch: piece i is active at y when
+    |value_i(y)| <= rel_tol (1 + |y|), rel_tol defaulting to 10 active_tol."""
+    B = np.atleast_2d(np.asarray(B, dtype=float))
+    if rel_tol is None:
+        rel_tol = 10 * domain.active_tol
+    tol = rel_tol * (1.0 + np.linalg.norm(B, axis=1))
+    row, piece = np.nonzero(np.abs(domain.piece_values_batch(B)) <= tol[:, None])
+    gamma = np.empty((len(row), domain.dimension))
+    for i in np.unique(piece):
+        sel = piece == i
+        p = domain.pieces[i]
+        if p.constant_reflection:
+            gamma[sel] = p.gamma(B[row[sel][0]])
+        else:
+            gamma[sel] = [p.gamma(y) for y in B[row[sel]]]
+    return BoundaryFrame(B, row, piece, gamma)
 
 
 def completely_s_at(domain: DomainSpec, x, tol: float = 1e-9):
@@ -419,11 +475,8 @@ def check_completely_s(domain: DomainSpec, curved_samples: int = 200,
     else:
         pts = sample_boundary(domain, curved_samples, seed=seed)
         by_stratum = {}
-        for x in pts:
-            try:
-                idx = tuple(active_set(domain, x, tol=10 * domain.tol_at(x)))
-            except EmptyActiveSet:
-                continue
+        for r, idx in boundary_frame(domain, pts).active_sets().items():
+            x = pts[r]
             ok, _, margin = completely_s_at(domain, x)
             cur = by_stratum.get(idx)
             if cur is None or margin < cur.margin:
@@ -683,15 +736,8 @@ def check_singular_certificate(domain: DomainSpec, sp: SingularPoint,
 
     B = sample_boundary(domain, max(200, samples // 4), seed=seed + 1,
                         center=x, radius=r_eff)
-    refl = np.inf
-    for y in B:
-        try:
-            idx = active_set(domain, y, tol=10 * domain.tol_at(y))
-        except EmptyActiveSet:
-            continue
-        for i in idx:
-            refl = min(refl, float(np.dot(v, domain.pieces[i].gamma(y))))
-    reflection_margin = refl if np.isfinite(refl) else 0.0
+    refl = np.einsum("kj,j->k", boundary_frame(domain, B).gamma, v)
+    reflection_margin = float(np.min(refl)) if len(refl) else 0.0
 
     if coefficients is not None:
         av = np.array([v @ coefficients.a(y) @ v for y in Y])

@@ -59,7 +59,6 @@ def _halfline(b: float = -1.0, sigma: float = 1.0, box: float = 12.0) -> Example
     domain = dom.DomainSpec(1, [piece], bbox=([0.0], [box]), well_posed=True,
                             bounded=False)
     coef = CoefficientField.constant([b], [[sigma]])
-    coef.is_constant = True
     return ExampleSystem("halfline", {"b": b, "sigma": sigma}, domain, coef,
                          well_posed_condition="b < 0")
 
@@ -93,7 +92,6 @@ def _orthant(J: int = 2, b=None, sigma=None, D=None, box: float = 10.0) -> Examp
             f"reflection matrix is not completely-S: failing strata "
             f"{[r.indices for r in report.failing()]}")
     coef = CoefficientField.constant(b, sigma)
-    coef.is_constant = True
     return ExampleSystem("orthant", {"J": J, "b": list(map(float, b))},
                          domain, coef,
                          well_posed_condition="completely-S reflection matrix")
@@ -157,7 +155,6 @@ def _wedge(zeta: float = math.pi / 2, theta1: float = math.pi / 4,
     if sigma is None:
         sigma = np.eye(2)
     coef = CoefficientField.constant(b, sigma)
-    coef.is_constant = True
     return ExampleSystem(
         "wedge", {"zeta": zeta, "theta1": theta1, "theta2": theta2,
                   "alpha": alpha},
@@ -191,7 +188,6 @@ def _gps(J: int = 2, alphabar=None, b=None, sigma=None, box: float = 8.0) -> Exa
     if sigma is None:
         sigma = np.eye(J)
     coef = CoefficientField.constant(b, sigma)
-    coef.is_constant = True
     return ExampleSystem("gps", {"J": J, "alphabar": list(map(float, ab))},
                          domain, coef,
                          well_posed_condition="pathwise unique reflection map")
@@ -228,7 +224,6 @@ def _disk(radius: float = 1.0, b=None, sigma=None) -> ExampleSystem:
     if sigma is None:
         sigma = np.eye(2)
     coef = CoefficientField.constant(b, sigma)
-    coef.is_constant = True
     return ExampleSystem("disk", {"radius": R}, domain, coef,
                          well_posed_condition="smooth domain, oblique angle < pi/2")
 
@@ -315,7 +310,6 @@ def _cusp(beta: float = 2.0, theta1: float = 0.0, theta2: float = 0.0,
     if sigma is None:
         sigma = np.eye(2)
     coef = CoefficientField.constant(b, sigma)
-    coef.is_constant = True
     return ExampleSystem("cusp", {"beta": beta, "theta1": theta1,
                                   "theta2": theta2}, domain, coef,
                          well_posed_condition="theta1 + theta2 <= 0",

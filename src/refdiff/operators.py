@@ -17,6 +17,7 @@ import numpy as np
 from . import domain as dom
 from .coefficients import CoefficientField, Density, _fd_step1
 from .errors import (
+    ChartMissing,
     DivergentMass,
     MissingDerivatives,
     NotInH,
@@ -45,12 +46,7 @@ def apply_generator_batch(coef: CoefficientField, f, X) -> np.ndarray:
     H = f.hessian(X)
     if G.ndim == 1:
         G, H = G[None, :], H[None, :, :]
-    if getattr(coef, "is_constant", False):
-        return G @ coef._const_b + 0.5 * np.einsum("nij,ij->n", H, coef._const_a)
-    out = np.empty(len(X))
-    for k, x in enumerate(X):
-        out[k] = float(np.dot(coef.b(x), G[k]) + 0.5 * np.sum(coef.a(x) * H[k]))
-    return out
+    return coef.generator(X, G, H)
 
 
 def apply_adjoint(coef: CoefficientField, p: Density, x) -> float:
@@ -106,7 +102,7 @@ def face_residual(coef: CoefficientField, domain: dom.DomainSpec, p: Density,
     t2 = float(n @ a @ gp)
     t3 = pv * normal_diffusion_divergence(coef, x, n)
 
-    analytic = (piece.kind == "half-space" and not callable(piece._gamma)
+    analytic = (piece.constant_reflection
                 and coef._da is not None and p.has_analytic_derivatives)
     if analytic:
         gam = piece.gamma(x)
@@ -246,22 +242,15 @@ def verify_bar(coef: CoefficientField, domain: dom.DomainSpec, p: Density,
     for i in range(len(domain.pieces)):
         try:
             pts, _ = dom.boundary_quadrature(domain, i, face_resolution)
-        except Exception:
-            pts = []
-        worst = 0.0
-        used = 0
-        for x in pts:
-            try:
-                active = dom.active_set(domain, x, tol=1e-7 * (1 + np.linalg.norm(x)))
-            except dom.EmptyActiveSet:
-                continue
-            if active != [i]:
-                continue            # smooth part of the boundary only
-            worst = max(worst, abs(face_residual(coef, domain, p, x, i)))
-            used += 1
-        if used:
-            face_res[i] = worst
-            n_face += used
+        except ChartMissing:
+            continue
+        # smooth part of the boundary only: points whose sole active piece is i
+        frame = dom.boundary_frame(domain, pts, rel_tol=1e-7)
+        sole = [r for r, idx in frame.active_sets().items() if idx == (i,)]
+        if sole:
+            face_res[i] = max(abs(face_residual(coef, domain, p, pts[r], i))
+                              for r in sole)
+            n_face += len(sole)
 
     edge_res = {}
     n_edge = 0

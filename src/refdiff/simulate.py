@@ -43,11 +43,6 @@ def _polyhedral_arrays(domain: dom.DomainSpec):
     return normals, offsets, gammas
 
 
-def _is_constant_polyhedral(domain: dom.DomainSpec) -> bool:
-    return all(p.kind == "half-space" and not callable(p._gamma)
-               for p in domain.pieces)
-
-
 # ---------------------------------------------------------------------------
 # Projection
 # ---------------------------------------------------------------------------
@@ -61,7 +56,7 @@ def reflect(domain: dom.DomainSpec, y, max_iter: int = 50, tol: float = 1e-10):
     on the arrival point's directions.  Raises NoConvergence on failure.
     """
     y = np.asarray(y, dtype=float)
-    if _is_constant_polyhedral(domain):
+    if domain.constant_reflection:
         normals, offsets, gammas = _polyhedral_arrays(domain)
         x, eta, ok = _kernels.project_polyhedral(y, normals, offsets, gammas, _PTOL)
         if not ok:
@@ -232,7 +227,7 @@ def simulate_path(domain: dom.DomainSpec, coef: CoefficientField, x0, T: float,
         s, push = _kernels.halfline_bridge_walk(s0, drift, diff, noise, logu, dt)
         states = ((s + piece.offset) * nrm)[:, None]
         return Trajectory(dt, states, push[:, None], seed, [])
-    if _is_constant_polyhedral(domain) and getattr(coef, "is_constant", False):
+    if domain.constant_reflection and getattr(coef, "is_constant", False):
         states, push, events = _simulate_constant(
             domain, coef, x0, n_steps, dt, seed, path_index)
         return Trajectory(dt, states, push, seed, events)

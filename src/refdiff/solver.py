@@ -19,7 +19,7 @@ import numpy as np
 from . import domain as dom
 from ._csv import write_csv
 from .coefficients import CoefficientField, Density
-from .errors import Infeasible, NotInH
+from .errors import ChartMissing, NotInH, SamplingFailure
 from .operators import apply_generator_batch, weak_residual
 from .testfunctions import TestFunction, interior_bump, boundary_bump, \
     singular_ramp, check_admissible
@@ -188,23 +188,6 @@ def radial_step(domain: dom.DomainSpec, center, c: float, width: float) -> TestF
                         info={"kind": "radial-step", "c": c, "width": width})
 
 
-def _boundary_sign(domain, f, B):
-    """(min, max) of <gamma_i(y), grad f(y)> over sampled boundary points."""
-    lo_v, hi_v = np.inf, -np.inf
-    for y in B:
-        try:
-            active = dom.active_set(domain, y, tol=10 * domain.tol_at(y))
-        except dom.EmptyActiveSet:
-            continue
-        g = f.gradient(y)
-        for i in active:
-            v = float(np.dot(domain.pieces[i].gamma(y), g))
-            lo_v, hi_v = min(lo_v, v), max(hi_v, v)
-    if not np.isfinite(lo_v):
-        return 0.0, 0.0
-    return lo_v, hi_v
-
-
 def default_family(domain: dom.DomainSpec, coef: CoefficientField,
                    n_interior: int = 30, n_boundary: int = 8,
                    n_steps: int = 8, box=None, widen: float = 1.8,
@@ -240,11 +223,13 @@ def default_family(domain: dom.DomainSpec, coef: CoefficientField,
 
     try:
         B = dom.sample_boundary(domain, 300, seed=seed)
-    except Exception:
+    except SamplingFailure:
         B = np.empty((0, J))
+    frame = dom.boundary_frame(domain, B)
 
     def classify(f):
-        lo_s, hi_s = _boundary_sign(domain, f, B)
+        inner = frame.inner(f)
+        lo_s, hi_s = (inner.min(), inner.max()) if len(inner) else (0.0, 0.0)
         if max(abs(lo_s), abs(hi_s)) <= 1e-9:
             f.claims_in_class = f.claims_negated_in_class = True
             return f
@@ -295,7 +280,7 @@ def default_family(domain: dom.DomainSpec, coef: CoefficientField,
     for i in range(len(domain.pieces) if n_boundary > 0 else 0):
         try:
             bpts, _ = dom.boundary_quadrature(domain, i, n_boundary)
-        except Exception:
+        except ChartMissing:
             continue
         for x in bpts[:: max(1, len(bpts) // max(n_boundary, 1))]:
             try:
@@ -343,22 +328,13 @@ def build_constraints(domain: dom.DomainSpec, coef: CoefficientField,
     grid_points = np.atleast_2d(np.asarray(grid_points, dtype=float))
     try:
         B = dom.sample_boundary(domain, 400, seed=seed)
-    except Exception:
+    except SamplingFailure:
         B = np.empty((0, domain.dimension))
+    frame = dom.boundary_frame(domain, B)
     rows, types = [], []
     for f in family:
         rows.append(apply_generator_batch(coef, f, grid_points))
-        worst_abs = 0.0
-        for y in B:
-            try:
-                active = dom.active_set(domain, y, tol=10 * domain.tol_at(y))
-            except dom.EmptyActiveSet:
-                continue
-            g = f.gradient(y)
-            for i in active:
-                worst_abs = max(worst_abs, abs(float(
-                    np.dot(domain.pieces[i].gamma(y), g))))
-        if worst_abs <= eq_tol:
+        if np.all(np.abs(frame.inner(f)) <= eq_tol):
             types.append("eq")
         elif f.claims_negated_in_class:
             types.append("ineq")

@@ -21,6 +21,7 @@ from . import domain as dom
 from .cones import MollifiedConeDistance, PolyCone, fattened_generators
 from .errors import (
     BadParameters,
+    ChartMissing,
     NotInU,
     QPFailure,
     RadiusTooLarge,
@@ -500,9 +501,7 @@ class StratumModel:
 
 
 def _stratum_model(domain: dom.DomainSpec, x) -> StratumModel:
-    constant = all(p.kind == "half-space" and not callable(p._gamma)
-                   for p in domain.pieces)
-    if not constant:
+    if not domain.constant_reflection:
         return StratumModel(domain, x)
     cache = getattr(domain, "_stratum_cache", None)
     if cache is None:
@@ -626,16 +625,8 @@ def check_admissible(f: TestFunction, domain: dom.DomainSpec, samples: int = 200
         B = dom.sample_boundary(domain, samples, seed=seed, center=center, radius=radius)
     except SamplingFailure:
         B = dom.sample_boundary(domain, samples, seed=seed)
-    worst = -np.inf
-    for y in B:
-        try:
-            idx = dom.active_set(domain, y, tol=10 * domain.tol_at(y))
-        except dom.EmptyActiveSet:
-            continue
-        g = f.gradient(y)
-        for i in idx:
-            worst = max(worst, float(np.dot(domain.pieces[i].gamma(y), g)))
-    worst = worst if np.isfinite(worst) else 0.0
+    inner = dom.boundary_frame(domain, B).inner(f)
+    worst = float(np.max(inner)) if len(inner) else 0.0
 
     sing = 0.0
     for sp in domain.singular_points:
@@ -739,11 +730,6 @@ class FamilyEvaluation:
         self.full_grad = np.zeros((n, J))
         self.full_lf = np.zeros(n)
         self._idx, self._vals, self._grads, self._lfs = [], [], [], []
-        if coefficients is not None and getattr(coefficients, "is_constant", False):
-            b0 = coefficients.b(np.zeros(J))
-            a0 = coefficients.a(np.zeros(J))
-        else:
-            b0 = a0 = None
         for bump in family.bumps:
             mask = np.linalg.norm(self.Y - bump.x, axis=1) \
                 <= bump.func.support_radius * (1 + 1e-12)
@@ -757,14 +743,7 @@ class FamilyEvaluation:
             pts = self.Y[idx]
             v = bump.func._value(pts)
             g = bump.func._gradient(pts)
-            H = bump.func._hessian(pts)
-            if b0 is not None:
-                lf = g @ b0 + 0.5 * np.einsum("nij,ij->n", H, a0)
-            else:
-                lf = np.array([
-                    float(np.dot(coefficients.b(x), gi)
-                          + 0.5 * np.sum(coefficients.a(x) * Hi))
-                    for x, gi, Hi in zip(pts, g, H)])
+            lf = coefficients.generator(pts, g, bump.func._hessian(pts))
             self._idx.append(idx)
             self._vals.append(v)
             self._grads.append(g)
@@ -835,8 +814,7 @@ def assemble_cover_family(domain: dom.DomainSpec, coefficients, N: float,
     sampled points not yet inside any plateau until the region of interest is
     fully covered.
     """
-    polyhedral = all(p.kind == "half-space" and not callable(p._gamma)
-                     for p in domain.pieces)
+    polyhedral = domain.constant_reflection
     if not (polyhedral or domain.bounded
             or getattr(domain, "allow_curved_family", False)):
         raise UnboundedUnsupported(
@@ -1110,6 +1088,6 @@ def _curved_stratum_lattice(domain, subset, eps, plateau_lower):
     i = subset[0]
     try:
         pts, _ = dom.boundary_quadrature(domain, i, max(8, int(4.0 / eps)))
-    except Exception:
+    except ChartMissing:
         return None
     return pts

@@ -194,3 +194,50 @@ def test_distance_to_boundary():
     disk = rd.make_example("disk")
     assert np.isclose(dom.distance_to_boundary(disk.domain, [0.25, 0.0]), 0.75,
                       atol=1e-8)
+
+
+def _per_point_frame(domain, B, rel_tol):
+    """The per-point active-set loop that boundary_frame replaces."""
+    pairs, gammas = [], []
+    for r, y in enumerate(B):
+        try:
+            idx = rd.active_set(domain, y, tol=rel_tol * (1 + np.linalg.norm(y)))
+        except EmptyActiveSet:
+            continue
+        for i in idx:
+            pairs.append((r, i))
+            gammas.append(domain.pieces[i].gamma(y))
+    return pairs, gammas
+
+
+@pytest.mark.parametrize("name, params", [
+    ("halfline", {}), ("orthant", {"J": 2}), ("wedge", {}), ("gps", {"J": 3}),
+    ("disk", {}), ("cusp", {})])
+@pytest.mark.parametrize("rel_tol", [None, 1e-7])
+def test_boundary_frame_matches_per_point_loop(name, params, rel_tol):
+    d = rd.make_example(name, **params).domain
+    # boundary samples plus interior points, which must contribute no pair
+    B = np.vstack([dom.sample_boundary(d, 300, seed=0),
+                   dom.sample_closure(d, 20, seed=1)])
+    frame = dom.boundary_frame(d, B, rel_tol=rel_tol)
+    pairs, gammas = _per_point_frame(d, B, 10 * d.active_tol if rel_tol is None
+                                     else rel_tol)
+    assert list(zip(frame.row.tolist(), frame.piece.tolist())) == pairs
+    assert len(pairs) >= 100
+    assert np.array_equal(frame.gamma, np.array(gammas))
+    for r, idx in frame.active_sets().items():
+        assert idx == tuple(i for rr, i in pairs if rr == r)
+
+
+def test_boundary_frame_inner_products():
+    o = rd.make_example("orthant", J=2)
+    B = np.array([[0.0, 0.0], [0.0, 1.5], [2.0, 0.0], [1.0, 1.0]])
+    frame = dom.boundary_frame(o.domain, B)
+    assert frame.active_sets() == {0: (0, 1), 1: (0,), 2: (1,)}
+    f = rd.TestFunction(2, lambda Y: Y @ [1.0, 2.0], lambda Y: np.tile([1.0, 2.0], (len(Y), 1)),
+                        lambda Y: np.zeros((len(Y), 2, 2)))
+    expect = [np.dot(o.domain.pieces[i].gamma(B[r]), [1.0, 2.0])
+              for r, i in zip(frame.row, frame.piece)]
+    assert np.allclose(frame.inner(f), expect)
+    empty = dom.boundary_frame(o.domain, np.empty((0, 2)))
+    assert len(empty.row) == 0 and len(empty.inner(f)) == 0

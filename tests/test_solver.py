@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import refdiff as rd
+from refdiff import domain as dom
+from refdiff.errors import SamplingFailure
 from refdiff.operators import apply_generator_batch
 from refdiff.solver import (GridMeasure, build_constraints, coordinate_step,
                             default_family, density_grid_measure,
@@ -64,6 +66,48 @@ def test_build_constraints_types(halfline, grid_1d):
     M, types = build_constraints(halfline.domain, halfline.coefficients,
                                  grid_1d, [eq_step, crossing])
     assert types == ["eq", "ineq"]
+
+
+def test_build_constraints_one_boundary_frame(halfline, grid_1d, monkeypatch):
+    fam = default_family(halfline.domain, halfline.coefficients, n_interior=17,
+                         n_boundary=0, n_steps=27, box=([0.0], [5.0]),
+                         min_feature=0.05, widen=2.0)[:40]
+    assert len(fam) == 40
+    B = dom.sample_boundary(halfline.domain, 400, seed=0)
+    single_point = []
+    active_set = dom.active_set
+    monkeypatch.setattr(dom, "active_set",
+                        lambda *a, **k: single_point.append(a) or active_set(*a, **k))
+    on_sample = [0] * len(fam)
+    for k, f in enumerate(fam):
+        def counted(y, k=k, gradient=f.gradient):
+            on_sample[k] += np.array_equal(y, B)
+            return gradient(y)
+        f.gradient = counted
+    M, types = build_constraints(halfline.domain, halfline.coefficients,
+                                 grid_1d, fam)
+    assert single_point == []
+    assert on_sample == [1] * len(fam)
+    assert M.shape == (40, len(grid_1d)) and len(types) == 40
+
+
+def test_build_constraints_sampling_errors(halfline, grid_1d, monkeypatch):
+    step = coordinate_step(halfline.domain, 0, 0.05, 0.2)
+
+    def fails(exc):
+        def sample_boundary(*a, **k):
+            raise exc
+        return sample_boundary
+
+    # an unsampleable boundary gives no boundary rows to check ...
+    monkeypatch.setattr(dom, "sample_boundary", fails(SamplingFailure("empty")))
+    _, types = build_constraints(halfline.domain, halfline.coefficients,
+                                 grid_1d, [step])
+    assert types == ["eq"]
+    # ... but any other sampling fault propagates
+    monkeypatch.setattr(dom, "sample_boundary", fails(ValueError("broken")))
+    with pytest.raises(ValueError, match="broken"):
+        build_constraints(halfline.domain, halfline.coefficients, grid_1d, [step])
 
 
 def test_solve_degenerate_empty_family(halfline, grid_1d):
