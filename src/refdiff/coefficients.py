@@ -17,12 +17,35 @@ _H1 = _EPS ** (1.0 / 3.0)
 _H2 = _EPS ** 0.25
 
 
-def _fd_step1(x):
-    return _H1 * (1.0 + float(np.linalg.norm(x)))
+def central_diff1(f, x) -> np.ndarray:
+    """First central differences of f (scalar- or array-valued) at x:
+    out[..., k] = (f(x + h e_k) - f(x - h e_k)) / 2h with h = h1 (1 + |x|)."""
+    x = np.asarray(x, dtype=float)
+    h = _H1 * (1.0 + float(np.linalg.norm(x)))
+    E = h * np.eye(len(x))
+    return np.stack([(np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2 * h) for e in E],
+                    axis=-1)
 
 
-def _fd_step2(x):
-    return _H2 * (1.0 + float(np.linalg.norm(x)))
+def central_diff2(f, x) -> np.ndarray:
+    """Second central differences of f at x, symmetric in the last two axes:
+    out[..., k, l] approximates d^2 f / dx_k dx_l with h = h2 (1 + |x|)."""
+    x = np.asarray(x, dtype=float)
+    J = len(x)
+    h = _H2 * (1.0 + float(np.linalg.norm(x)))
+    E = h * np.eye(J)
+    f0 = np.asarray(f(x))
+    out = np.empty(f0.shape + (J, J))
+    for k in range(J):
+        for l in range(k, J):
+            if k == l:
+                d = (f(x + E[k]) - 2 * f0 + f(x - E[k])) / (h * h)
+            else:
+                d = (f(x + E[k] + E[l]) - f(x + E[k] - E[l])
+                     - f(x - E[k] + E[l]) + f(x - E[k] - E[l])) / (4 * h * h)
+            out[..., k, l] = d
+            out[..., l, k] = d
+    return out
 
 
 class CoefficientField:
@@ -100,14 +123,7 @@ class CoefficientField:
             return np.asarray(self._db(x), dtype=float)
         if not self.fd:
             raise MissingDerivatives("drift Jacobian unavailable")
-        J = len(x)
-        h = _fd_step1(x)
-        out = np.empty((J, J))
-        for k in range(J):
-            e = np.zeros(J)
-            e[k] = h
-            out[:, k] = (self.b(x + e) - self.b(x - e)) / (2 * h)
-        return out
+        return central_diff1(self.b, x)
 
     def da(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -115,14 +131,7 @@ class CoefficientField:
             return np.asarray(self._da(x), dtype=float)
         if not self.fd:
             raise MissingDerivatives("diffusion gradient unavailable")
-        J = len(x)
-        h = _fd_step1(x)
-        out = np.empty((J, J, J))
-        for k in range(J):
-            e = np.zeros(J)
-            e[k] = h
-            out[:, :, k] = (self.a(x + e) - self.a(x - e)) / (2 * h)
-        return out
+        return central_diff1(self.a, x)
 
     def d2a(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -130,24 +139,7 @@ class CoefficientField:
             return np.asarray(self._d2a(x), dtype=float)
         if not self.fd:
             raise MissingDerivatives("diffusion Hessian unavailable")
-        J = len(x)
-        h = _fd_step2(x)
-        out = np.empty((J, J, J, J))
-        a0 = self.a(x)
-        for k in range(J):
-            ek = np.zeros(J)
-            ek[k] = h
-            for l in range(k, J):
-                el = np.zeros(J)
-                el[l] = h
-                if k == l:
-                    d = (self.a(x + ek) - 2 * a0 + self.a(x - ek)) / (h * h)
-                else:
-                    d = (self.a(x + ek + el) - self.a(x + ek - el)
-                         - self.a(x - ek + el) + self.a(x - ek - el)) / (4 * h * h)
-                out[:, :, k, l] = d
-                out[:, :, l, k] = d
-        return out
+        return central_diff2(self.a, x)
 
     def validate(self, points, psd_tol: float = 1e-10):
         """Check a(x) symmetric and positive semidefinite at the given points."""
@@ -187,14 +179,7 @@ class Density:
             return self.scale * np.asarray(self._grad(x), dtype=float)
         if not self.fd:
             raise MissingDerivatives("density gradient unavailable")
-        J = len(x)
-        h = _fd_step1(x)
-        out = np.empty(J)
-        for k in range(J):
-            e = np.zeros(J)
-            e[k] = h
-            out[k] = (float(self._value(x + e)) - float(self._value(x - e))) / (2 * h)
-        return self.scale * out
+        return self.scale * central_diff1(lambda y: float(self._value(y)), x)
 
     def hessian(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -202,26 +187,7 @@ class Density:
             return self.scale * np.asarray(self._hess(x), dtype=float)
         if not self.fd:
             raise MissingDerivatives("density Hessian unavailable")
-        J = len(x)
-        h = _fd_step2(x)
-        out = np.empty((J, J))
-        v0 = float(self._value(x))
-        for k in range(J):
-            ek = np.zeros(J)
-            ek[k] = h
-            for l in range(k, J):
-                el = np.zeros(J)
-                el[l] = h
-                if k == l:
-                    d = (float(self._value(x + ek)) - 2 * v0
-                         + float(self._value(x - ek))) / (h * h)
-                else:
-                    d = (float(self._value(x + ek + el)) - float(self._value(x + ek - el))
-                         - float(self._value(x - ek + el))
-                         + float(self._value(x - ek - el))) / (4 * h * h)
-                out[k, l] = d
-                out[l, k] = d
-        return self.scale * out
+        return self.scale * central_diff2(lambda y: float(self._value(y)), x)
 
     @property
     def has_analytic_derivatives(self) -> bool:

@@ -39,6 +39,17 @@ def register_chart(name: str, factory: Callable) -> None:
     _CHART_REGISTRY[name] = factory
 
 
+def row_dot(X, Y) -> np.ndarray:
+    """<X[k], Y[k]> over the last axis, broadcasting the rest (a point gives a
+    scalar).  Each row is rounded as np.dot rounds it alone: a plain
+    (n, J) @ (J,) product runs a matrix kernel whose fused multiply-adds round
+    some rows differently, so a batch row would disagree with its point."""
+    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+    if X.ndim == Y.ndim == 1:
+        return X @ Y
+    return (X[..., None, :] @ Y[..., :, None])[..., 0, 0]
+
+
 def _as_unit(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     nrm = float(np.linalg.norm(v))
@@ -54,6 +65,11 @@ class BoundaryPiece:
     value <n, x> - c is the signed distance to the face.  Smooth pieces store
     a defining function phi (positive inside) with a gradient evaluator, and
     optionally a chart used for boundary quadrature.
+
+    Every evaluator takes a point (J,) or a batch (n, J); a point is a batch
+    of one, and row k of a batch result equals the result at X[k] bit for
+    bit.  The callables of a smooth piece (phi, grad_phi and a callable gamma)
+    are batch-first: they map an (n, J) array to (n,), (n, J) and (n, J).
 
     The reflection field gamma may be a constant vector or a callable; it is
     rescaled at evaluation time so that <n(x), gamma(x)> = 1.
@@ -85,48 +101,55 @@ class BoundaryPiece:
             self.offset = None
         if gamma is None:
             raise ValueError("piece needs a reflection field gamma")
-        self._gamma = gamma
+        self._gamma = gamma if callable(gamma) else np.asarray(gamma, dtype=float)
+        if self.constant_reflection:
+            s = float(np.dot(self.normal, self._gamma))
+            if s <= 0.0:
+                raise ValueError(f"reflection vector has nonpositive normal component {s:.3e}")
+            self._unit_gamma = self._gamma / s
 
     @property
     def constant_reflection(self) -> bool:
         """A flat face with one reflection vector for all of its points."""
         return self.kind == "half-space" and not callable(self._gamma)
 
-    def value(self, x) -> float:
-        """Signed piece value: positive inside, zero on the piece boundary."""
+    def value(self, x):
+        """Signed piece value, positive inside and zero on the piece boundary:
+        a float at a point, an (n,) array on a batch."""
         x = np.asarray(x, dtype=float)
         if self.kind == "half-space":
-            return float(np.dot(self.normal, x) - self.offset)
-        return float(self.phi(x))
-
-    def values(self, X) -> np.ndarray:
-        """Vectorized signed values for an (n, J) array of points."""
-        X = np.asarray(X, dtype=float)
-        if self.kind == "half-space":
-            return X @ self.normal - self.offset
-        return np.asarray([self.phi(x) for x in X], dtype=float)
+            v = row_dot(x, self.normal) - self.offset
+        else:
+            v = np.asarray(self.phi(np.atleast_2d(x)), dtype=float).reshape(x.shape[:-1])
+        return float(v) if x.ndim == 1 else v
 
     def unit_normal(self, x) -> np.ndarray:
-        """Unit inward normal at a point on (or near) the piece."""
+        """Unit inward normal at a point (or at the rows of a batch) on or
+        near the piece."""
+        x = np.asarray(x, dtype=float)
         if self.kind == "half-space":
-            return self.normal
-        g = np.asarray(self.grad_phi(np.asarray(x, dtype=float)), dtype=float)
-        return _as_unit(g)
-
-    def gamma_raw(self, x) -> np.ndarray:
-        g = self._gamma(np.asarray(x, dtype=float)) if callable(self._gamma) else self._gamma
-        return np.asarray(g, dtype=float)
+            return np.full(x.shape, self.normal)
+        G = np.asarray(self.grad_phi(np.atleast_2d(x)), dtype=float)
+        nrm = np.sqrt(row_dot(G, G))
+        if (nrm == 0.0).any():
+            raise ValueError("zero vector cannot be normalized")
+        return (G / nrm[:, None]).reshape(x.shape)
 
     def gamma(self, x) -> np.ndarray:
-        """Reflection vector at x, rescaled so <n(x), gamma(x)> = 1."""
-        g = self.gamma_raw(x)
-        n = self.unit_normal(x)
-        s = float(np.dot(n, g))
-        if s <= 0.0:
+        """Reflection vector at a point (or at the rows of a batch), rescaled
+        so <n(x), gamma(x)> = 1."""
+        x = np.asarray(x, dtype=float)
+        if self.constant_reflection:
+            return np.full(x.shape, self._unit_gamma)
+        X = np.atleast_2d(x)
+        g = np.asarray(self._gamma(X), dtype=float) if callable(self._gamma) else self._gamma
+        s = row_dot(self.unit_normal(X), g)
+        if (s <= 0.0).any():
+            k = int(np.argmax(s <= 0.0))
             raise ValueError(
-                f"reflection field has nonpositive normal component {s:.3e} at {x}"
+                f"reflection field has nonpositive normal component {s[k]:.3e} at {X[k]}"
             )
-        return g / s
+        return (g / s[:, None]).reshape(x.shape)
 
     def to_json(self) -> dict:
         d = {"kind": self.kind}
@@ -140,7 +163,7 @@ class BoundaryPiece:
         if callable(self._gamma):
             d["gamma"] = self.name if self.name else "callable"
         else:
-            d["gamma"] = list(map(float, np.asarray(self._gamma, dtype=float)))
+            d["gamma"] = list(map(float, self._gamma))
         return d
 
 
@@ -221,20 +244,21 @@ class DomainSpec:
         """Polyhedral with a constant reflection vector on every face."""
         return all(p.constant_reflection for p in self.pieces)
 
-    def tol_at(self, x) -> float:
-        return self.active_tol * (1.0 + float(np.linalg.norm(x)))
+    def tol_at(self, x):
+        """Active-set tolerance active_tol (1 + |x|): a float at a point, an
+        (n,) array on a batch."""
+        x = np.asarray(x, dtype=float)
+        tol = self.active_tol * (1.0 + np.sqrt(row_dot(x, x)))
+        return float(tol) if x.ndim == 1 else tol
 
     def piece_values(self, x) -> np.ndarray:
+        """Signed values of every piece: (m,) at a point, (n, m) on a batch."""
         x = np.asarray(x, dtype=float)
-        return np.array([p.value(x) for p in self.pieces])
+        return np.array([p.value(x) for p in self.pieces]).T
 
     def piece_values_batch(self, X) -> np.ndarray:
         """(n, m) array of signed values for n points and m pieces."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.stack([p.values(X) for p in self.pieces], axis=1)
-
-    def min_value(self, x) -> float:
-        return float(np.min(self.piece_values(x)))
+        return self.piece_values(np.atleast_2d(np.asarray(X, dtype=float)))
 
     def to_json(self) -> dict:
         return {
@@ -314,15 +338,17 @@ def direction_cone(domain: DomainSpec, x) -> list:
 
 @dataclass
 class BoundaryFrame:
-    """Active (point, piece) pairs of a point batch with their reflection vectors.
+    """Active (point, piece) pairs of a point batch with their geometry.
 
-    Pair k says piece[k] is active at points[row[k]], with reflection vector
-    gamma[k]; pairs are ordered by row, then piece.
+    Pair k says piece[k] is active at points[row[k]], with unit inward normal
+    normal[k] and reflection vector gamma[k]; pairs are ordered by row, then
+    piece.
     """
 
     points: np.ndarray
     row: np.ndarray
     piece: np.ndarray
+    normal: np.ndarray
     gamma: np.ndarray
 
     def active_sets(self) -> dict:
@@ -345,17 +371,15 @@ def boundary_frame(domain: DomainSpec, B, rel_tol: Optional[float] = None) -> Bo
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if rel_tol is None:
         rel_tol = 10 * domain.active_tol
-    tol = rel_tol * (1.0 + np.linalg.norm(B, axis=1))
+    tol = rel_tol * (1.0 + np.sqrt(row_dot(B, B)))
     row, piece = np.nonzero(np.abs(domain.piece_values_batch(B)) <= tol[:, None])
-    gamma = np.empty((len(row), domain.dimension))
+    normal = np.empty((len(row), domain.dimension))
+    gamma = np.empty_like(normal)
     for i in np.unique(piece):
         sel = piece == i
-        p = domain.pieces[i]
-        if p.constant_reflection:
-            gamma[sel] = p.gamma(B[row[sel][0]])
-        else:
-            gamma[sel] = [p.gamma(y) for y in B[row[sel]]]
-    return BoundaryFrame(B, row, piece, gamma)
+        normal[sel] = domain.pieces[i].unit_normal(B[row[sel]])
+        gamma[sel] = domain.pieces[i].gamma(B[row[sel]])
+    return BoundaryFrame(B, row, piece, normal, gamma)
 
 
 def completely_s_at(domain: DomainSpec, x, tol: float = 1e-9):
@@ -369,7 +393,13 @@ def completely_s_at(domain: DomainSpec, x, tol: float = 1e-9):
     idx = active_set(domain, x)
     normals = np.stack([domain.pieces[i].unit_normal(x) for i in idx])
     gammas = np.stack([domain.pieces[i].gamma(x) for i in idx])
-    k = len(idx)
+    return _positive_normal_lp(normals, gammas, x, tol)
+
+
+def _positive_normal_lp(normals, gammas, x, tol):
+    """completely_s_at's LP on the (k, J) normals and reflection vectors of
+    the pieces active at x."""
+    k = len(normals)
     # variables: s_1..s_k, t;  minimize -t
     # constraints: -(N s) . gamma_j + t <= 0  for each j;  sum s = 1;  s >= 0
     G = gammas @ normals.T          # G[j, i] = <gamma_j, n_i>
@@ -474,10 +504,16 @@ def check_completely_s(domain: DomainSpec, curved_samples: int = 200,
                 results.append(StratumResult(subset, rep, ok, margin))
     else:
         pts = sample_boundary(domain, curved_samples, seed=seed)
+        # strata from the default frame; each LP sees the pieces that
+        # active_set would return, i.e. the frame at rel_tol = active_tol
+        frame = boundary_frame(domain, pts, rel_tol=domain.active_tol)
         by_stratum = {}
         for r, idx in boundary_frame(domain, pts).active_sets().items():
-            x = pts[r]
-            ok, _, margin = completely_s_at(domain, x)
+            x, k = pts[r], frame.row == r
+            if not k.any():
+                raise EmptyActiveSet(f"point {x} is not within {domain.tol_at(x):.2e} "
+                                     "of any piece")
+            ok, _, margin = _positive_normal_lp(frame.normal[k], frame.gamma[k], x, 1e-9)
             cur = by_stratum.get(idx)
             if cur is None or margin < cur.margin:
                 by_stratum[idx] = StratumResult(idx, x, ok, margin)
@@ -527,18 +563,27 @@ def sample_closure(domain: DomainSpec, n: int, seed: int = 0,
 
 
 def project_to_piece(domain: DomainSpec, piece_index: int, x, newton_steps: int = 30):
-    """Project a point onto the zero set of one piece (Newton along the gradient)."""
+    """Project a point, or each row of a batch, onto the zero set of one piece.
+
+    Smooth pieces take Newton steps along the gradient; each row iterates
+    until its own stopping test holds, exactly as it would alone.
+    """
     p = domain.pieces[piece_index]
-    x = np.asarray(x, dtype=float).copy()
+    x = np.asarray(x, dtype=float)
     if p.kind == "half-space":
-        return x - p.value(x) * p.normal
+        return x - np.multiply.outer(p.value(x), p.normal)
+    X = np.atleast_2d(x).copy()
+    live = np.arange(len(X))
     for _ in range(newton_steps):
-        v = p.value(x)
-        if abs(v) < 1e-13 * (1 + np.linalg.norm(x)):
+        Y = X[live]
+        v = p.value(Y)
+        go = ~(np.abs(v) < 1e-13 * (1 + np.sqrt(row_dot(Y, Y))))
+        live, Y, v = live[go], Y[go], v[go]
+        if not len(live):
             break
-        g = np.asarray(p.grad_phi(x), dtype=float)
-        x = x - v * g / max(float(g @ g), 1e-300)
-    return x
+        G = np.asarray(p.grad_phi(Y), dtype=float)
+        X[live] = Y - v[:, None] * G / np.maximum(row_dot(G, G), 1e-300)[:, None]
+    return X.reshape(x.shape)
 
 
 def sample_boundary(domain: DomainSpec, n: int, seed: int = 0,
@@ -546,43 +591,40 @@ def sample_boundary(domain: DomainSpec, n: int, seed: int = 0,
     """Sample ~n points on the boundary by projecting domain samples to pieces.
 
     Points are spread over the pieces; only projections that stay in the
-    closed domain are kept.
+    closed domain are kept, in candidate order, until piece i brings the
+    count to (n // m + 1)(i + 1).
     """
     rng = np.random.default_rng(seed)
     m = len(domain.pieces)
     per = max(1, n // m + 1)
-    pts = []
+    pts = np.empty((0, domain.dimension))
     vols = sample_closure(domain, per * 3, seed=seed, center=center, radius=radius)
     for i in range(m):
-        cand = vols[rng.permutation(len(vols))[:per * 2]]
-        for x in cand:
-            y = project_to_piece(domain, i, x)
-            tol = 10 * domain.tol_at(y)
-            if np.all(domain.piece_values(y) >= -tol):
-                if center is None or np.linalg.norm(y - center) <= radius:
-                    pts.append(y)
-            if len(pts) >= per * (i + 1):
-                break
-    if not pts:
+        Y = project_to_piece(domain, i, vols[rng.permutation(len(vols))[:per * 2]])
+        keep = np.all(domain.piece_values(Y) >= -10 * domain.tol_at(Y)[:, None], axis=1)
+        if center is not None:
+            keep &= np.sqrt(row_dot(Y - center, Y - center)) <= radius
+        pts = np.vstack([pts, Y[keep][:per * (i + 1) - len(pts)]])
+    if not len(pts):
         raise SamplingFailure("no boundary samples produced")
-    out = np.array(pts)
-    return out[:n] if len(out) >= n else out
+    return pts[:n]
 
 
-def distance_to_boundary(domain: DomainSpec, x) -> float:
-    """Distance from an interior point to the boundary.
+def distance_to_boundary(domain: DomainSpec, x):
+    """Distance from an interior point (a float), or from each row of a batch
+    (an (n,) array), to the boundary.
 
     Exact for half-space pieces; Newton projection for smooth pieces.
     """
     x = np.asarray(x, dtype=float)
-    d = np.inf
+    d = np.full(x.shape[:-1], np.inf)
     for i, p in enumerate(domain.pieces):
         if p.kind == "half-space":
-            d = min(d, abs(p.value(x)))
+            d = np.minimum(d, np.abs(p.value(x)))
         else:
-            y = project_to_piece(domain, i, x)
-            d = min(d, float(np.linalg.norm(y - x)))
-    return d
+            D = project_to_piece(domain, i, x) - x
+            d = np.minimum(d, np.sqrt(row_dot(D, D)))
+    return float(d) if x.ndim == 1 else d
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +704,7 @@ def boundary_quadrature(domain: DomainSpec, piece_index: int, resolution: int):
         if curved:
             keep = np.ones(len(pts), dtype=bool)
             for q in curved:
-                keep &= q.values(pts) >= -1e-9
+                keep &= q.value(pts) >= -1e-9
             pts, w = pts[keep], w[keep]
         return pts, w
 

@@ -196,17 +196,15 @@ def _gps(J: int = 2, alphabar=None, b=None, sigma=None, box: float = 8.0) -> Exa
 def _disk(radius: float = 1.0, b=None, sigma=None) -> ExampleSystem:
     R = float(radius)
 
-    def phi(x):
-        return R - float(np.linalg.norm(x))
+    def phi(X):
+        return R - np.sqrt(dom.row_dot(X, X))
 
-    def grad_phi(x):
-        n = float(np.linalg.norm(x))
-        if n < 1e-12:
-            return np.array([1.0, 0.0])
-        return -np.asarray(x, dtype=float) / n
+    def grad_phi(X):
+        n = np.sqrt(dom.row_dot(X, X))[:, None]
+        small = n < 1e-12
+        return np.where(small, [1.0, 0.0], -X / np.where(small, 1.0, n))
 
-    def gamma(x):
-        return grad_phi(x)
+    gamma = grad_phi
 
     def chart(resolution):
         th = (np.arange(resolution) + 0.5) * 2 * math.pi / resolution
@@ -236,33 +234,33 @@ def _cusp(beta: float = 2.0, theta1: float = 0.0, theta2: float = 0.0,
         raise IllPosedParameters(
             f"cusp needs theta1 + theta2 <= 0, got {theta1 + theta2:.4g}")
 
-    def phi1(z):
-        x, y = z
-        return (x ** beta - y) if x > 0 else -y
+    # both pieces are flat (|y| = 0) for x <= 0, where 0 ** beta = 0
+    def phi1(Z):
+        x, y = Z[:, 0], Z[:, 1]
+        return np.where(x > 0, np.maximum(x, 0.0) ** beta - y, -y)
 
-    def grad_phi1(z):
-        x, _ = z
-        gx = beta * x ** (beta - 1.0) if x > 0 else 0.0
-        return np.array([gx, -1.0])
+    def phi2(Z):
+        x, y = Z[:, 0], Z[:, 1]
+        return np.where(x > 0, y + np.maximum(x, 0.0) ** beta, y)
 
-    def phi2(z):
-        x, y = z
-        return (y + x ** beta) if x > 0 else y
+    def grad_phi1(Z):
+        gx = beta * np.maximum(Z[:, 0], 0.0) ** (beta - 1.0)
+        return np.stack([gx, np.full(len(Z), -1.0)], axis=1)
 
-    def grad_phi2(z):
-        x, _ = z
-        gx = beta * x ** (beta - 1.0) if x > 0 else 0.0
-        return np.array([gx, 1.0])
+    def grad_phi2(Z):
+        gx = beta * np.maximum(Z[:, 0], 0.0) ** (beta - 1.0)
+        return np.stack([gx, np.full(len(Z), 1.0)], axis=1)
 
-    def gamma1(z):
-        n = grad_phi1(np.asarray(z, dtype=float))
-        n = n / np.linalg.norm(n)
-        return _rot(-theta1) @ n
+    def rotated_unit(G, theta):
+        # row k is _rot(theta) @ (G[k] / |G[k]|), each entry one row dot
+        U = G / np.sqrt(dom.row_dot(G, G))[:, None]
+        return dom.row_dot(U[:, None, :], _rot(theta))
 
-    def gamma2(z):
-        n = grad_phi2(np.asarray(z, dtype=float))
-        n = n / np.linalg.norm(n)
-        return _rot(theta2) @ n
+    def gamma1(Z):
+        return rotated_unit(grad_phi1(Z), -theta1)
+
+    def gamma2(Z):
+        return rotated_unit(grad_phi2(Z), theta2)
 
     def chart_factory(sign):
         def chart(resolution):

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import domain as dom
-from .coefficients import CoefficientField, Density, _fd_step1
+from .coefficients import CoefficientField, Density, central_diff1
 from .errors import (
     ChartMissing,
     DivergentMass,
@@ -33,11 +33,8 @@ from .testfunctions import TestFunction, check_admissible
 # ---------------------------------------------------------------------------
 
 def apply_generator(coef: CoefficientField, f, x) -> float:
-    """(L f)(x) = <b, grad f> + 1/2 trace(a hess f)."""
-    x = np.asarray(x, dtype=float)
-    g = f.gradient(x)
-    H = f.hessian(x)
-    return float(np.dot(coef.b(x), g) + 0.5 * np.sum(coef.a(x) * H))
+    """(L f)(x) = <b, grad f> + 1/2 trace(a hess f) at one point."""
+    return float(apply_generator_batch(coef, f, x)[0])
 
 
 def apply_generator_batch(coef: CoefficientField, f, X) -> np.ndarray:
@@ -112,20 +109,13 @@ def face_residual(coef: CoefficientField, domain: dom.DomainSpec, p: Density,
         div += pv * (float(np.einsum("ijk,i,j,k->", da, n, n, gam))
                      - float(np.einsum("kjk,j->", da, n)))
     else:
-        h = _fd_step1(x)
-
         def V(y):
             ny = piece.unit_normal(y)
             gy = piece.gamma(y)
             ay = coef.a(y)
             return p(y) * (float(ny @ ay @ ny) * gy - ay @ ny)
 
-        div = 0.0
-        J = len(x)
-        for k in range(J):
-            e = np.zeros(J)
-            e[k] = h
-            div += (V(x + e)[k] - V(x - e)[k]) / (2.0 * h)
+        div = np.trace(central_diff1(V, x))
     return t1 + t2 + t3 - div
 
 
@@ -234,7 +224,7 @@ def verify_bar(coef: CoefficientField, domain: dom.DomainSpec, p: Density,
         tolerances = {"interior": base, "face": base, "edge": base}
 
     X = dom.sample_closure(domain, interior_samples, seed=seed)
-    interior = [x for x in X if dom.contains(domain, x)[0] == dom.INTERIOR]
+    interior = X[np.min(domain.piece_values(X), axis=1) > domain.tol_at(X)]
     r_int = max((abs(apply_adjoint(coef, p, x)) for x in interior), default=0.0)
 
     face_res = {}
@@ -348,8 +338,8 @@ def weak_residual(coef: CoefficientField, f: TestFunction, pi,
 
     The candidate f must have its negation in the admissible class; with
     check_membership the claim is verified by sampling and a failure raises.
-    Empirical measures get a CLT standard error; grid measures with a
-    refinement hook get a two-resolution quadrature estimate plus tail bound.
+    Empirical measures get a CLT standard error; grid measures that carry a
+    fine twin get a two-resolution quadrature estimate plus tail bound.
     """
     if check_membership:
         if domain is None:
@@ -373,16 +363,15 @@ def weak_residual(coef: CoefficientField, f: TestFunction, pi,
         err = float(np.sqrt(max(var, 0.0) / n_eff))
     else:
         err = 0.0
-        refined = getattr(pi, "refined", None)
-        fine = refined() if callable(refined) else None
+        fine = pi.fine
         if fine is not None:
-            vals_f = apply_generator_batch(coef, f, np.atleast_2d(fine.points))
+            vals_f = apply_generator_batch(coef, f, fine.points)
             # Richardson: for an O(h^2) rule the true error of the coarse sum
             # is 4/3 of the two-resolution gap; keep a ~2x safety margin for
             # non-asymptotic resolutions
             err += 2.5 * abs(value - float(np.dot(np.asarray(fine.weights),
                                                   vals_f)))
-        tail = float(getattr(pi, "tail_mass", 0.0))
+        tail = float(pi.tail_mass)
         err += tail * float(np.max(np.abs(vals), initial=0.0))
         err += 1e-8 * (1.0 + float(np.max(np.abs(vals), initial=0.0)))
     return WeakResidual(value, err, function_id)

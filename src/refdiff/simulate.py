@@ -72,18 +72,11 @@ def reflect(domain: dom.DomainSpec, y, max_iter: int = 50, tol: float = 1e-10):
         if len(viol) == 0:
             return x, eta
         # linearized solve on the violated set at the current arrival point
-        normals = np.stack([domain.pieces[i].unit_normal(
-            dom.project_to_piece(domain, int(i), x)) for i in viol])
-        gammas = np.stack([domain.pieces[i].gamma(
-            dom.project_to_piece(domain, int(i), x)) for i in viol])
-        grads = []
-        for i in viol:
-            p = domain.pieces[i]
-            if p.kind == "half-space":
-                grads.append(p.normal)
-            else:
-                grads.append(np.asarray(p.grad_phi(x), dtype=float))
-        Gm = np.stack(grads)
+        pieces = [domain.pieces[i] for i in viol]
+        gammas = np.stack([p.gamma(dom.project_to_piece(domain, int(i), x))
+                           for i, p in zip(viol, pieces)])
+        Gm = np.stack([p.normal if p.kind == "half-space" else p.grad_phi(x[None])[0]
+                       for p in pieces])
         M = Gm @ gammas.T
         try:
             step = np.linalg.solve(M, -vals[viol])

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -31,7 +31,11 @@ from .testfunctions import TestFunction, interior_bump, boundary_bump, \
 
 @dataclass
 class GridMeasure:
-    """Nonnegative weights on interior grid points summing to one."""
+    """Nonnegative weights on interior grid points summing to one.
+
+    fine, when set, is the same discretization at doubled resolution; weak
+    residuals use it for their two-resolution error estimate.
+    """
 
     points: np.ndarray
     weights: np.ndarray
@@ -40,7 +44,7 @@ class GridMeasure:
     meta: dict = field(default_factory=dict)
     error_kind: str = "grid"
     tail_mass: float = 0.0
-    _refine: Optional[Callable] = None
+    fine: Optional["GridMeasure"] = None
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -50,11 +54,6 @@ class GridMeasure:
         s = float(self.weights.sum())
         if abs(s - 1.0) > 1e-8:
             raise ValueError(f"weights must sum to one, got {s}")
-
-    def refined(self):
-        if self._refine is None:
-            return None
-        return self._refine()
 
     def to_csv(self, path, header_meta: str = ""):
         cols = [f"x{k}" for k in range(self.points.shape[1])] + ["w"]
@@ -86,40 +85,40 @@ def polar_grid(n_radial: int, n_angular: int, radius: float = 1.0,
     center = np.asarray(center, dtype=float)
     radii = (np.arange(n_radial) + 0.5) * radius / n_radial
     angles = np.linspace(0.0, 2.0 * np.pi, n_angular, endpoint=False)
-    pts = np.array([[r * np.cos(a), r * np.sin(a)]
-                    for r in radii for a in angles])
+    r, a = np.meshgrid(radii, angles, indexing="ij")
+    pts = np.stack([(r * np.cos(a)).ravel(), (r * np.sin(a)).ravel()], axis=1)
     pts = pts[np.linalg.norm(pts, axis=1) < radius * (1.0 - 0.5 / n_radial)]
     return pts + center
 
 
 def density_grid_measure(domain: dom.DomainSpec, p: Density, per_axis,
-                         box=None, _depth: int = 0) -> GridMeasure:
+                         box=None) -> GridMeasure:
     """Discretize a density on an interior grid (weights = p * cell, normalized).
 
-    Carries a refinement hook (doubled resolution) and a tail-mass estimate
-    for weak-residual error bars.
+    The measure carries its doubled-resolution discretization (fine) and a
+    tail-mass estimate for weak-residual error bars.
     """
+    from .operators import integrate_density
+
+    if np.isscalar(per_axis):
+        per_axis = [int(per_axis)] * domain.dimension
+    full_mass, _ = integrate_density(p, domain)
+    fine = _grid_measure(domain, p, [2 * n for n in per_axis], box, full_mass)
+    return _grid_measure(domain, p, per_axis, box, full_mass, fine)
+
+
+def _grid_measure(domain, p, per_axis, box, full_mass, fine=None) -> GridMeasure:
     pts = interior_grid(domain, per_axis, box=box)
     vals = np.maximum(p.value_batch(pts), 0.0)
     total = float(vals.sum())
     if total <= 0:
         raise ValueError("density vanishes on the grid")
-    w = vals / total
     lo, hi = domain.bbox if box is None else box
-    J = domain.dimension
-    if np.isscalar(per_axis):
-        per_axis = [int(per_axis)] * J
     cell = float(np.prod([(h - l) / n for n, l, h in zip(per_axis, lo, hi)]))
     raw_mass = total * cell
-    from .operators import integrate_density
-
-    full_mass, _ = integrate_density(p, domain)
     tail = max(0.0, 1.0 - raw_mass / full_mass) if full_mass > 0 else 0.0
-    gm = GridMeasure(pts, w, meta={"per_axis": per_axis}, tail_mass=tail)
-    if _depth == 0:
-        gm._refine = lambda: density_grid_measure(
-            domain, p, [2 * n for n in per_axis], box=box, _depth=1)
-    return gm
+    return GridMeasure(pts, vals / total, meta={"per_axis": per_axis},
+                       tail_mass=tail, fine=fine)
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +212,7 @@ def default_family(domain: dom.DomainSpec, coef: CoefficientField,
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
     rad_full = widen * spacing
-    for x in pts:
-        d = dom.distance_to_boundary(domain, x)
+    for x, d in zip(pts, dom.distance_to_boundary(domain, pts)):
         rad = min(rad_full, 0.9 * d)
         if rad < 0.45 * rad_full:
             continue    # heavily clamped bumps produce noisy rows; steps

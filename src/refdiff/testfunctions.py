@@ -857,13 +857,11 @@ def assemble_cover_family(domain: dom.DomainSpec, coefficients, N: float,
 
     # interior lattices: a deep coarse lattice plus graded shell bands whose
     # spacing tracks the local plateau scale (overlapping in depth; the
-    # repair pass below guarantees the残 coverage)
-    polyhedral_exact_depth = polyhedral
-
+    # repair pass below guarantees the remaining coverage)
     def depths_of(P):
-        if polyhedral_exact_depth:
+        if polyhedral:
             return np.min(domain.piece_values_batch(P), axis=1)
-        return np.array([dom.distance_to_boundary(domain, x) for x in P])
+        return dom.distance_to_boundary(domain, P)
 
     spacing = 0.85 * eps / math.sqrt(J)
     deep = _lattice_points(lo, hi, spacing)
@@ -910,8 +908,7 @@ def assemble_cover_family(domain: dom.DomainSpec, coefficients, N: float,
         if covered.all():
             break
         uncov_idx = np.flatnonzero(~covered)
-        depths = np.array([dom.distance_to_boundary(domain, probes[i])
-                           for i in uncov_idx])
+        depths = dom.distance_to_boundary(domain, probes[uncov_idx])
         order = uncov_idx[np.argsort(-depths)]
         new_bumps = []
         blocked = np.zeros(len(probes), dtype=bool)

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import refdiff as rd
 from refdiff import domain as dom
@@ -241,3 +243,159 @@ def test_boundary_frame_inner_products():
     assert np.allclose(frame.inner(f), expect)
     empty = dom.boundary_frame(o.domain, np.empty((0, 2)))
     assert len(empty.row) == 0 and len(empty.inner(f)) == 0
+
+
+def _newton_project_ref(domain, i, x, newton_steps=30):
+    """The per-point Newton projection that the batched project_to_piece replaces."""
+    p = domain.pieces[i]
+    x = np.asarray(x, dtype=float).copy()
+    if p.kind == "half-space":
+        return x - p.value(x) * p.normal
+    for _ in range(newton_steps):
+        v = p.value(x)
+        if abs(v) < 1e-13 * (1 + np.linalg.norm(x)):
+            break
+        g = p.grad_phi(x[None])[0]
+        x = x - v * g / max(float(g @ g), 1e-300)
+    return x
+
+
+def _sample_boundary_ref(domain, n, seed=0, center=None, radius=None):
+    """The per-candidate loop that the batched sample_boundary replaces."""
+    rng = np.random.default_rng(seed)
+    m = len(domain.pieces)
+    per = max(1, n // m + 1)
+    pts = []
+    vols = dom.sample_closure(domain, per * 3, seed=seed, center=center, radius=radius)
+    for i in range(m):
+        cand = vols[rng.permutation(len(vols))[:per * 2]]
+        for x in cand:
+            y = _newton_project_ref(domain, i, x)
+            tol = 10 * domain.tol_at(y)
+            if np.all(domain.piece_values(y) >= -tol):
+                if center is None or np.linalg.norm(y - center) <= radius:
+                    pts.append(y)
+            if len(pts) >= per * (i + 1):
+                break
+    out = np.array(pts)
+    return out[:n] if len(out) >= n else out
+
+
+_PRESETS = [("halfline", {}), ("orthant", {"J": 2}), ("wedge", {}), ("gps", {"J": 3}),
+            ("disk", {}), ("cusp", {}), ("cusp", {"theta1": -0.3})]
+
+
+@pytest.mark.parametrize("name, params", _PRESETS)
+def test_batched_projection_matches_per_point_newton(name, params):
+    d = rd.make_example(name, **params).domain
+    X = dom.sample_closure(d, 200, seed=4)
+    for i, p in enumerate(d.pieces):
+        got = dom.project_to_piece(d, i, X)
+        ref = np.array([_newton_project_ref(d, i, x) for x in X])
+        # every row takes the same steps as alone, so even Newton rows agree bit for bit
+        assert np.array_equal(got, ref)
+        assert np.array_equal(dom.project_to_piece(d, i, X[7]), got[7])
+    depth = dom.distance_to_boundary(d, X)
+    assert np.array_equal(depth, [dom.distance_to_boundary(d, x) for x in X])
+
+
+@pytest.mark.parametrize("name, params", _PRESETS)
+@pytest.mark.parametrize("local", [False, True])
+def test_batched_sample_boundary_keeps_first_accepted(name, params, local):
+    d = rd.make_example(name, **params).domain
+    kw = {}
+    if local:
+        lo, hi = d.bbox
+        kw = {"center": lo + 0.25 * (hi - lo), "radius": 0.4 * float(np.linalg.norm(hi - lo))}
+    got = dom.sample_boundary(d, 90, seed=3, **kw)
+    ref = _sample_boundary_ref(d, 90, seed=3, **kw)
+    assert len(ref) > 0
+    assert np.array_equal(got, ref)
+
+
+def _scalar_phis(name):
+    """The default disk's and cusp's defining functions, one point at a time."""
+    if name == "disk":
+        return [lambda z: 1.0 - float(np.linalg.norm(z))]
+    return [lambda z: (z[0] ** 2.0 - z[1]) if z[0] > 0 else -z[1],
+            lambda z: (z[1] + z[0] ** 2.0) if z[0] > 0 else z[1]]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(["disk", "cusp"]), st.sampled_from([0.0, -0.3]),
+       st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                min_size=1, max_size=30))
+def test_smooth_piece_batch_rows_equal_points(name, theta1, unit):
+    d = rd.make_example(name, **({"theta1": theta1} if name == "cusp" else {})).domain
+    lo, hi = d.bbox
+    X = lo + np.array(unit) * (hi - lo)
+    for p, phi in zip(d.pieces, _scalar_phis(name)):
+        v, n, g = p.value(X), p.unit_normal(X), p.gamma(X)
+        assert v.shape == (len(X),) and n.shape == g.shape == X.shape
+        for k, x in enumerate(X):
+            assert v[k] == p.value(x) == phi(x.tolist())
+            assert np.array_equal(n[k], p.unit_normal(x))
+            assert np.array_equal(g[k], p.gamma(x))
+        assert np.allclose(np.einsum("kj,kj->k", n, g), 1.0, rtol=0.0, atol=1e-12)
+    assert np.array_equal(d.piece_values(X),
+                          np.array([d.piece_values(x) for x in X]))
+
+
+def _counted(fn, calls):
+    def wrapper(X):
+        calls.append(len(X))
+        return fn(X)
+    return wrapper
+
+
+def test_smooth_callables_run_once_per_batch():
+    disk = rd.make_example("disk").domain
+    p0 = disk.pieces[0]
+    calls = {"phi": [], "grad_phi": [], "gamma": []}
+    piece = dom.BoundaryPiece("smooth", phi=_counted(p0.phi, calls["phi"]),
+                              grad_phi=_counted(p0.grad_phi, calls["grad_phi"]),
+                              gamma=_counted(p0._gamma, calls["gamma"]))
+    d = dom.DomainSpec(2, [piece], bbox=disk.bbox, bounded=True)
+    X = np.random.default_rng(0).uniform(-1.0, 1.0, size=(10_000, 2))
+    assert np.array_equal(d.piece_values_batch(X), disk.piece_values_batch(X))
+    assert calls["phi"] == [10_000]
+
+    B = dom.sample_boundary(disk, 300, seed=0)
+    for c in calls.values():
+        c.clear()
+    frame = dom.boundary_frame(d, B)
+    assert len(frame.row) == len(B)
+    assert calls["phi"] == [len(B)] and calls["gamma"] == [len(B)]
+    assert calls["grad_phi"] == [len(B)] * 2     # frame.normal and gamma's rescaling
+
+    # two pieces: one gamma call per piece, whatever the pair count
+    cusp = rd.make_example("cusp").domain
+    gcalls = []
+    pieces = [dom.BoundaryPiece("smooth", phi=q.phi, grad_phi=q.grad_phi,
+                                gamma=_counted(q._gamma, gcalls)) for q in cusp.pieces]
+    dc = dom.DomainSpec(2, pieces, bbox=cusp.bbox)
+    frame = dom.boundary_frame(dc, dom.sample_boundary(cusp, 300, seed=0))
+    assert len(gcalls) == len(np.unique(frame.piece)) == 2
+    assert sum(gcalls) == len(frame.row)
+
+
+def test_row_dot_rounds_each_row_as_np_dot():
+    rng = np.random.default_rng(2)
+    for J in (1, 2, 3, 4):
+        X = rng.uniform(-10.0, 10.0, size=(500, J))
+        Y = rng.uniform(-10.0, 10.0, size=(500, J))
+        v = Y[0] / np.linalg.norm(Y[0])
+        assert np.array_equal(dom.row_dot(X, Y), [np.dot(x, y) for x, y in zip(X, Y)])
+        assert np.array_equal(dom.row_dot(X, v), [np.dot(v, x) for x in X])
+        assert dom.row_dot(X[3], v) == np.dot(v, X[3])
+        assert np.array_equal(np.sqrt(dom.row_dot(X, X)), [np.linalg.norm(x) for x in X])
+
+
+def test_constant_face_rejects_tangent_reflection_at_construction():
+    with pytest.raises(ValueError, match="nonpositive normal component"):
+        dom.BoundaryPiece("half-space", normal=[1.0, 0.0], gamma=[-1.0, 2.0])
+    face = dom.BoundaryPiece("half-space", normal=[0.0, 1.0], gamma=[0.5, 2.0])
+    X = np.array([[0.0, 0.0], [3.0, 0.0]])
+    assert np.array_equal(face.gamma(X), [[0.25, 1.0], [0.25, 1.0]])
+    assert np.array_equal(face.gamma(X[1]), [0.25, 1.0])
+    assert np.array_equal(face.unit_normal(X), [[0.0, 1.0], [0.0, 1.0]])

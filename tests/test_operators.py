@@ -330,3 +330,91 @@ def test_bar_self_consistency(halfline):
             continue
         wr = weak_residual(halfline.coefficients, f, pi)
         assert wr.value <= 3 * wr.error + 1e-9
+
+
+def test_grid_measure_refines_once(halfline, monkeypatch):
+    import refdiff.operators as ops
+    import refdiff.solver as solver
+    from refdiff.solver import default_family
+
+    counts = {"integrate": 0, "grid": 0, "density": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    p = rd.closed_form_density(halfline)
+    fam = [f for f in default_family(halfline.domain, halfline.coefficients,
+                                     n_interior=6, n_boundary=0, n_steps=10,
+                                     box=([0.0], [5.0]), min_feature=0.05)
+           if f.claims_negated_in_class][:5]
+    assert len(fam) == 5
+    monkeypatch.setattr(ops, "integrate_density", counted("integrate", integrate_density))
+    monkeypatch.setattr(solver, "interior_grid", counted("grid", solver.interior_grid))
+    monkeypatch.setattr(p, "value_batch", counted("density", p.value_batch))
+    pi = density_grid_measure(halfline.domain, p, 1024, box=([0.0], [8.0]))
+    built = dict(counts)
+    # one mass integral (three boxes on the half-line) and two grids
+    assert built == {"integrate": 1, "grid": 2, "density": 5}
+    for f in fam:
+        wr = weak_residual(halfline.coefficients, f, pi)
+        assert wr.error > 0
+    # five residuals reuse the fine twin: no grid, density or mass evaluation
+    assert counts == built
+
+
+def _gradient_loop(value, x, h):
+    """The per-axis first-difference loop that central_diff1 replaces."""
+    J = len(x)
+    out = np.empty(J)
+    for k in range(J):
+        e = np.zeros(J)
+        e[k] = h
+        out[k] = (float(value(x + e)) - float(value(x - e))) / (2 * h)
+    return out
+
+
+def _hessian_loop(value, x, h):
+    """The per-pair second-difference loop that central_diff2 replaces."""
+    J = len(x)
+    out = np.empty((J, J))
+    v0 = float(value(x))
+    for k in range(J):
+        ek = np.zeros(J)
+        ek[k] = h
+        for l in range(k, J):
+            el = np.zeros(J)
+            el[l] = h
+            if k == l:
+                d = (float(value(x + ek)) - 2 * v0 + float(value(x - ek))) / (h * h)
+            else:
+                d = (float(value(x + ek + el)) - float(value(x + ek - el))
+                     - float(value(x - ek + el)) + float(value(x - ek - el))) / (4 * h * h)
+            out[k, l] = d
+            out[l, k] = d
+    return out
+
+
+def test_central_differences_match_the_loops():
+    from refdiff.coefficients import _H1, _H2
+
+    def value(x):
+        return float(np.exp(-x[0] * x[1]) * np.sin(x[2]) + x[0] ** 3)
+
+    p = Density(value)
+    coef = CoefficientField(lambda x: np.array([x[0] * x[1], np.cos(x[2]), x[1] ** 2]),
+                            lambda x: np.diag([1.0 + x[0] ** 2, 2.0 + np.sin(x[1]), 1.5]))
+    rng = np.random.default_rng(5)
+    for x in rng.uniform(-2.0, 2.0, size=(6, 3)):
+        h1 = _H1 * (1.0 + float(np.linalg.norm(x)))
+        h2 = _H2 * (1.0 + float(np.linalg.norm(x)))
+        assert np.array_equal(p.gradient(x), _gradient_loop(value, x, h1))
+        assert np.array_equal(p.hessian(x), _hessian_loop(value, x, h2))
+        for i in range(3):
+            assert np.array_equal(coef.db(x)[i], _gradient_loop(lambda y: coef.b(y)[i], x, h1))
+            for j in range(3):
+                aij = lambda y: coef.a(y)[i, j]    # noqa: E731
+                assert np.array_equal(coef.da(x)[i, j], _gradient_loop(aij, x, h1))
+                assert np.array_equal(coef.d2a(x)[i, j], _hessian_loop(aij, x, h2))

@@ -196,3 +196,32 @@ def test_polar_grid():
     pts = polar_grid(8, 16)
     assert np.max(np.linalg.norm(pts, axis=1)) < 1.0
     assert len(pts) <= 8 * 16
+
+
+def _polar_grid_loop(n_radial, n_angular, radius=1.0, center=(0.0, 0.0)):
+    """The list-comprehension polar grid that the meshgrid form replaces."""
+    radii = (np.arange(n_radial) + 0.5) * radius / n_radial
+    angles = np.linspace(0.0, 2.0 * np.pi, n_angular, endpoint=False)
+    pts = np.array([[r * np.cos(a), r * np.sin(a)] for r in radii for a in angles])
+    pts = pts[np.linalg.norm(pts, axis=1) < radius * (1.0 - 0.5 / n_radial)]
+    return pts + np.asarray(center, dtype=float)
+
+
+@pytest.mark.parametrize("shape", [(8, 16), (36, 54), (48, 72)])
+def test_polar_grid_matches_loop(shape):
+    assert np.array_equal(polar_grid(*shape), _polar_grid_loop(*shape))
+    assert np.array_equal(polar_grid(*shape, radius=2.0, center=(0.5, -1.0)),
+                          _polar_grid_loop(*shape, radius=2.0, center=(0.5, -1.0)))
+
+
+def test_density_grid_measure_carries_doubled_grid():
+    o = rd.make_example("orthant", J=2, b=[-1.0, -0.5])
+    p = rd.closed_form_density(o)
+    box = ([0.0, 0.0], [6.0, 10.0])
+    pi = density_grid_measure(o.domain, p, [20, 30], box=box)
+    twin = density_grid_measure(o.domain, p, [40, 60], box=box)
+    assert pi.meta["per_axis"] == [20, 30] and pi.fine.meta["per_axis"] == [40, 60]
+    assert np.array_equal(pi.fine.points, twin.points)
+    assert np.array_equal(pi.fine.weights, twin.weights)
+    assert pi.fine.tail_mass == twin.tail_mass and pi.fine.fine is None
+    assert twin.fine is not None and pi.tail_mass > 0.0
