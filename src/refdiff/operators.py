@@ -150,10 +150,12 @@ class BarReport:
         if not self.verdicts:
             worst_face = max(self.face_residuals.values(), default=0.0)
             worst_edge = max(self.edge_residuals.values(), default=0.0)
+            # residuals may be numpy floats; store plain bools so the JSON
+            # artifact reads true/false
             self.verdicts = {
-                "interior": self.interior_residual <= self.tolerances["interior"],
-                "faces": worst_face <= self.tolerances["face"],
-                "edges": worst_edge <= self.tolerances["edge"],
+                "interior": bool(self.interior_residual <= self.tolerances["interior"]),
+                "faces": bool(worst_face <= self.tolerances["face"]),
+                "edges": bool(worst_edge <= self.tolerances["edge"]),
             }
 
     @property

@@ -361,13 +361,35 @@ class SolveResult:
     feasible: bool
 
 
-def _smoothing_kernel(points: np.ndarray, width: float) -> np.ndarray:
-    """Symmetric positive-semidefinite Gaussian smoother on the grid points.
+# rows of the smoother built at a time: bounds the working set of
+# _smoothed_gradient_map at O(_SMOOTHER_BLOCK * n) whatever the grid size
+_SMOOTHER_BLOCK = 256
 
-    Symmetry keeps the preconditioned direction a descent direction."""
-    d2 = np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=2)
-    K = np.exp(-0.5 * d2 / width ** 2)
-    return K / float(K.sum(axis=1).mean())
+
+def _smoothed_gradient_map(points: np.ndarray, width: float,
+                           M: np.ndarray) -> np.ndarray:
+    """The n x k matrix 2 P M^T for the Gaussian smoother P of one width.
+
+    P = K / mean(row sums of K), K_ij = exp(-|x_i - x_j|^2 / (2 width^2)),
+    is symmetric positive-semidefinite, which keeps the preconditioned
+    direction P g a descent direction.  Since the gradient is g = 2 M^T pos,
+    P g = (2 P M^T) pos.  K is built _SMOOTHER_BLOCK rows at a time and each
+    block is multiplied by M^T at once, so P itself is never held."""
+    n = len(points)
+    out = np.empty((n, M.shape[0]))
+    row_sums = np.empty(n)
+    for lo in range(0, n, _SMOOTHER_BLOCK):
+        block = points[lo:lo + _SMOOTHER_BLOCK]
+        K = np.zeros((len(block), n))
+        for j in range(points.shape[1]):
+            K += np.square(block[:, j, None] - points[None, :, j])
+        K *= -0.5
+        K /= width ** 2
+        np.exp(K, out=K)
+        row_sums[lo:lo + len(block)] = K.sum(axis=1)
+        out[lo:lo + len(block)] = K @ M.T
+    out *= 2.0 / float(row_sums.mean())
+    return out
 
 
 def solve_stationary(domain: dom.DomainSpec, coef: CoefficientField,
@@ -383,10 +405,16 @@ def solve_stationary(domain: dom.DomainSpec, coef: CoefficientField,
     by projected gradient with Armijo backtracking on the raw objective.
     Because a finite family leaves high-frequency null directions (each row
     is locally cancellable by grid-scale dipoles), the descent direction is
-    preconditioned by a grid-scale Gaussian smoother, which steers the
-    iteration to the smooth representative of the minimizing set; the
-    objective trace remains nonincreasing.  smoothing is the kernel width in
-    units of the typical grid spacing (0 disables preconditioning).
+    preconditioned by a Gaussian smoother P, which steers the iteration to
+    the smooth representative of the minimizing set; the objective trace
+    remains nonincreasing.  The widths shrink from a sixth of the grid span
+    to smoothing times the typical grid spacing (coarse-to-fine
+    continuation; smoothing=0 disables preconditioning), and a last phase
+    runs unsmoothed.  The gradient 2 M^T pos lies in the row space of the
+    k x n constraint matrix M, so each phase forms the n x k matrix
+    2 P M^T once, building P in row blocks, and its direction is
+    (2 P M^T) pos: O(n k) per iteration, and O(n k) memory plus one row
+    block of P, never an n x n array.
     Raises nothing on a high floor; feasible is False when the converged
     objective exceeds the tolerance.
     """
@@ -421,13 +449,9 @@ def solve_stationary(domain: dom.DomainSpec, coef: CoefficientField,
     def objective(wv):
         r = M @ wv
         pos = np.where(eq, r, np.maximum(r, 0.0))
-        return float(np.dot(pos, pos)), r
+        return float(np.dot(pos, pos)), pos
 
-    def grad(r):
-        pos = np.where(eq, r, np.maximum(r, 0.0))
-        return 2.0 * (M.T @ pos)
-
-    obj, r = objective(w)
+    obj, pos = objective(w)
     trace = [obj]
     step = 1.0 / (np.linalg.norm(M, ord=2) ** 2 + 1e-12)
     # stop at the discretization noise floor; driving the objective further
@@ -438,16 +462,16 @@ def solve_stationary(domain: dom.DomainSpec, coef: CoefficientField,
     for wm in phase_widths:
         if obj <= stop_at:
             break
-        P = _smoothing_kernel(grid_points, wm) if wm is not None else None
+        G = (_smoothed_gradient_map(grid_points, wm, M) if wm is not None
+             else 2.0 * M.T)
         for _ in range(max_iter // len(phase_widths)):
             it_total += 1
-            g = grad(r)
-            d = P @ g if P is not None else g
+            d = G @ pos
             t = step * 8.0
             improved = False
             for _ in range(60):
                 w_new = project_simplex(w - t * d)
-                obj_new, r_new = objective(w_new)
+                obj_new, pos_new = objective(w_new)
                 if obj_new <= obj:
                     improved = True
                     break
@@ -455,7 +479,7 @@ def solve_stationary(domain: dom.DomainSpec, coef: CoefficientField,
             if not improved:
                 break
             gain = obj - obj_new
-            w, obj, r = w_new, obj_new, r_new
+            w, obj, pos = w_new, obj_new, pos_new
             trace.append(obj)
             if gain < 1e-16 * max(obj, 1e-8):
                 break

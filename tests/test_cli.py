@@ -1,10 +1,14 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from refdiff import cli
 from refdiff._csv import write_csv
+
+
+PRESETS = Path(__file__).resolve().parents[1] / "presets"
 
 
 def run(args):
@@ -32,6 +36,17 @@ def test_verify_bar_exit_codes(tmp_path):
                "--sigma", "1", "--density", "exp", "--theta", "1",
                "--output", str(tmp_path / "bar1.json")])
     assert bad == cli.EXIT_VERDICT
+
+
+def test_verify_bar_disk_verdicts_are_bools(tmp_path):
+    out = tmp_path / "bar.json"
+    code = run(["verify-bar", "--config", str(PRESETS / "disk.json"),
+                "--output", str(out)])
+    assert code == cli.EXIT_OK
+    with open(out) as fh:
+        verdicts = json.load(fh)["verdicts"]
+    assert set(verdicts) == {"interior", "faces", "edges"}
+    assert all(v is True for v in verdicts.values())
 
 
 def test_usage_errors(tmp_path):

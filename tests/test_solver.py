@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,10 +7,11 @@ import refdiff as rd
 from refdiff import domain as dom
 from refdiff.errors import SamplingFailure
 from refdiff.operators import apply_generator_batch
-from refdiff.solver import (GridMeasure, build_constraints, coordinate_step,
-                            default_family, density_grid_measure,
-                            interior_grid, polar_grid, project_simplex,
-                            residual_report, solve_stationary)
+from refdiff.solver import (_SMOOTHER_BLOCK, GridMeasure,
+                            _smoothed_gradient_map, build_constraints,
+                            coordinate_step, default_family,
+                            density_grid_measure, interior_grid, polar_grid,
+                            project_simplex, residual_report, solve_stationary)
 
 
 @pytest.fixture(scope="module")
@@ -225,3 +228,119 @@ def test_density_grid_measure_carries_doubled_grid():
     assert np.array_equal(pi.fine.weights, twin.weights)
     assert pi.fine.tail_mass == twin.tail_mass and pi.fine.fine is None
     assert twin.fine is not None and pi.tail_mass > 0.0
+
+
+# ---------------------------------------------------------------------------
+# Row-space preconditioning against the dense n x n smoother
+# ---------------------------------------------------------------------------
+
+def _smoothing_kernel(points, width):
+    """The dense n x n Gaussian smoother that the row-block map replaces."""
+    d2 = np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=2)
+    K = np.exp(-0.5 * d2 / width ** 2)
+    return K / float(K.sum(axis=1).mean())
+
+
+def _dense_reference_solve(grid_points, M, types, tolerance, max_iter=10000,
+                           smoothing=2.5):
+    """solve_stationary's iteration with the dense smoother: d = P (2 M^T pos)."""
+    eq = np.array([t == "eq" for t in types])
+    n = len(grid_points)
+    w = np.full(n, 1.0 / n)
+    nn = np.sort(np.linalg.norm(grid_points - grid_points[n // 2], axis=1))
+    h_typ = nn[1]
+    span = float(np.max(np.ptp(grid_points, axis=0)))
+    phase_widths = []
+    wm = span / 6.0
+    while wm > smoothing * h_typ * 0.9:
+        phase_widths.append(wm)
+        wm /= 2.0
+    phase_widths.append(None)
+
+    def objective(wv):
+        r = M @ wv
+        pos = np.where(eq, r, np.maximum(r, 0.0))
+        return float(np.dot(pos, pos)), pos
+
+    obj, pos = objective(w)
+    trace = [obj]
+    step = 1.0 / (np.linalg.norm(M, ord=2) ** 2 + 1e-12)
+    stop_at = max(min(tolerance, 0.05 * obj), 1e-15)
+    for wm in phase_widths:
+        if obj <= stop_at:
+            break
+        P = _smoothing_kernel(grid_points, wm) if wm is not None else None
+        for _ in range(max_iter // len(phase_widths)):
+            g = 2.0 * (M.T @ pos)
+            d = P @ g if P is not None else g
+            t = step * 8.0
+            for _ in range(60):
+                w_new = project_simplex(w - t * d)
+                obj_new, pos_new = objective(w_new)
+                if obj_new <= obj:
+                    break
+                t *= 0.5
+            else:
+                break
+            gain = obj - obj_new
+            w, obj, pos = w_new, obj_new, pos_new
+            trace.append(obj)
+            if gain < 1e-16 * max(obj, 1e-8) or obj <= tolerance:
+                break
+    return w / w.sum(), np.array(trace)
+
+
+@pytest.fixture(scope="module")
+def disk():
+    return rd.make_example("disk")
+
+
+@pytest.fixture(scope="module")
+def disk_family(disk):
+    # criterion 07's disk family
+    return default_family(disk.domain, disk.coefficients, n_interior=0,
+                          n_boundary=0, n_steps=18, min_feature=1.0)
+
+
+@pytest.mark.parametrize("points", [
+    polar_grid(8, 16),                          # less than one block
+    polar_grid(36, 54)[:_SMOOTHER_BLOCK],       # exactly one block
+    polar_grid(36, 54),                         # not a multiple of the block
+], ids=["sub-block", "one-block", "ragged"])
+def test_smoothed_gradient_map_matches_dense(disk, disk_family, points):
+    M, _ = build_constraints(disk.domain, disk.coefficients, points,
+                             disk_family)
+    for width in (1.0 / 3.0, 0.05):
+        ref = 2.0 * _smoothing_kernel(points, width) @ M.T
+        G = _smoothed_gradient_map(points, width, M)
+        assert G.shape == (len(points), len(disk_family))
+        assert np.max(np.abs(G - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_solve_memory_is_order_nk(disk, disk_family):
+    pts = polar_grid(48, 72)
+    n = len(pts)
+    assert n == 3399
+    tracemalloc.start()
+    try:
+        solve_stationary(disk.domain, disk.coefficients, grid_points=pts,
+                         family=disk_family, tolerance=2e-5, max_iter=400)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # half of one n x n float64 array
+    assert peak < 0.5 * n * n * 8
+
+
+def test_solve_path_matches_dense_smoother(disk, disk_family):
+    pts = polar_grid(12, 18)
+    res = solve_stationary(disk.domain, disk.coefficients, grid_points=pts,
+                           family=disk_family, tolerance=2e-5, seed=0)
+    M, types = build_constraints(disk.domain, disk.coefficients, pts,
+                                 disk_family, seed=0)
+    w_ref, trace_ref = _dense_reference_solve(pts, M, types, tolerance=2e-5)
+    # the two paths may stop a phase one step apart where a step gains
+    # nothing to rounding, but they end at the same measure
+    assert np.abs(res.measure.weights - w_ref).sum() <= 1e-10
+    assert np.isclose(res.objective, trace_ref[-1], rtol=1e-10, atol=0.0)
+    assert np.all(np.diff(res.trace) <= 0.0)
