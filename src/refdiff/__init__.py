@@ -37,7 +37,7 @@ from .operators import (
     verify_bar,
     weak_residual,
 )
-from .profiles import Profile1D, RampProfile, cutoff, ramp_profile
+from .profiles import PiecewisePoly, RampProfile, cutoff
 from .simulate import (
     EmpiricalMeasure,
     Trajectory,

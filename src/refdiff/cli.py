@@ -254,7 +254,7 @@ def cmd_weak_check(cfg):
             continue
         wr = weak_residual(system.coefficients, f, measure, function_id=f"f{k}")
         rows.append((f"f{k}", float(wr.value), float(wr.error)))
-        if wr.value > 3.0 * wr.error:
+        if wr.violates:
             ok = False
     out = cfg.get("output", "weak.csv")
     write_csv(out, ["function", "value", "error"], rows, _header(cfg))

@@ -6,11 +6,9 @@ h1 = eps^(1/3) (1+|x|) for first and h2 = eps^(1/4) (1+|x|) for second order.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
-
-from .errors import MissingDerivatives
 
 _EPS = np.finfo(float).eps
 _H1 = _EPS ** (1.0 / 3.0)
@@ -55,19 +53,15 @@ class CoefficientField:
       db(x)  -> (J, J) Jacobian db_i/dx_j
       da(x)  -> (J, J, J) with da[i, j, k] = d a_ij / dx_k
       d2a(x) -> (J, J, J, J) with d2a[i, j, k, l] = d^2 a_ij / dx_k dx_l
-    When absent, central finite differences are used unless fd=False, in which
-    case derivative access raises MissingDerivatives.
+    When absent, central finite differences are used.
     """
 
-    def __init__(self, b: Callable, sigma: Callable, db=None, da=None, d2a=None,
-                 fd: bool = True, bounded: Optional[bool] = None):
+    def __init__(self, b: Callable, sigma: Callable, db=None, da=None, d2a=None):
         self._b = b
         self._sigma = sigma
         self._db = db
         self._da = da
         self._d2a = d2a
-        self.fd = fd
-        self.bounded = bounded
         self.is_constant = False
         self._const_b = None
         self._const_a = None
@@ -84,8 +78,7 @@ class CoefficientField:
         za = np.zeros((J, J, J))
         z2 = np.zeros((J, J, J, J))
         out = cls(lambda x: b, lambda x: sigma,
-                  db=lambda x: zj, da=lambda x: za, d2a=lambda x: z2,
-                  bounded=True)
+                  db=lambda x: zj, da=lambda x: za, d2a=lambda x: z2)
         out.is_constant = True
         out._const_b = b
         out._const_a = sigma @ sigma.T
@@ -121,47 +114,28 @@ class CoefficientField:
         x = np.asarray(x, dtype=float)
         if self._db is not None:
             return np.asarray(self._db(x), dtype=float)
-        if not self.fd:
-            raise MissingDerivatives("drift Jacobian unavailable")
         return central_diff1(self.b, x)
 
     def da(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self._da is not None:
             return np.asarray(self._da(x), dtype=float)
-        if not self.fd:
-            raise MissingDerivatives("diffusion gradient unavailable")
         return central_diff1(self.a, x)
 
     def d2a(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self._d2a is not None:
             return np.asarray(self._d2a(x), dtype=float)
-        if not self.fd:
-            raise MissingDerivatives("diffusion Hessian unavailable")
         return central_diff2(self.a, x)
-
-    def validate(self, points, psd_tol: float = 1e-10):
-        """Check a(x) symmetric and positive semidefinite at the given points."""
-        for x in np.atleast_2d(points):
-            a = self.a(x)
-            if not np.allclose(a, a.T, atol=1e-12):
-                raise ValueError(f"a(x) not symmetric at {x}")
-            w = np.linalg.eigvalsh(0.5 * (a + a.T))
-            if float(w.min()) < -psd_tol:
-                raise ValueError(f"a(x) has eigenvalue {w.min():.3e} < 0 at {x}")
-        return True
 
 
 class Density:
     """Nonnegative scalar field with value / gradient / Hessian access."""
 
-    def __init__(self, value: Callable, grad=None, hess=None, fd: bool = True,
-                 name: str = ""):
+    def __init__(self, value: Callable, grad=None, hess=None, name: str = ""):
         self._value = value
         self._grad = grad
         self._hess = hess
-        self.fd = fd
         self.name = name
         self.scale = 1.0
 
@@ -177,16 +151,12 @@ class Density:
         x = np.asarray(x, dtype=float)
         if self._grad is not None:
             return self.scale * np.asarray(self._grad(x), dtype=float)
-        if not self.fd:
-            raise MissingDerivatives("density gradient unavailable")
         return self.scale * central_diff1(lambda y: float(self._value(y)), x)
 
     def hessian(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self._hess is not None:
             return self.scale * np.asarray(self._hess(x), dtype=float)
-        if not self.fd:
-            raise MissingDerivatives("density Hessian unavailable")
         return self.scale * central_diff2(lambda y: float(self._value(y)), x)
 
     @property
@@ -194,6 +164,6 @@ class Density:
         return self._grad is not None and self._hess is not None
 
     def rescaled(self, factor: float) -> "Density":
-        d = Density(self._value, self._grad, self._hess, fd=self.fd, name=self.name)
+        d = Density(self._value, self._grad, self._hess, name=self.name)
         d.scale = self.scale * factor
         return d

@@ -5,8 +5,9 @@ in 1D/2D/3D the face structure is enumerated and evaluation is vectorized
 over query points; higher dimensions fall back to per-point NNLS.
 
 The mollified field averages the exact distance over a fixed quadrature
-stencil of a compactly supported radial C^2 kernel; derivatives are central
-finite differences of the smoothed field with step = kernel width / 8.
+stencil of a compactly supported radial C^2 kernel; its gradient and Hessian
+are the same stencil averages of the exact distance's gradient and a.e.
+Hessian.
 """
 
 from __future__ import annotations
@@ -291,7 +292,6 @@ class MollifiedConeDistance:
         self._nodes = np.array(nodes) * self.width
         w = np.array(weights)
         self._weights = w / w.sum()
-        self._fd_step = self.width / 8.0
 
     # -- evaluation ------------------------------------------------------------
     def _node_data(self, Z):

@@ -57,10 +57,6 @@ class NotInH(RefdiffError):
     """A function claimed membership in the admissible test class but fails the check."""
 
 
-class MissingDerivatives(RefdiffError):
-    """Coefficient derivatives required but neither analytic nor FD available."""
-
-
 class OffFace(RefdiffError):
     """Face residual requested at a point not on the face."""
 

@@ -30,9 +30,6 @@ class ExampleSystem:
     well_posed_condition: str = ""
     meta: dict = field(default_factory=dict)
 
-    def closed_form_density(self) -> Density:
-        return closed_form_density(self)
-
 
 def make_example(name: str, **params) -> ExampleSystem:
     builders = {

@@ -19,7 +19,6 @@ from .coefficients import CoefficientField, Density, central_diff1
 from .errors import (
     ChartMissing,
     DivergentMass,
-    MissingDerivatives,
     NotInH,
     OffEdge,
     OffFace,

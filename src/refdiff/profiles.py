@@ -18,8 +18,7 @@ s >= eps - w/2 (reported as kappa = w/2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -34,46 +33,47 @@ class PiecewisePoly:
     """Piecewise polynomial with vectorized value and two derivatives.
 
     pieces[i] covers (breaks[i-1], breaks[i]]; pieces[0] covers (-inf,
-    breaks[0]] and pieces[-1] covers (breaks[-1], inf).
+    breaks[0]] and pieces[-1] covers (breaks[-1], inf).  coef[k] is the
+    (pieces x degree+1) coefficient table of the k-th derivative (degree: its
+    highest over the pieces), evaluated by one Horner pass in numpy's polyval
+    order, so a table value equals the piece's Polynomial value bit for bit.
+    params records how it was built.
     """
 
-    def __init__(self, breaks, pieces):
+    def __init__(self, breaks, pieces, params=None):
         self.breaks = np.asarray(breaks, dtype=float)
-        self.pieces = [p if isinstance(p, Polynomial) else Polynomial(p)
-                       for p in pieces]
-        assert len(self.pieces) == len(self.breaks) + 1
-        self._d1 = [p.deriv() for p in self.pieces]
-        self._d2 = [p.deriv(2) for p in self.pieces]
+        pieces = [p if isinstance(p, Polynomial) else Polynomial(p) for p in pieces]
+        assert len(pieces) == len(self.breaks) + 1
+        self.coef = []
+        for k in range(3):
+            cs = [p.deriv(k).coef for p in pieces]
+            C = np.zeros((len(pieces), max(len(c) for c in cs)))
+            for i, c in enumerate(cs):
+                C[i, :len(c)] = c
+            self.coef.append(C)
+        self.params = {} if params is None else params
 
-    def _eval(self, polys, s):
+    def _eval(self, k, s):
         s = np.asarray(s, dtype=float)
         scalar = s.ndim == 0
         s = np.atleast_1d(s)
+        C = self.coef[k]
         idx = np.searchsorted(self.breaks, s, side="left")
-        out = np.empty_like(s)
-        for i in np.unique(idx):
-            m = idx == i
-            out[m] = polys[i](s[m])
+        # polyval's c0 = C[idx, j] + c0 * s, in place (the sum commutes exactly)
+        out = C[idx, -1] + s * 0
+        for j in range(C.shape[1] - 2, -1, -1):
+            out *= s
+            out += C[idx, j]
         return float(out[0]) if scalar else out
 
     def value(self, s):
-        return self._eval(self.pieces, s)
+        return self._eval(0, s)
 
     def d1(self, s):
-        return self._eval(self._d1, s)
+        return self._eval(1, s)
 
     def d2(self, s):
-        return self._eval(self._d2, s)
-
-
-@dataclass
-class Profile1D:
-    """A scalar profile with two derivatives and its construction parameters."""
-
-    value: Callable
-    d1: Callable
-    d2: Callable
-    params: dict = field(default_factory=dict)
+        return self._eval(2, s)
 
     def __call__(self, s):
         return self.value(s)
@@ -91,7 +91,21 @@ def _affine(lo: float, hi: float) -> Polynomial:
 _CUTOFF_CACHE: dict = {}
 
 
-def cutoff(kind: str, thresholds) -> Profile1D:
+def _step_profile(label: str, lo, hi, params: dict) -> PiecewisePoly:
+    """The cached C^2 step on [lo, hi]: rising from 0 to 1 for label
+    'rising', falling from 1 to 0 otherwise.  One instance per key."""
+    key = (label, float(lo), float(hi))
+    if key not in _CUTOFF_CACHE:
+        step = _smoothstep()(_affine(lo, hi))
+        if label == "rising":
+            pieces = [Polynomial([0.0]), step, Polynomial([1.0])]
+        else:
+            pieces = [Polynomial([1.0]), 1.0 - step, Polynomial([0.0])]
+        _CUTOFF_CACHE[key] = PiecewisePoly([lo, hi], pieces, params)
+    return _CUTOFF_CACHE[key]
+
+
+def cutoff(kind: str, thresholds) -> PiecewisePoly:
     """C^2 monotone plateau profile.
 
     kind 'xi': 1 below thresholds[0], 0 above thresholds[1] (interior bumps).
@@ -104,31 +118,17 @@ def cutoff(kind: str, thresholds) -> Profile1D:
         raise BadThresholds(f"thresholds must increase, got {thresholds}")
     if kind not in ("xi", "zeta"):
         raise BadThresholds(f"unknown cutoff kind {kind!r}")
-    key = (kind, lo, hi)
-    if key not in _CUTOFF_CACHE:
-        step = _smoothstep()(_affine(lo, hi))
-        pw = PiecewisePoly([lo, hi],
-                           [Polynomial([1.0]), 1.0 - step, Polynomial([0.0])])
-        _CUTOFF_CACHE[key] = Profile1D(
-            pw.value, pw.d1, pw.d2, params={"kind": kind, "lo": lo, "hi": hi})
-    return _CUTOFF_CACHE[key]
+    return _step_profile(kind, lo, hi, {"kind": kind, "lo": lo, "hi": hi})
 
 
-def rising_cutoff(lo: float, hi: float) -> Profile1D:
+def rising_cutoff(lo: float, hi: float) -> PiecewisePoly:
     """C^2 profile rising from 0 (below lo) to 1 (above hi)."""
     if not lo < hi:
         raise BadThresholds(f"thresholds must increase, got {(lo, hi)}")
-    key = ("rising", float(lo), float(hi))
-    if key not in _CUTOFF_CACHE:
-        step = _smoothstep()(_affine(lo, hi))
-        pw = PiecewisePoly([lo, hi],
-                           [Polynomial([0.0]), step, Polynomial([1.0])])
-        _CUTOFF_CACHE[key] = Profile1D(pw.value, pw.d1, pw.d2,
-                                       params={"lo": lo, "hi": hi})
-    return _CUTOFF_CACHE[key]
+    return _step_profile("rising", lo, hi, {"lo": lo, "hi": hi})
 
 
-def zeta_for_band(lam: float) -> Profile1D:
+def zeta_for_band(lam: float) -> PiecewisePoly:
     """The decreasing boundary-bump cutoff: 1 on (-inf, 5 lam/4], 0 beyond 23 lam/12."""
     return cutoff("zeta", (1.25 * lam, 23.0 * lam / 12.0))
 
@@ -137,7 +137,8 @@ def zeta_for_band(lam: float) -> Profile1D:
 # Singular ramp
 # ---------------------------------------------------------------------------
 
-def _exact_ramp(delta: float, eps: float) -> PiecewisePoly:
+def _exact_ramp(delta: float, eps: float):
+    """Breaks and Polynomial pieces of the exact singular ramp."""
     rd = np.sqrt(delta)
     re = np.sqrt(eps)
     s1 = delta + rd
@@ -146,18 +147,16 @@ def _exact_ramp(delta: float, eps: float) -> PiecewisePoly:
     chord = Polynomial([-2.0 * s1 * delta, 2.0 * s1])          # 2(delta+rd)(s-delta)
     mid = Polynomial([A, 0.0, 1.0])                            # s^2 + A
     down = plateau - re * Polynomial([eps + re, -1.0]) ** 2    # plateau - re (s-eps-re)^2
-    return PiecewisePoly(
-        [delta, s1, eps, eps + re],
-        [Polynomial([0.0]), chord, mid, down, Polynomial([plateau])],
-    )
+    return ([delta, s1, eps, eps + re],
+            [Polynomial([0.0]), chord, mid, down, Polynomial([plateau])])
 
 
 class RampProfile:
     """Mollified singular ramp with exact one-sided curvature guarantees.
 
     value/d1/d2 evaluate the mollified profile; the exact piecewise profile is
-    available as exact_value/exact_d1/exact_d2.  kappa = width/2 is the
-    certified margin: |d2| <= 2 sqrt(eps) for s >= eps - kappa, and d2 >= 2 on
+    the PiecewisePoly exact.  kappa = width/2 is the certified margin:
+    |d2| <= 2 sqrt(eps) for s >= eps - kappa, and d2 >= 2 on
     [delta + 2 sqrt(delta), eps/2].
     """
 
@@ -177,8 +176,8 @@ class RampProfile:
             raise BadParameters(f"mollification width must lie in (0, delta), got {width}")
         self.width = float(width)
         self.kappa = self.width / 2.0
-        self.exact = _exact_ramp(delta, eps)
-        self.plateau = float(self.exact.pieces[-1].coef[0])
+        self.exact = PiecewisePoly(*_exact_ramp(delta, eps))
+        self.plateau = float(self.exact.coef[0][-1, 0])
         # slope jump of the exact ramp at s = delta (nonnegative kink)
         self._kink_jump = 2.0 * (delta + np.sqrt(delta))
         self.params = {"delta": delta, "eps": eps, "w": self.width,
@@ -189,77 +188,47 @@ class RampProfile:
         """C^2 bump density on [w/2, w] integrating to one."""
         w = self.width
         tau = (t - 0.75 * w) / (0.25 * w)
-        out = np.zeros_like(np.asarray(t, dtype=float))
-        m = np.abs(tau) < 1.0
-        out[m] = (35.0 / (8.0 * 0.25 * w * 4.0)) * (1.0 - tau[m] ** 2) ** 3
         # normalization: integral of (1-tau^2)^3 over [-1,1] is 32/35, times w/4
-        return out
-
-    def _window_quad(self, s: float, f) -> float:
-        """Exact quadrature of f(s+t) * kernel(t) over t in [w/2, w]."""
-        w = self.width
-        lo, hi = s + w / 2.0, s + w
-        cuts = [lo, hi]
-        for b in self.exact.breaks:
-            if lo < b < hi:
-                cuts.append(float(b))
-        cuts = sorted(set(cuts))
-        total = 0.0
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            u = mid + half * _GX
-            total += half * float(np.sum(_GW * f(u) * self._kernel(u - s)))
-        return total
+        return np.where(np.abs(tau) < 1.0,
+                        (35.0 / (8.0 * 0.25 * w * 4.0)) * (1.0 - tau ** 2) ** 3, 0.0)
 
     # -- evaluation ------------------------------------------------------------
-    def value(self, s):
+    def _mollified(self, k, s):
+        """k-th derivative of the mollified ramp at the points s.
+
+        Below the support it is 0; once the window passes the last exact break
+        it is the plateau (k = 0) or 0.  In between, the window [s + w/2, s + w]
+        is cut at the exact breaks clipped into it, and each segment adds its
+        Gauss sum of the exact k-th derivative against the kernel; a break
+        outside the window gives a zero-length segment that adds exactly 0.
+        For k = 2 the slope kink at delta adds its point mass.
+        """
         s = np.asarray(s, dtype=float)
         scalar = s.ndim == 0
         s = np.atleast_1d(s)
-        out = np.empty_like(s)
         w = self.width
-        for i, si in enumerate(s):
-            if si + w <= self.delta:
-                out[i] = 0.0
-            elif si + w / 2.0 >= self.eps + np.sqrt(self.eps):
-                out[i] = self.plateau
-            else:
-                out[i] = self._window_quad(si, self.exact.value)
+        lo, hi = s + w / 2.0, s + w
+        top = lo >= self.eps + np.sqrt(self.eps)
+        out = np.where(top, self.plateau if k == 0 else 0.0, 0.0)
+        act = (hi > self.delta) & ~top
+        sa, lo, hi = s[act], lo[act], hi[act]
+        cuts = np.column_stack([lo, np.clip(self.exact.breaks, lo[:, None], hi[:, None]), hi])
+        total = np.zeros(len(sa))
+        for a, b in zip(cuts.T[:-1], cuts.T[1:]):
+            mid, half = 0.5 * (a + b), 0.5 * (b - a)
+            u = mid[:, None] + half[:, None] * _GX
+            f = self.exact._eval(k, u)
+            total += half * np.sum(_GW * f * self._kernel(u - sa[:, None]), axis=1)
+        if k == 2:
+            total += self._kink_jump * self._kernel(self.delta - sa)
+        out[act] = total
         return float(out[0]) if scalar else out
+
+    def value(self, s):
+        return self._mollified(0, s)
 
     def d1(self, s):
-        s = np.asarray(s, dtype=float)
-        scalar = s.ndim == 0
-        s = np.atleast_1d(s)
-        out = np.empty_like(s)
-        w = self.width
-        for i, si in enumerate(s):
-            if si + w <= self.delta or si + w / 2.0 >= self.eps + np.sqrt(self.eps):
-                out[i] = 0.0
-            else:
-                out[i] = self._window_quad(si, self.exact.d1)
-        return float(out[0]) if scalar else out
+        return self._mollified(1, s)
 
     def d2(self, s):
-        s = np.asarray(s, dtype=float)
-        scalar = s.ndim == 0
-        s = np.atleast_1d(s)
-        out = np.empty_like(s)
-        w = self.width
-        for i, si in enumerate(s):
-            if si + w <= self.delta or si + w / 2.0 >= self.eps + np.sqrt(self.eps):
-                out[i] = 0.0
-            else:
-                acc = self._window_quad(si, self.exact.d2)
-                # slope kink of the exact ramp at delta enters as a point mass
-                acc += self._kink_jump * float(self._kernel(np.array([self.delta - si]))[0])
-                out[i] = acc
-        return float(out[0]) if scalar else out
-
-    def as_profile(self) -> Profile1D:
-        return Profile1D(self.value, self.d1, self.d2, params=dict(self.params))
-
-
-def ramp_profile(delta: float, eps: float, width: Optional[float] = None) -> RampProfile:
-    """Build the mollified singular ramp (raises BadParameters when inadmissible)."""
-    return RampProfile(delta, eps, width)
+        return self._mollified(2, s)

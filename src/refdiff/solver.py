@@ -19,7 +19,8 @@ import numpy as np
 from . import domain as dom
 from ._csv import write_csv
 from .coefficients import CoefficientField, Density
-from .errors import ChartMissing, NotInH, SamplingFailure
+from .errors import (BadParameters, ChartMissing, NotInH, RadiusTooLarge,
+                     SamplingFailure)
 from .operators import apply_generator_batch, weak_residual
 from .testfunctions import TestFunction, interior_bump, boundary_bump, \
     singular_ramp, check_admissible
@@ -290,15 +291,15 @@ def default_family(domain: dom.DomainSpec, coef: CoefficientField,
                 if band < min_feature:
                     continue    # generator values too sharp for the grid
                 funcs.append(-f)
-            except Exception:
-                continue
+            except RadiusTooLarge:
+                continue    # the bump radius exceeds the certified cap at x
     for sp in domain.singular_points:
         try:
             eps_r = 0.05
             f, _ = singular_ramp(domain, sp, delta=eps_r ** 2 / 8, eps=eps_r)
             funcs.append(f)
-        except Exception:
-            continue
+        except BadParameters:
+            continue    # eps too large for the certificate ball at the point
     if normalize:
         probe = interior_grid(domain, min(400, 4 ** (8 // J)),
                               box=(lo, hi))

@@ -32,6 +32,18 @@ from .errors import (
 from .profiles import RampProfile, cutoff, rising_cutoff, zeta_for_band
 
 
+def _sup_abs_d1_d2(prof, grid):
+    return float(np.max(np.abs(prof.d1(grid)))), float(np.max(np.abs(prof.d2(grid))))
+
+
+# The interior and singular bumps' cutoffs and their sup |d1|, |d2| on grids
+# that cover each transition, computed once for every bump's bound_triple.
+_XI = cutoff("xi", (0.5, 1.0))
+_XI_SUP = _sup_abs_d1_d2(_XI, np.linspace(0.4, 1.1, 201))
+_ZETA = rising_cutoff(0.5, 1.0)
+_ZETA_SUP = _sup_abs_d1_d2(_ZETA, np.linspace(-0.1, 2.2, 301))
+
+
 def _as_batch(y, J):
     Y = np.asarray(y, dtype=float)
     if Y.ndim == 0:
@@ -187,7 +199,7 @@ def interior_bump(domain: dom.DomainSpec, x, r: float) -> TestFunction:
     d = dom.distance_to_boundary(domain, x)
     if math.sqrt(r) >= d:
         raise TooClose(f"sqrt(r)={math.sqrt(r):.3g} reaches the boundary (dist {d:.3g})")
-    xi = cutoff("xi", (0.5, 1.0))
+    xi = _XI
     J = domain.dimension
 
     def value(Y):
@@ -208,8 +220,7 @@ def interior_bump(domain: dom.DomainSpec, x, r: float) -> TestFunction:
         return t1 + t2
 
     rho = math.sqrt(r)
-    sup_d1 = float(np.max(np.abs(xi.d1(np.linspace(0.4, 1.1, 201)))))
-    sup_d2 = float(np.max(np.abs(xi.d2(np.linspace(0.4, 1.1, 201)))))
+    sup_d1, sup_d2 = _XI_SUP
     # |grad| <= 2 ||xi'|| / rho and sum |d2| <= (4 J^2 ||xi''|| + 2 J ||xi'||) / rho^2
     return TestFunction(
         J, value, gradient, hessian, center=x, support_radius=rho,
@@ -237,7 +248,7 @@ def singular_bump(domain: dom.DomainSpec, sp: dom.SingularPoint, r: float) -> Te
     # c1 = 1 declarations are shrunk so the separation constant stays positive
     c1 = min(sp.c1, 0.75)
     kappa = 1.0 - c1
-    zeta = rising_cutoff(0.5, 1.0)
+    zeta = _ZETA
     J = domain.dimension
     x, v = sp.x, sp.v
     scale = 2.0 / (kappa * r)
@@ -257,9 +268,7 @@ def singular_bump(domain: dom.DomainSpec, sp: dom.SingularPoint, r: float) -> Te
         s = zeta.d2(_arg(Y)) * scale ** 2
         return s[:, None, None] * np.einsum("i,j->ij", v, v)[None, :, :]
 
-    sgrid = np.linspace(-0.1, 2.2, 301)
-    sup_d1 = float(np.max(np.abs(zeta.d1(sgrid))))
-    sup_d2 = float(np.max(np.abs(zeta.d2(sgrid))))
+    sup_d1, sup_d2 = _ZETA_SUP
     A = max(1.0, 2.0 * sup_d1 / kappa,
             4.0 * sup_d2 / kappa ** 2 * float(np.sum(np.abs(v)) ** 2))
     return TestFunction(

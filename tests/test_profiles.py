@@ -1,8 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import Polynomial
 
+from refdiff import profiles
 from refdiff.errors import BadParameters, BadThresholds
-from refdiff.profiles import cutoff, ramp_profile, rising_cutoff, zeta_for_band
+from refdiff.profiles import (PiecewisePoly, RampProfile, cutoff, rising_cutoff,
+                              zeta_for_band)
 
 DELTA, EPS = 1e-4, 0.04
 
@@ -42,7 +49,7 @@ def test_bad_thresholds():
 
 @pytest.fixture(scope="module")
 def ramp():
-    return ramp_profile(DELTA, EPS)
+    return RampProfile(DELTA, EPS)
 
 
 def test_ramp_zero_below_delta(ramp):
@@ -117,8 +124,122 @@ def test_ramp_derivative_consistency(ramp):
 
 def test_ramp_bad_parameters():
     with pytest.raises(BadParameters):
-        ramp_profile(0.0, 0.1)
+        RampProfile(0.0, 0.1)
     with pytest.raises(BadParameters):
-        ramp_profile(0.05, 0.1)       # delta + sqrt(delta) >= eps
+        RampProfile(0.05, 0.1)       # delta + sqrt(delta) >= eps
     with pytest.raises(BadParameters):
-        ramp_profile(1e-4, 0.04, width=0.5)
+        RampProfile(1e-4, 0.04, width=0.5)
+
+
+# ---------------------------------------------------------------------------
+# Reference evaluations: the coefficient table and the batched ramp must
+# reproduce the per-piece Polynomial path and the per-point window loop bit
+# for bit
+# ---------------------------------------------------------------------------
+
+def _per_piece(breaks, pieces, k, s):
+    """k-th derivative by per-piece Polynomial calls on the points each owns."""
+    polys = [p.deriv(k) for p in pieces]
+    idx = np.searchsorted(breaks, s, side="left")
+    out = np.empty_like(s)
+    for i in np.unique(idx):
+        m = idx == i
+        out[m] = polys[i](s[m])
+    return out
+
+
+def _cutoff_pieces(kind, lo, hi):
+    step = profiles._smoothstep()(profiles._affine(lo, hi))
+    if kind == "rising":
+        return [lo, hi], [Polynomial([0.0]), step, Polynomial([1.0])]
+    return [lo, hi], [Polynomial([1.0]), 1.0 - step, Polynomial([0.0])]
+
+
+@st.composite
+def _profiles_and_points(draw):
+    kind = draw(st.sampled_from(["xi", "zeta", "rising", "ramp"]))
+    if kind == "ramp":
+        delta = draw(st.floats(1e-6, 1e-2))
+        eps = draw(st.floats(delta + math.sqrt(delta), 0.4,
+                             exclude_min=True, exclude_max=True))
+        breaks, pieces = profiles._exact_ramp(delta, eps)
+        prof = PiecewisePoly(breaks, pieces)
+    else:
+        lo = draw(st.floats(-2.0, 2.0))
+        hi = lo + draw(st.floats(1e-3, 3.0))
+        prof = rising_cutoff(lo, hi) if kind == "rising" else cutoff(kind, (lo, hi))
+        breaks, pieces = _cutoff_pieces(kind, lo, hi)
+    b = np.asarray(breaks, dtype=float)
+    exact = np.concatenate([b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf)])
+    s = draw(st.lists(st.one_of(st.sampled_from(exact.tolist()),
+                                st.floats(b[0] - 1.0, b[-1] + 1.0)),
+                      min_size=1, max_size=40))
+    return prof, breaks, pieces, np.array(s)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_profiles_and_points())
+def test_table_matches_per_piece_polynomials(case):
+    prof, breaks, pieces, s = case
+    for k, name in enumerate(("value", "d1", "d2")):
+        ref = _per_piece(np.asarray(breaks, dtype=float), pieces, k, s)
+        assert np.array_equal(getattr(prof, name)(s), ref)
+        assert getattr(prof, name)(float(s[0])) == ref[0]
+
+
+_GX, _GW = np.polynomial.legendre.leggauss(10)
+
+
+def _masked_kernel(ramp, t):
+    w = ramp.width
+    tau = (t - 0.75 * w) / (0.25 * w)
+    out = np.zeros_like(np.asarray(t, dtype=float))
+    m = np.abs(tau) < 1.0
+    out[m] = (35.0 / (8.0 * 0.25 * w * 4.0)) * (1.0 - tau[m] ** 2) ** 3
+    return out
+
+
+def _window_quad(ramp, s, f):
+    """Gauss quadrature of f(s+t) kernel(t) over t in [w/2, w], cut at the
+    exact breaks strictly inside the window."""
+    w = ramp.width
+    lo, hi = s + w / 2.0, s + w
+    cuts = sorted(set([lo, hi] + [float(b) for b in ramp.exact.breaks if lo < b < hi]))
+    total = 0.0
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        u = mid + half * _GX
+        total += half * float(np.sum(_GW * f(u) * _masked_kernel(ramp, u - s)))
+    return total
+
+
+def _per_point_ramp(ramp, k, s):
+    f = (ramp.exact.value, ramp.exact.d1, ramp.exact.d2)[k]
+    w = ramp.width
+    out = np.empty_like(s)
+    for i, si in enumerate(s):
+        if si + w <= ramp.delta:
+            out[i] = 0.0
+        elif si + w / 2.0 >= ramp.eps + np.sqrt(ramp.eps):
+            out[i] = ramp.plateau if k == 0 else 0.0
+        else:
+            out[i] = _window_quad(ramp, si, f)
+            if k == 2:
+                out[i] += ramp._kink_jump * float(
+                    _masked_kernel(ramp, np.array([ramp.delta - si]))[0])
+    return out
+
+
+@pytest.mark.parametrize("delta, eps", [(DELTA, EPS), (0.05 ** 2 / 8, 0.05)])
+def test_batched_ramp_matches_per_point_window_loop(delta, eps):
+    ramp = RampProfile(delta, eps)
+    w = ramp.width
+    b = np.concatenate([ramp.exact.breaks - w, ramp.exact.breaks - w / 2,
+                        ramp.exact.breaks])
+    s = np.concatenate([b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf),
+                        np.linspace(-0.01, 1.2 * (eps + np.sqrt(eps)), 400),
+                        np.random.default_rng(3).uniform(-0.01, 0.3, 100)])
+    for k, name in enumerate(("value", "d1", "d2")):
+        ref = _per_point_ramp(ramp, k, s)
+        assert np.array_equal(getattr(ramp, name)(s), ref)
+        assert getattr(ramp, name)(float(s[5])) == ref[5]

@@ -5,6 +5,7 @@ import pytest
 
 import refdiff as rd
 from refdiff import domain as dom
+from refdiff import solver
 from refdiff.errors import SamplingFailure
 from refdiff.operators import apply_generator_batch
 from refdiff.solver import (_SMOOTHER_BLOCK, GridMeasure,
@@ -111,6 +112,16 @@ def test_build_constraints_sampling_errors(halfline, grid_1d, monkeypatch):
     monkeypatch.setattr(dom, "sample_boundary", fails(ValueError("broken")))
     with pytest.raises(ValueError, match="broken"):
         build_constraints(halfline.domain, halfline.coefficients, grid_1d, [step])
+
+
+def test_default_family_propagates_untyped_faults(halfline, monkeypatch):
+    # only the package's typed construction failures skip a family member
+    def broken(*a, **k):
+        raise TypeError("broken")
+
+    monkeypatch.setattr(solver, "boundary_bump", broken)
+    with pytest.raises(TypeError, match="broken"):
+        default_family(halfline.domain, halfline.coefficients, n_interior=4, n_steps=4)
 
 
 def test_solve_degenerate_empty_family(halfline, grid_1d):

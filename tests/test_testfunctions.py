@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ import refdiff as rd
 from refdiff import domain as dom
 from refdiff.cones import MollifiedConeDistance, PolyCone, fattened_generators
 from refdiff.errors import NotInU, RadiusTooLarge, TooClose
+from refdiff.profiles import rising_cutoff
 from refdiff.testfunctions import _stratum_model, combine
 
 
@@ -142,6 +145,25 @@ def test_singular_bump_bound_triple(gps2):
     assert np.abs(f._value(P)).max() <= A0
     assert np.linalg.norm(f._gradient(P), axis=1).max() <= A1
     assert np.abs(f._hessian(P)).sum(axis=(1, 2)).max() <= A2
+
+
+def _resampled_sups(prof, grid):
+    return float(np.max(np.abs(prof.d1(grid)))), float(np.max(np.abs(prof.d2(grid))))
+
+
+def test_bump_bound_triples_match_resampled_cutoff_sups(orthant2, gps2):
+    # the sup constants are computed once; each bump used to resample them
+    s1, s2 = _resampled_sups(rd.cutoff("xi", (0.5, 1.0)), np.linspace(0.4, 1.1, 201))
+    for x, r in (([1.0, 1.0], 0.25), ([1.0, 1.2], 0.36), ([2.0, 1.5], 0.5)):
+        rho = math.sqrt(r)
+        f = rd.interior_bump(orthant2.domain, x, r)
+        assert f.bound_triple == (1.0, 2.0 * s1 / rho, (16.0 * s2 + 4.0 * s1) / rho ** 2)
+    s1, s2 = _resampled_sups(rising_cutoff(0.5, 1.0), np.linspace(-0.1, 2.2, 301))
+    sp = gps2.domain.singular_points[0]
+    kappa = 1.0 - min(sp.c1, 0.75)
+    A = max(1.0, 2.0 * s1 / kappa, 4.0 * s2 / kappa ** 2 * float(np.sum(np.abs(sp.v)) ** 2))
+    for r in (0.4, 0.5):
+        assert rd.singular_bump(gps2.domain, sp, r=r).bound_triple == (A, A / r, A / r ** 2)
 
 
 def test_singular_ramp_constants(gps2):
