@@ -22,8 +22,8 @@ import numpy as np
 from . import domain as dom
 from . import errors
 from ._csv import write_csv
-from .coefficients import Density
-from .gallery import closed_form_density, make_example
+from .gallery import (closed_form_density, halfline_density, make_example,
+                      uniform_density)
 from .operators import verify_bar, weak_residual
 from .simulate import boundary_occupation, simulate_path
 from .solver import (default_family, density_grid_measure, interior_grid,
@@ -114,25 +114,23 @@ def _build_system(cfg):
     return make_example(name, **params)
 
 
+def _grid(cfg, base, J):
+    """Grid points per axis: the config's, else base**(2/J) capped at base,
+    so a J-dimensional default grid has about as many points as the 2D one."""
+    return int(cfg.get("grid", min(base, round(base ** (2 / J)))))
+
+
 def _density_from_config(system, cfg):
     kind = cfg.get("density", "closed-form")
     if kind in ("closed-form", "auto"):
         return closed_form_density(system)
     if kind == "exp":
         theta = _num(cfg.get("theta", 1.0))
-        J = system.domain.dimension
-        if J != 1:
+        if system.domain.dimension != 1:
             raise errors.RefdiffError("exp density is one-dimensional")
-        p = Density(lambda x: theta * np.exp(-theta * float(x[0])),
-                    grad=lambda x: np.array([-theta ** 2 * np.exp(-theta * float(x[0]))]),
-                    hess=lambda x: np.array([[theta ** 3 * np.exp(-theta * float(x[0]))]]),
-                    name=f"exp({theta})")
-        return p
+        return halfline_density(theta)
     if kind == "uniform":
-        c = _num(cfg.get("level", 1.0))
-        J = system.domain.dimension
-        return Density(lambda x: c, grad=lambda x: np.zeros(J),
-                       hess=lambda x: np.zeros((J, J)), name="uniform")
+        return uniform_density(_num(cfg.get("level", 1.0)), system.domain.dimension)
     raise errors.RefdiffError(f"unknown density {kind!r}")
 
 
@@ -240,12 +238,12 @@ def cmd_weak_check(cfg):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     lo, hi = system.domain.bbox
-    measure = density_grid_measure(system.domain, p,
-                                   int(cfg.get("grid", 256)))
+    n_grid = _grid(cfg, 256, system.domain.dimension)
+    measure = density_grid_measure(system.domain, p, n_grid)
     fam = default_family(system.domain, system.coefficients,
                          n_interior=int(cfg.get("n_interior", 16)),
                          n_steps=int(cfg.get("n_steps", 24)),
-                         min_feature=float(np.max(hi - lo)) / int(cfg.get("grid", 256)) * 2,
+                         min_feature=float(np.max(hi - lo)) / n_grid * 2,
                          seed=int(cfg.get("seed", 0)))
     rows = []
     ok = True
@@ -265,6 +263,7 @@ def cmd_weak_check(cfg):
 def cmd_solve(cfg):
     system = _build_system(cfg)
     J = system.domain.dimension
+    n_grid = _grid(cfg, 64, J)
     if system.name == "disk":
         grid = polar_grid(int(cfg.get("grid", 48)),
                           int(cfg.get("angular", 72)),
@@ -274,13 +273,13 @@ def cmd_solve(cfg):
         if "box" in cfg:
             hi_box = _num_list(cfg["box"])
             box = (np.zeros(J), np.asarray(hi_box))
-        grid = interior_grid(system.domain, int(cfg.get("grid", 64)), box=box)
+        grid = interior_grid(system.domain, n_grid, box=box)
     lo, hi = grid.min(axis=0), grid.max(axis=0)
     fam = default_family(system.domain, system.coefficients,
                          n_interior=int(cfg.get("n_interior", 16)),
                          n_steps=int(cfg.get("n_steps", 24)),
                          box=(lo, hi),
-                         min_feature=2 * float(np.max(hi - lo)) / int(cfg.get("grid", 64)),
+                         min_feature=2 * float(np.max(hi - lo)) / n_grid,
                          seed=int(cfg.get("seed", 0)))
     try:
         res = solve_stationary(system.domain, system.coefficients,

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog, nnls
 
 from .errors import BandEmpty, QPFailure
 
@@ -36,6 +35,7 @@ class PolyCone:
 
     # -- structure -----------------------------------------------------------
     def _build(self):
+        from scipy.optimize import linprog
         G = self.generators
         J = self.dim
         # pointedness certificate: c with <c, g> >= |g| for all generators
@@ -184,6 +184,7 @@ class PolyCone:
         return np.linalg.norm(Z - self.project(Z), axis=1)
 
     def _project_nnls(self, Z):
+        from scipy.optimize import nnls
         G = self.generators.T            # (J, m)
         J = self.dim
         out = np.empty_like(Z)

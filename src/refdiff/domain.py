@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (
     ChartMissing,
@@ -48,6 +47,20 @@ def row_dot(X, Y) -> np.ndarray:
     if X.ndim == Y.ndim == 1:
         return X @ Y
     return (X[..., None, :] @ Y[..., :, None])[..., 0, 0]
+
+
+def as_batch(y, J=None):
+    """(batch, single): y as an (n, J) float array and whether y was one
+    point.  A 1-D y is one point, except that with J == 1 a 1-D y of length
+    other than one is a batch of n scalars; a 0-d y is one 1-D point."""
+    Y = np.asarray(y, dtype=float)
+    if Y.ndim == 0:
+        return Y.reshape(1, 1), True
+    if Y.ndim == 1:
+        if J == 1 and Y.shape[0] != 1:
+            return Y[:, None], False
+        return Y[None, :], True
+    return Y, False
 
 
 def _as_unit(v) -> np.ndarray:
@@ -399,6 +412,7 @@ def completely_s_at(domain: DomainSpec, x, tol: float = 1e-9):
 def _positive_normal_lp(normals, gammas, x, tol):
     """completely_s_at's LP on the (k, J) normals and reflection vectors of
     the pieces active at x."""
+    from scipy.optimize import linprog
     k = len(normals)
     # variables: s_1..s_k, t;  minimize -t
     # constraints: -(N s) . gamma_j + t <= 0  for each j;  sum s = 1;  s >= 0
@@ -446,6 +460,7 @@ def _stratum_representative(domain: DomainSpec, subset, margin_tol=1e-9):
     For polyhedral domains: maximize the slack t of the inactive faces subject
     to the subset faces holding with equality, inside the bounding box.
     """
+    from scipy.optimize import linprog
     m = len(domain.pieces)
     J = domain.dimension
     lo, hi = domain.bbox
@@ -782,7 +797,7 @@ def check_singular_certificate(domain: DomainSpec, sp: SingularPoint,
     reflection_margin = float(np.min(refl)) if len(refl) else 0.0
 
     if coefficients is not None:
-        av = np.array([v @ coefficients.a(y) @ v for y in Y])
+        av = row_dot(v @ coefficients.a(Y), v)
         ellipticity_margin = float(np.min(av) - sp.alpha)
     else:
         ellipticity_margin = 0.0

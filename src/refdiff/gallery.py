@@ -315,6 +315,23 @@ def _cusp(beta: float = 2.0, theta1: float = 0.0, theta2: float = 0.0,
 # Closed-form stationary densities
 # ---------------------------------------------------------------------------
 
+def halfline_density(theta: float) -> Density:
+    """The exponential density theta e^(-theta x) on the half-line."""
+
+    def e(X):
+        return np.exp(-theta * X[:, 0])
+
+    return Density.from_batch(lambda X: theta * e(X), lambda X: (-theta ** 2 * e(X))[:, None],
+                              lambda X: (theta ** 3 * e(X))[:, None, None],
+                              name=f"exp({theta})")
+
+
+def uniform_density(c: float, J: int) -> Density:
+    """The constant density c in dimension J."""
+    return Density.from_batch(lambda X: np.full(len(X), c), lambda X: np.zeros((len(X), J)),
+                              lambda X: np.zeros((len(X), J, J)), name="uniform")
+
+
 def closed_form_density(system: ExampleSystem) -> Density:
     """Known stationary density of a preset, adjoint-verified on first use."""
     name = system.name
@@ -322,10 +339,7 @@ def closed_form_density(system: ExampleSystem) -> Density:
         bval = system.params["b"]
         sig = system.params["sigma"]
         theta = 2.0 * abs(bval) / sig ** 2
-        p = Density(lambda x: theta * math.exp(-theta * float(x[0])),
-                    grad=lambda x: np.array([-theta ** 2 * math.exp(-theta * float(x[0]))]),
-                    hess=lambda x: np.array([[theta ** 3 * math.exp(-theta * float(x[0]))]]),
-                    name=f"exp({theta})")
+        p = halfline_density(theta)
         p.rate = theta
     elif name == "disk":
         bnorm = float(np.linalg.norm(system.coefficients.b(np.zeros(2))))
@@ -333,10 +347,7 @@ def closed_form_density(system: ExampleSystem) -> Density:
         if bnorm > 1e-12 or anorm > 1e-12:
             raise NoClosedForm("disk density known only for zero drift, identity diffusion")
         R = system.params["radius"]
-        c = 1.0 / (math.pi * R * R)
-        J = 2
-        p = Density(lambda x: c, grad=lambda x: np.zeros(J),
-                    hess=lambda x: np.zeros((J, J)), name="uniform")
+        p = uniform_density(1.0 / (math.pi * R * R), 2)
     elif name == "orthant":
         J = system.params["J"]
         bvec = np.asarray(system.params["b"], dtype=float)
@@ -349,18 +360,12 @@ def closed_form_density(system: ExampleSystem) -> Density:
                 "diffusion, negative drift")
         th = -2.0 * bvec
 
-        def val(x):
-            return float(np.prod(th * np.exp(-th * np.asarray(x, dtype=float))))
+        def val(X):
+            return np.prod(th * np.exp(-th * X), axis=1)
 
-        def grad(x):
-            return -th * val(x)
-
-        def hess(x):
-            v = val(x)
-            H = np.outer(th, th) * v
-            return H
-
-        p = Density(val, grad=grad, hess=hess, name="product-exponential")
+        p = Density.from_batch(val, lambda X: -th * val(X)[:, None],
+                               lambda X: np.outer(th, th) * val(X)[:, None, None],
+                               name="product-exponential")
         p.rate = th
     else:
         raise NoClosedForm(f"no closed-form stationary density for {name!r}")

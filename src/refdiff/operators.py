@@ -38,99 +38,97 @@ def apply_generator(coef: CoefficientField, f, x) -> float:
 
 def apply_generator_batch(coef: CoefficientField, f, X) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    G = f.gradient(X)
-    H = f.hessian(X)
-    if G.ndim == 1:
-        G, H = G[None, :], H[None, :, :]
-    return coef.generator(X, G, H)
+    return coef.generator(X, f.gradient(X), f.hessian(X))
 
 
-def apply_adjoint(coef: CoefficientField, p: Density, x) -> float:
-    """(L* p)(x) = 1/2 sum_ij d2(a_ij p) - sum_i d(b_i p)."""
-    x = np.asarray(x, dtype=float)
-    a = coef.a(x)
-    da = coef.da(x)
-    d2a = coef.d2a(x)
-    b = coef.b(x)
-    db = coef.db(x)
-    pv = p(x)
-    gp = p.gradient(x)
-    Hp = p.hessian(x)
-    # 1/2 sum_ij [ (d2_ij a_ij) p + 2 (d_i a_ij)(d_j p) + a_ij d2_ij p ]
-    t1 = float(sum(d2a[i, j, i, j] for i in range(len(x)) for j in range(len(x))))
-    t2 = float(sum(da[i, j, i] * gp[j] for i in range(len(x)) for j in range(len(x))))
-    t3 = float(np.sum(a * Hp))
-    adj_diff = 0.5 * (t1 * pv + 2.0 * t2 + t3)
-    adj_drift = float(np.trace(db)) * pv + float(np.dot(b, gp))
-    return adj_diff - adj_drift
+def apply_adjoint(coef: CoefficientField, p: Density, x):
+    """(L* p)(x) = 1/2 sum_ij d2(a_ij p) - sum_i d(b_i p): a float at a
+    point, an (n,) array on a batch."""
+    X, single = dom.as_batch(x)
+    out = coef.adjoint(X, p(X), p.gradient(X), p.hessian(X))
+    return float(out[0]) if single else out
 
 
-def normal_diffusion_divergence(coef: CoefficientField, x, n) -> float:
-    """<n, sum_j d a_(.j) / dx_j> at x (the face flux correction coefficient)."""
-    da = coef.da(np.asarray(x, dtype=float))
-    div_a = np.einsum("kjj->k", da)
-    return float(np.dot(np.asarray(n, dtype=float), div_a))
+def normal_diffusion_divergence(coef: CoefficientField, x, n):
+    """<n, sum_j d a_(.j) / dx_j> at x (the face flux correction coefficient):
+    a float at a point, an (n,) array on a batch (with one normal per row)."""
+    X, single = dom.as_batch(x)
+    div_a = np.einsum("nkjj->nk", coef.da(X))
+    out = dom.row_dot(np.asarray(n, dtype=float), div_a)
+    return float(out[0]) if single else out
 
 
 # ---------------------------------------------------------------------------
 # Basic adjoint relationship
 # ---------------------------------------------------------------------------
 
-def _on_face(domain, x, i, slack=10.0) -> bool:
-    p = domain.pieces[i]
-    return abs(p.value(np.asarray(x, dtype=float))) <= slack * domain.tol_at(x)
+def _on_face(domain, X, i, slack=10.0) -> np.ndarray:
+    """Rows of the (n, J) batch X that lie on piece i."""
+    return np.abs(domain.pieces[i].value(X)) <= slack * domain.tol_at(X)
+
+
+def _vec_mat(v, M):
+    """Row k is v[k] @ M[k], rounded as the point product rounds it."""
+    return (v[:, None, :] @ M)[:, 0]
+
+
+def _oblique_flux(a, n, gam):
+    """Rows of (n' a n) gamma - a n."""
+    return dom.row_dot(_vec_mat(n, a), n)[:, None] * gam - (a @ n[:, :, None])[:, :, 0]
 
 
 def face_residual(coef: CoefficientField, domain: dom.DomainSpec, p: Density,
-                  x, i: int) -> float:
-    """Face condition residual at a smooth boundary point of piece i:
-    -2 p <n,b> + n' a grad p + p K_i - div(p [(n'an) gamma - a n])."""
-    x = np.asarray(x, dtype=float)
-    if not _on_face(domain, x, i):
-        raise OffFace(f"{x} is not on piece {i}")
+                  x, i: int):
+    """Face condition residual at smooth boundary points of piece i:
+    -2 p <n,b> + n' a grad p + p K_i - div(p [(n'an) gamma - a n]).
+    A float at a point, an (n,) array on a batch; a row off the piece
+    raises OffFace."""
+    X, single = dom.as_batch(x)
+    off = ~_on_face(domain, X, i)
+    if off.any():
+        raise OffFace(f"{X[np.argmax(off)]} is not on piece {i}")
     piece = domain.pieces[i]
-    n = piece.unit_normal(x)
-    b = coef.b(x)
-    a = coef.a(x)
-    pv = p(x)
-    gp = p.gradient(x)
-    t1 = -2.0 * pv * float(np.dot(n, b))
-    t2 = float(n @ a @ gp)
-    t3 = pv * normal_diffusion_divergence(coef, x, n)
+    n = piece.unit_normal(X)
+    a = coef.a(X)
+    pv = p(X)
+    gp = p.gradient(X)
+    t1 = -2.0 * pv * dom.row_dot(n, coef.b(X))
+    t2 = dom.row_dot(_vec_mat(n, a), gp)
+    t3 = pv * normal_diffusion_divergence(coef, X, n)
 
-    analytic = (piece.constant_reflection
-                and coef._da is not None and p.has_analytic_derivatives)
-    if analytic:
-        gam = piece.gamma(x)
-        da = coef.da(x)
-        vec = float(n @ a @ n) * gam - a @ n
-        div = float(np.dot(gp, vec))
-        div += pv * (float(np.einsum("ijk,i,j,k->", da, n, n, gam))
-                     - float(np.einsum("kjk,j->", da, n)))
+    if (piece.constant_reflection and coef.has_analytic_derivatives
+            and p.has_analytic_derivatives):
+        gam = piece.gamma(X)
+        da = coef.da(X)
+        div = dom.row_dot(gp, _oblique_flux(a, n, gam))
+        div += pv * (np.einsum("nijk,ni,nj,nk->n", da, n, n, gam)
+                     - np.einsum("nkjk,nj->n", da, n))
     else:
-        def V(y):
-            ny = piece.unit_normal(y)
-            gy = piece.gamma(y)
-            ay = coef.a(y)
-            return p(y) * (float(ny @ ay @ ny) * gy - ay @ ny)
+        def V(Y):
+            return p(Y)[:, None] * _oblique_flux(coef.a(Y), piece.unit_normal(Y),
+                                                 piece.gamma(Y))
 
-        div = np.trace(central_diff1(V, x))
-    return t1 + t2 + t3 - div
+        div = np.trace(central_diff1(V, X), axis1=1, axis2=2)
+    out = t1 + t2 + t3 - div
+    return float(out[0]) if single else out
 
 
 def edge_residual(coef: CoefficientField, domain: dom.DomainSpec, p: Density,
-                  x, i: int, j: int) -> float:
-    """Edge condition residual at a point of faces i and j (off the singular set)."""
-    x = np.asarray(x, dtype=float)
-    if i == j or not (_on_face(domain, x, i) and _on_face(domain, x, j)):
-        raise OffEdge(f"{x} is not on the ({i},{j}) edge")
-    a = coef.a(x)
+                  x, i: int, j: int):
+    """Edge condition residual at points of faces i and j (off the singular
+    set): a float at a point, an (n,) array on a batch; a row off the edge
+    raises OffEdge."""
+    X, single = dom.as_batch(x)
+    off = ~(_on_face(domain, X, i) & _on_face(domain, X, j))
+    if i == j or off.any():
+        raise OffEdge(f"{X[np.argmax(off)]} is not on the ({i},{j}) edge")
+    a = coef.a(X)
     pi_, pj_ = domain.pieces[i], domain.pieces[j]
-    ni, nj = pi_.unit_normal(x), pj_.unit_normal(x)
-    gi, gj = pi_.gamma(x), pj_.gamma(x)
-    term_i = float(nj @ (float(ni @ a @ ni) * gi - a @ ni))
-    term_j = float(ni @ (float(nj @ a @ nj) * gj - a @ nj))
-    return p(x) * (term_i + term_j)
+    ni, nj = pi_.unit_normal(X), pj_.unit_normal(X)
+    term_i = dom.row_dot(nj, _oblique_flux(a, ni, pi_.gamma(X)))
+    term_j = dom.row_dot(ni, _oblique_flux(a, nj, pj_.gamma(X)))
+    out = p(X) * (term_i + term_j)
+    return float(out[0]) if single else out
 
 
 @dataclass
@@ -175,34 +173,25 @@ class BarReport:
 
 
 def _edge_points(domain: dom.DomainSpec, i: int, j: int, count: int = 12):
-    """Sample points on the (i,j) edge stratum, excluding singular points."""
+    """(n, J) sample of the edge stratum of half-spaces i and j: its
+    representative and points along the edge, away from singular points."""
     rep = dom._stratum_representative(domain, {i, j})
     if rep is None:
-        return []
-    pts = [rep]
-    pi_, pj_ = domain.pieces[i], domain.pieces[j]
-    if pi_.kind == "half-space" and pj_.kind == "half-space":
-        Nmat = np.stack([pi_.normal, pj_.normal])
-        _, s, Vt = np.linalg.svd(Nmat)
-        T = Vt[int(np.sum(s > 1e-10)):]
-        if len(T):
-            lo, hi = domain.bbox
-            span = float(np.linalg.norm(hi - lo))
-            for t in np.linspace(-span, span, count):
-                for u in T:
-                    y = rep + t * u
-                    vals = domain.piece_values(y)
-                    ok = all(abs(vals[k]) <= 1e-9 if k in (i, j) else vals[k] >= -1e-9
-                             for k in range(len(vals)))
-                    if ok:
-                        pts.append(y)
-    keep = []
-    for y in pts:
-        near_sing = any(np.linalg.norm(y - sp.x) <= 10 * domain.tol_at(y) + 1e-12
-                        for sp in domain.singular_points)
-        if not near_sing:
-            keep.append(np.asarray(y, dtype=float))
-    return keep
+        return np.empty((0, domain.dimension))
+    _, s, Vt = np.linalg.svd(np.stack([domain.pieces[i].normal, domain.pieces[j].normal]))
+    T = Vt[int(np.sum(s > 1e-10)):]
+    lo, hi = domain.bbox
+    span = float(np.linalg.norm(hi - lo))
+    Y = (rep + np.linspace(-span, span, count)[:, None, None] * T).reshape(-1, len(rep))
+    vals = domain.piece_values_batch(Y)
+    edge = np.isin(np.arange(vals.shape[1]), (i, j))
+    pts = np.vstack([rep, Y[np.all(np.where(edge, np.abs(vals) <= 1e-9, vals >= -1e-9),
+                                   axis=1)]])
+    near = np.zeros(len(pts), dtype=bool)
+    for sp in domain.singular_points:
+        d = pts - sp.x
+        near |= np.sqrt(dom.row_dot(d, d)) <= 10 * domain.tol_at(pts) + 1e-12
+    return pts[~near]
 
 
 def verify_bar(coef: CoefficientField, domain: dom.DomainSpec, p: Density,
@@ -218,15 +207,17 @@ def verify_bar(coef: CoefficientField, domain: dom.DomainSpec, p: Density,
     if tolerances is None:
         pts0 = dom.sample_closure(domain, 64, seed=seed + 3)
         scale = max(float(np.max(p.value_batch(pts0))), 1e-12)
-        bscale = max(float(np.linalg.norm(coef.b(x))) for x in pts0)
-        ascale = max(float(np.max(np.abs(coef.a(x)))) for x in pts0)
-        analytic = coef._da is not None and p.has_analytic_derivatives
+        b0 = coef.b(pts0)
+        bscale = float(np.max(np.sqrt(dom.row_dot(b0, b0))))
+        ascale = float(np.max(np.abs(coef.a(pts0))))
+        analytic = coef.has_analytic_derivatives and p.has_analytic_derivatives
         base = 1e-6 if analytic else 1e-3 * scale * (1.0 + bscale + ascale)
         tolerances = {"interior": base, "face": base, "edge": base}
 
     X = dom.sample_closure(domain, interior_samples, seed=seed)
     interior = X[np.min(domain.piece_values(X), axis=1) > domain.tol_at(X)]
-    r_int = max((abs(apply_adjoint(coef, p, x)) for x in interior), default=0.0)
+    r_int = (float(np.max(np.abs(apply_adjoint(coef, p, interior))))
+             if len(interior) else 0.0)
 
     face_res = {}
     n_face = 0
@@ -237,10 +228,11 @@ def verify_bar(coef: CoefficientField, domain: dom.DomainSpec, p: Density,
             continue
         # smooth part of the boundary only: points whose sole active piece is i
         frame = dom.boundary_frame(domain, pts, rel_tol=1e-7)
-        sole = [r for r, idx in frame.active_sets().items() if idx == (i,)]
-        if sole:
-            face_res[i] = max(abs(face_residual(coef, domain, p, pts[r], i))
-                              for r in sole)
+        sole = np.bincount(frame.row, minlength=len(pts)) == 1
+        sole[frame.row[frame.piece != i]] = False
+        sole = pts[sole]
+        if len(sole):
+            face_res[i] = float(np.max(np.abs(face_residual(coef, domain, p, sole, i))))
             n_face += len(sole)
 
     edge_res = {}
@@ -249,15 +241,11 @@ def verify_bar(coef: CoefficientField, domain: dom.DomainSpec, p: Density,
         if domain.pieces[i].kind != "half-space" or domain.pieces[j].kind != "half-space":
             continue
         pts = _edge_points(domain, i, j)
-        worst = None
-        for x in pts:
-            try:
-                worst = max(worst or 0.0, abs(edge_residual(coef, domain, p, x, i, j)))
-                n_edge += 1
-            except OffEdge:
-                continue
-        if worst is not None:
-            edge_res[(i, j)] = worst
+        on = pts[_on_face(domain, pts, i) & _on_face(domain, pts, j)]
+        if len(on):
+            edge_res[(i, j)] = float(np.max(np.abs(edge_residual(coef, domain, p,
+                                                                 on, i, j))))
+            n_edge += len(on)
 
     mass, _ = integrate_density(p, domain)
     return BarReport(r_int, face_res, edge_res, mass,

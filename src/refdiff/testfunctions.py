@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import domain as dom
+from .coefficients import _diff1
 from .cones import MollifiedConeDistance, PolyCone, fattened_generators
 from .errors import (
     BadParameters,
@@ -44,18 +44,6 @@ _ZETA = rising_cutoff(0.5, 1.0)
 _ZETA_SUP = _sup_abs_d1_d2(_ZETA, np.linspace(-0.1, 2.2, 301))
 
 
-def _as_batch(y, J):
-    Y = np.asarray(y, dtype=float)
-    if Y.ndim == 0:
-        Y = Y.reshape(1, 1)
-        return Y, True
-    if Y.ndim == 1:
-        if J == 1 and Y.shape[0] != 1:
-            return Y[:, None], False
-        return Y[None, :], True
-    return Y, False
-
-
 class TestFunction:
     """C^2 function with value/gradient/Hessian access and class metadata."""
 
@@ -79,19 +67,19 @@ class TestFunction:
         self.info = info or {}
 
     def value(self, y):
-        Y, single = _as_batch(y, self.dim)
+        Y, single = dom.as_batch(y, self.dim)
         out = self._value(Y)
         return float(out[0]) if single else out
 
     __call__ = value
 
     def gradient(self, y):
-        Y, single = _as_batch(y, self.dim)
+        Y, single = dom.as_batch(y, self.dim)
         out = self._gradient(Y)
         return out[0] if single else out
 
     def hessian(self, y):
-        Y, single = _as_batch(y, self.dim)
+        Y, single = dom.as_batch(y, self.dim)
         out = self._hessian(Y)
         return out[0] if single else out
 
@@ -113,32 +101,21 @@ class TestFunction:
         return self.scaled(-1.0)
 
     def check_derivatives(self, probes, rtol_grad=1e-5, rtol_hess=1e-4):
-        """Central-difference consistency of gradient and Hessian at probe points."""
-        probes = np.atleast_2d(np.asarray(probes, dtype=float))
-        J = self.dim
-        worst_g, worst_h = 0.0, 0.0
-        for x in probes:
-            g = self.gradient(x)
-            h_an = self.hessian(x)
-            hstep = 1e-6 * (1.0 + np.linalg.norm(x))
-            g_fd = np.empty(J)
-            for k in range(J):
-                e = np.zeros(J)
-                e[k] = hstep
-                g_fd[k] = (self.value(x + e) - self.value(x - e)) / (2 * hstep)
-            worst_g = max(worst_g, float(np.max(np.abs(g - g_fd)))
-                          / (1.0 + float(np.max(np.abs(g)))))
-            hstep2 = 1e-5 * (1.0 + np.linalg.norm(x))
-            h_fd = np.empty((J, J))
-            for k in range(J):
-                e = np.zeros(J)
-                e[k] = hstep2
-                h_fd[:, k] = (self.gradient(x + e) - self.gradient(x - e)) / (2 * hstep2)
-            h_fd = 0.5 * (h_fd + h_fd.T)
-            worst_h = max(worst_h, float(np.max(np.abs(h_an - h_fd)))
-                          / (1.0 + float(np.max(np.abs(h_an)))))
+        """Central-difference consistency of gradient and Hessian at probe
+        points, with steps 1e-6 (1 + |x|) and 1e-5 (1 + |x|)."""
+        P = np.atleast_2d(np.asarray(probes, dtype=float))
+        H = self._hessian(P)
+        H_fd = _diff1(self._gradient, P, 1e-5)
+        worst_g = _relative_gap(self._gradient(P), _diff1(self._value, P, 1e-6))
+        worst_h = _relative_gap(H, 0.5 * (H_fd + np.swapaxes(H_fd, 1, 2)))
         return {"grad_err": worst_g, "hess_err": worst_h,
                 "grad_ok": worst_g <= rtol_grad, "hess_ok": worst_h <= rtol_hess}
+
+
+def _relative_gap(A, B) -> float:
+    """max over rows of max |A - B| / (1 + max |A|)."""
+    axes = tuple(range(1, A.ndim))
+    return float(np.max(np.max(np.abs(A - B), axis=axes) / (1.0 + np.max(np.abs(A), axis=axes))))
 
 
 def combine(funcs: Sequence[TestFunction], coeffs=None) -> TestFunction:
@@ -329,7 +306,7 @@ def singular_ramp(domain: dom.DomainSpec, sp: dom.SingularPoint, delta: float,
     if coefficients is not None:
         pts = dom.sample_closure(domain, 200, seed=7, center=x,
                                  radius=min(sp.radius, eps0))
-        report["ellipticity_min"] = float(min(v @ coefficients.a(y) @ v for y in pts))
+        report["ellipticity_min"] = float(np.min(dom.row_dot(v @ coefficients.a(pts), v)))
     return f, report
 
 
@@ -347,6 +324,7 @@ class StratumModel:
     """
 
     def __init__(self, domain: dom.DomainSpec, x, shrink_iters: int = 60):
+        from scipy.optimize import linprog
         x = np.asarray(x, dtype=float)
         self.domain = domain
         self.idx = tuple(dom.active_set(domain, x))
@@ -540,38 +518,37 @@ def boundary_bump(domain: dom.DomainSpec, x, r: float,
     J = domain.dimension
     mol, zeta, anchor = model.mol, model.zeta, model.anchor
 
-    def _z(Y):
-        return (Y - x) / r + anchor
+    def _support(Y):
+        # rows outside the support stay zero: only the others reach the
+        # mollified distance, whose cone projections dominate the cost
+        rows = np.flatnonzero(np.linalg.norm(Y - x, axis=1) < r)
+        Z = (Y[rows] - x) / r + anchor
+        return rows, Z, (mol.value(Z) if len(rows) else np.empty(0))
 
     def value(Y):
-        out = zeta.value(mol.value(_z(Y)))
-        out[np.linalg.norm(Y - x, axis=1) >= r] = 0.0
+        out = np.zeros(len(Y))
+        rows, _, k = _support(Y)
+        out[rows] = zeta.value(k)
         return out
 
     def gradient(Y):
-        Z = _z(Y)
-        k = mol.value(Z)
-        s = zeta.d1(k)
         out = np.zeros_like(Y)
+        rows, Z, k = _support(Y)
+        s = zeta.d1(k)
         act = s != 0.0
         if act.any():
-            out[act] = (s[act][:, None] / r) * mol.gradient(Z[act])
-        out[np.linalg.norm(Y - x, axis=1) >= r] = 0.0
+            out[rows[act]] = (s[act][:, None] / r) * mol.gradient(Z[act])
         return out
 
     def hessian(Y):
-        Z = _z(Y)
-        k = mol.value(Z)
-        s1 = zeta.d1(k)
-        s2 = zeta.d2(k)
         out = np.zeros((len(Y), J, J))
+        rows, Z, k = _support(Y)
+        s1, s2 = zeta.d1(k), zeta.d2(k)
         act = (s1 != 0.0) | (s2 != 0.0)
         if act.any():
             G = mol.gradient(Z[act])
-            H = mol.hessian(Z[act])
-            out[act] = (s2[act][:, None, None] * np.einsum("ni,nj->nij", G, G)
-                        + s1[act][:, None, None] * H) / (r * r)
-        out[np.linalg.norm(Y - x, axis=1) >= r] = 0.0
+            out[rows[act]] = (s2[act][:, None, None] * np.einsum("ni,nj->nij", G, G)
+                              + s1[act][:, None, None] * mol.hessian(Z[act])) / (r * r)
         return out
 
     plateau_unit, A = model.bump_constants()
@@ -982,8 +959,9 @@ def assemble_cover_family(domain: dom.DomainSpec, coefficients, N: float,
 
     # uniform generator bound: per-bump certified bound times sampled overlap
     B_pts = dom.sample_closure(domain, 400, seed=seed + 9)
-    sup_b = max(float(np.linalg.norm(coefficients.b(y))) for y in B_pts)
-    sup_a = max(float(np.max(np.abs(coefficients.a(y)))) for y in B_pts)
+    Bv = coefficients.b(B_pts)
+    sup_b = float(np.max(np.sqrt(dom.row_dot(Bv, Bv))))
+    sup_a = float(np.max(np.abs(coefficients.a(B_pts))))
     for b in bumps:
         A0, A1, A2 = b.func.bound_triple or (1.0, 1.0 / b.r, 1.0 / b.r ** 2)
         b.l_bound = sup_b * A1 + 0.5 * sup_a * A2

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -141,3 +144,27 @@ def test_simulate_failed_projections_exit_numeric(tmp_path):
                 "--dt", "0.01", "--output", str(out)])
     assert code == cli.EXIT_NUMERIC
     assert len(out.read_text().splitlines()) == 2 + 21
+
+
+def test_solve_gps3_default_grid_follows_dimension(tmp_path):
+    # the default per-axis grid keeps the 2D point count: 16^3 points in 3D
+    out, rep = tmp_path / "m.csv", tmp_path / "s.json"
+    code = run(["solve", "--config", str(PRESETS / "gps3.json"),
+                "--output", str(out), "--report-output", str(rep)])
+    assert code == cli.EXIT_OK
+    assert json.loads(rep.read_text())["feasible"]
+    assert cli._grid({}, 64, 3) == 16 and cli._grid({}, 256, 3) == 40
+    assert cli._grid({}, 64, 1) == cli._grid({}, 64, 2) == 64
+    assert cli._grid({"grid": 20}, 64, 3) == 20
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # linprog and nnls are imported where they are used: start-up skips them
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, refdiff, refdiff.cli; print('scipy.optimize' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

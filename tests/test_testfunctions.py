@@ -216,6 +216,50 @@ def test_boundary_bump_support_in_ball(orthant2):
     assert np.all(g._value(Y) == 0.0)
 
 
+def _boundary_bump_reference(model, x, r, Y):
+    """The bump formula that evaluates every row of Y and then zeroes the
+    rows outside the support."""
+    mol, zeta, anchor = model.mol, model.zeta, model.anchor
+    Z = (Y - x) / r + anchor
+    outside = np.linalg.norm(Y - x, axis=1) >= r
+    k = mol.value(Z)
+    value = zeta.value(k)
+    s1, s2 = zeta.d1(k), zeta.d2(k)
+    grad = np.zeros_like(Y)
+    act = s1 != 0.0
+    grad[act] = (s1[act][:, None] / r) * mol.gradient(Z[act])
+    hess = np.zeros((len(Y), len(x), len(x)))
+    act = (s1 != 0.0) | (s2 != 0.0)
+    G = mol.gradient(Z[act])
+    hess[act] = (s2[act][:, None, None] * np.einsum("ni,nj->nij", G, G)
+                 + s1[act][:, None, None] * mol.hessian(Z[act])) / (r * r)
+    for out in (value, grad, hess):
+        out[outside] = 0.0
+    return value, grad, hess
+
+
+@pytest.mark.parametrize("system, x, r", [("orthant2", [1.0, 0.0], 0.5),
+                                          ("gps2", [1.0, 0.0], 0.4),
+                                          ("gps2", [0.0, 1.5], 0.3)])
+def test_boundary_bump_evaluates_only_its_support(system, x, r, request):
+    domain = request.getfixturevalue(system).domain
+    x = np.asarray(x)
+    g = rd.boundary_bump(domain, x, r)
+    model = _stratum_model(domain, x)
+    for seed in range(11, 16):
+        Y = x + np.random.default_rng(seed).uniform(-1.6 * r, 1.6 * r, size=(400, 2))
+        inside = np.linalg.norm(Y - x, axis=1) < r
+        assert 50 < inside.sum() < 350
+        # The reference runs on the rows inside the support, not on the whole
+        # batch: the mollified distance's weighted sum is one matrix product,
+        # which rounds the last few rows of a batch apart from the others, so
+        # a row's last bits depend on which rows share its batch.
+        want = _boundary_bump_reference(model, x, r, Y[inside])
+        for out, ref in zip((g.value(Y), g.gradient(Y), g.hessian(Y)), want):
+            assert np.all(out[~inside] == 0.0)
+            assert np.array_equal(out[inside], ref)
+
+
 def test_boundary_bump_reflected_cone_separation(orthant2):
     # the shifted reflected cone meets the closed domain only at the apex
     model = _stratum_model(orthant2.domain, np.array([1.0, 0.0]))
