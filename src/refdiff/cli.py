@@ -200,11 +200,7 @@ def cmd_simulate(cfg):
                          dt=_num(cfg.get("dt", 1e-3)),
                          seed=int(cfg.get("seed", 0)))
     out = cfg.get("output", "trajectory.csv")
-    stride = max(1, int(cfg.get("stride", 1)))
-    cols = (["t"] + [f"x{k}" for k in range(traj.states.shape[1])]
-            + [f"push{k}" for k in range(traj.pushing.shape[1])])
-    data = np.column_stack([traj.times, traj.states, traj.pushing])
-    write_csv(out, cols, data[::stride], _header(cfg))
+    traj.to_csv(out, _header(cfg), stride=max(1, int(cfg.get("stride", 1))))
     fb, fv = boundary_occupation(system.domain, traj,
                                  shell=_num(cfg.get("shell", 0.01)),
                                  burn_in=_num(cfg.get("burn_in", 0.1)))

@@ -493,13 +493,13 @@ def _stratum_representative(domain: DomainSpec, subset, margin_tol=1e-9):
     return res.x[:J]
 
 
-def check_completely_s(domain: DomainSpec, curved_samples: int = 200,
-                       seed: int = 0) -> CompletelySReport:
+def check_completely_s(domain: DomainSpec, seed: int = 0) -> CompletelySReport:
     """Sweep one representative point per nonempty boundary stratum.
 
     Polyhedral case: strata are enumerated as face subsets with a nonempty
     relative interior inside the bounding box.  Curved pieces are handled by
-    sampling their charts.  The boundary is certified iff every stratum passes.
+    sampling 200 boundary points.  The boundary is certified iff every
+    stratum passes.
     """
     from itertools import combinations
 
@@ -518,7 +518,7 @@ def check_completely_s(domain: DomainSpec, curved_samples: int = 200,
                     continue
                 results.append(StratumResult(subset, rep, ok, margin))
     else:
-        pts = sample_boundary(domain, curved_samples, seed=seed)
+        pts = sample_boundary(domain, 200, seed=seed)
         # strata from the default frame; each LP sees the pieces that
         # active_set would return, i.e. the frame at rel_tol = active_tol
         frame = boundary_frame(domain, pts, rel_tol=domain.active_tol)
@@ -552,9 +552,23 @@ def edge_normal(domain: DomainSpec, i: int, j: int, x, tol: float = 1e-12):
 # Sampling
 # ---------------------------------------------------------------------------
 
+def cell_centers(lo, hi, per_axis):
+    """Centers of a regular grid of cells over the box [lo, hi], one row per
+    cell in C order, and the cell widths; per_axis is one count for every
+    axis or a count per axis."""
+    if np.isscalar(per_axis):
+        per_axis = [int(per_axis)] * len(lo)
+    axes = [l + (np.arange(n) + 0.5) * (h - l) / n
+            for n, l, h in zip(per_axis, lo, hi)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return (np.stack([m.ravel() for m in mesh], axis=1),
+            [(h - l) / n for n, l, h in zip(per_axis, lo, hi)])
+
+
 def sample_closure(domain: DomainSpec, n: int, seed: int = 0,
-                   center=None, radius=None, max_tries: int = 400):
-    """Rejection-sample n points from the closed domain (optionally inside a ball)."""
+                   center=None, radius=None):
+    """Rejection-sample n points from the closed domain (optionally inside a
+    ball), in at most 400 rounds of candidates."""
     rng = np.random.default_rng(seed)
     lo, hi = domain.bbox
     if center is not None:
@@ -563,7 +577,7 @@ def sample_closure(domain: DomainSpec, n: int, seed: int = 0,
         hi = np.minimum(hi, center + radius)
     out = np.empty((0, domain.dimension))
     tries = 0
-    while len(out) < n and tries < max_tries:
+    while len(out) < n and tries < 400:
         cand = rng.uniform(lo, hi, size=(max(4 * n, 256), domain.dimension))
         vals = domain.piece_values_batch(cand)
         keep = np.all(vals >= -domain.active_tol, axis=1)
@@ -577,11 +591,11 @@ def sample_closure(domain: DomainSpec, n: int, seed: int = 0,
     return out[:n]
 
 
-def project_to_piece(domain: DomainSpec, piece_index: int, x, newton_steps: int = 30):
+def project_to_piece(domain: DomainSpec, piece_index: int, x):
     """Project a point, or each row of a batch, onto the zero set of one piece.
 
-    Smooth pieces take Newton steps along the gradient; each row iterates
-    until its own stopping test holds, exactly as it would alone.
+    Smooth pieces take up to 30 Newton steps along the gradient; each row
+    iterates until its own stopping test holds, exactly as it would alone.
     """
     p = domain.pieces[piece_index]
     x = np.asarray(x, dtype=float)
@@ -589,7 +603,7 @@ def project_to_piece(domain: DomainSpec, piece_index: int, x, newton_steps: int 
         return x - np.multiply.outer(p.value(x), p.normal)
     X = np.atleast_2d(x).copy()
     live = np.arange(len(X))
-    for _ in range(newton_steps):
+    for _ in range(30):
         Y = X[live]
         v = p.value(Y)
         go = ~(np.abs(v) < 1e-13 * (1 + np.sqrt(row_dot(Y, Y))))
@@ -729,11 +743,8 @@ def boundary_quadrature(domain: DomainSpec, piece_index: int, resolution: int):
         lo_t = np.dot(np.where(t > 0, lo, hi) - x0, t)
         hi_t = np.dot(np.where(t > 0, hi, lo) - x0, t)
         extents.append((min(lo_t, hi_t), max(lo_t, hi_t)))
-    axes = [l + (np.arange(resolution) + 0.5) * (h - l) / resolution
-            for l, h in extents]
-    cell = np.prod([(h - l) / resolution for l, h in extents])
-    mesh = np.meshgrid(*axes, indexing="ij")
-    coords = np.stack([m.ravel() for m in mesh], axis=1)
+    coords, widths = cell_centers(*zip(*extents), resolution)
+    cell = np.prod(widths)
     pts = x0[None, :] + coords @ T
     vals = domain.piece_values_batch(pts)
     vals[:, piece_index] = 0.0

@@ -263,12 +263,8 @@ def _box_quadrature(p: Density, domain: dom.DomainSpec, scale: float,
     ctr = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo) * scale
     lo2, hi2 = ctr - half, ctr + half
-    J = domain.dimension
-    axes = [l + (np.arange(resolution) + 0.5) * (h - l) / resolution
-            for l, h in zip(lo2, hi2)]
-    cell = float(np.prod([(h - l) / resolution for l, h in zip(lo2, hi2)]))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    pts, widths = dom.cell_centers(lo2, hi2, resolution)
+    cell = float(np.prod(widths))
     inside = np.all(domain.piece_values_batch(pts) >= 0.0, axis=1)
     if not inside.any():
         return 0.0

@@ -47,7 +47,7 @@ def _polyhedral_arrays(domain: dom.DomainSpec):
 # Projection
 # ---------------------------------------------------------------------------
 
-def reflect(domain: dom.DomainSpec, y, max_iter: int = 50, tol: float = 1e-10):
+def reflect(domain: dom.DomainSpec, y):
     """Project a candidate point into the closed domain along reflection vectors.
 
     Returns (x, eta) with x = y + sum_i eta_i gamma_i(x), eta >= 0 supported
@@ -63,10 +63,10 @@ def reflect(domain: dom.DomainSpec, y, max_iter: int = 50, tol: float = 1e-10):
             raise NoConvergence("active-set projection failed", point=y)
         return x, eta
 
-    m = len(domain.pieces)
+    tol = 1e-10
     x = y.copy()
-    eta = np.zeros(m)
-    for _ in range(max_iter):
+    eta = np.zeros(len(domain.pieces))
+    for _ in range(50):
         vals = domain.piece_values(x)
         viol = np.flatnonzero(vals < -tol)
         if len(viol) == 0:
@@ -113,11 +113,12 @@ class Trajectory:
     def n_steps(self) -> int:
         return len(self.states) - 1
 
-    def to_csv(self, path, header_meta: str = ""):
+    def to_csv(self, path, header_meta: str = "", stride: int = 1):
+        """Write columns t, x*, push* for every stride-th state."""
         cols = (["t"] + [f"x{k}" for k in range(self.states.shape[1])]
                 + [f"push{k}" for k in range(self.pushing.shape[1])])
         data = np.column_stack([self.times, self.states, self.pushing])
-        write_csv(path, cols, data, header_meta)
+        write_csv(path, cols, data[::stride], header_meta)
 
 
 @dataclass
@@ -130,22 +131,22 @@ class EmpiricalMeasure:
     error_kind: str = "empirical"
 
 
-# Steps drawn per kernel call: a failed projection discards at most this many
+# Steps drawn per walk call: a failed projection discards at most this many
 # pre-drawn increments, so the cost of retries stays linear in the path length.
 _BLOCK = 4096
 
 
-def _simulate_constant(domain, coef, x0, n_steps, dt, seed, path_index=0):
-    normals, offsets, gammas = _polyhedral_arrays(domain)
-    b = coef.b(x0)
-    sigma = coef.sigma(x0)
-    n_noise = sigma.shape[1]
+def _walk_path(walk, x0, m, n_noise, n_steps, dt, seed, path_index):
+    """Drive walk(x, noise, h) -> (states, cumulative push, fail_step) over
+    n_steps steps of size dt on m faces, with n_noise normals per step.
 
-    def walk(x, noise, h):
-        return _kernels.constrained_walk(x, b, sigma, normals, offsets, gammas,
-                                         noise, h, _PTOL)
-
-    x, p = x0, np.zeros(len(offsets))
+    Noise comes in blocks of _BLOCK rows from the (seed, path_index) stream.
+    A failed step is retried at 2^1 ... 2^8 sub-steps, each level on its own
+    stream; if every level fails the path stays put and the step is recorded
+    as an event.  After a failure the path continues on a stream keyed by the
+    failed step.
+    """
+    x, p = x0, np.zeros(m)
     states, push, events = [x[None, :]], [p[None, :]], []
     rng = _rng(seed, path_index)
     k = 0
@@ -179,36 +180,43 @@ def _simulate_constant(domain, coef, x0, n_steps, dt, seed, path_index=0):
     return np.concatenate(states), np.concatenate(push), events
 
 
-def _bridge_applicable(domain, coef) -> bool:
-    return (domain.dimension == 1 and len(domain.pieces) == 1
-            and domain.pieces[0].kind == "half-space"
-            and getattr(coef, "is_constant", False))
+def _euler_walk(domain, coef, x, noise, h):
+    """Euler steps with state-dependent coefficients, each reflected into the
+    domain; the walk contract of _kernels.constrained_walk."""
+    states = np.empty((len(noise) + 1, len(x)))
+    push = np.zeros((len(noise) + 1, len(domain.pieces)))
+    states[0] = x
+    sqh = math.sqrt(h)
+    for k, z in enumerate(noise):
+        try:
+            x, eta = reflect(domain, x + coef.b(x) * h + coef.sigma(x) @ z * sqh)
+        except NoConvergence:
+            return states[:k + 1], push[:k + 1], k
+        states[k + 1] = x
+        push[k + 1] = push[k] + eta
+    return states, push, -1
 
 
 def simulate_path(domain: dom.DomainSpec, coef: CoefficientField, x0, T: float,
-                  dt: float, seed: int = 0, path_index: int = 0,
-                  boundary_scheme: str = "auto") -> Trajectory:
+                  dt: float, seed: int = 0, path_index: int = 0) -> Trajectory:
     """Euler walk from x0 to time T with reflection at the boundary.
 
-    boundary_scheme 'projection' applies the active-set projection to every
-    proposed step (pushing lands exactly on the active faces).  On the 1D
-    half-line with constant coefficients the projected chain carries an
-    O(sqrt(dt)) boundary bias, so 'auto' upgrades that case to the exact
-    bridge-minimum step ('bridge'), whose pushing may leave the endpoint in
-    the interior (as the true local time does).
+    Every proposed step is projected back along the reflection vectors
+    (pushing lands exactly on the active faces), by the kernel's
+    complementarity solve for constant coefficients and reflection on a
+    polyhedron and by `reflect` otherwise.  The projected chain carries an
+    O(sqrt(dt)) boundary bias, so on the 1D half-line with constant
+    coefficients the walk takes the exact bridge-minimum step instead,
+    whose pushing may leave the endpoint in the interior (as the true local
+    time does).
     """
     x0 = np.asarray(x0, dtype=float)
     cls, _ = dom.contains(domain, x0)
     if cls == dom.EXTERIOR:
         raise ValueError(f"start point {x0} is outside the closed domain")
     n_steps = int(round(T / dt))
-    if boundary_scheme not in ("auto", "projection", "bridge"):
-        raise ValueError(f"unknown boundary scheme {boundary_scheme!r}")
-    if boundary_scheme == "bridge" and not _bridge_applicable(domain, coef):
-        raise ValueError("bridge scheme needs a constant-coefficient half-line")
-    use_bridge = (boundary_scheme == "bridge"
-                  or (boundary_scheme == "auto" and _bridge_applicable(domain, coef)))
-    if use_bridge:
+    if (domain.dimension == 1 and len(domain.pieces) == 1
+            and domain.pieces[0].kind == "half-space" and coef.is_constant):
         piece = domain.pieces[0]
         nrm = float(piece.normal[0])
         s0 = nrm * float(x0[0]) - piece.offset
@@ -220,54 +228,20 @@ def simulate_path(domain: dom.DomainSpec, coef: CoefficientField, x0, T: float,
         s, push = _kernels.halfline_bridge_walk(s0, drift, diff, noise, logu, dt)
         states = ((s + piece.offset) * nrm)[:, None]
         return Trajectory(dt, states, push[:, None], seed, [])
-    if domain.constant_reflection and getattr(coef, "is_constant", False):
-        states, push, events = _simulate_constant(
-            domain, coef, x0, n_steps, dt, seed, path_index)
-        return Trajectory(dt, states, push, seed, events)
+    sigma = coef.sigma(x0)
+    if domain.constant_reflection and coef.is_constant:
+        normals, offsets, gammas = _polyhedral_arrays(domain)
+        b = coef.b(x0)
 
-    # general path: python loop with per-step projection
-    J = domain.dimension
-    m = len(domain.pieces)
-    sigma0 = coef.sigma(x0)
-    noise = _rng(seed, path_index).standard_normal((n_steps, sigma0.shape[1]))
-    states = np.empty((n_steps + 1, J))
-    push = np.zeros((n_steps + 1, m))
-    states[0] = x0
-    x = x0.copy()
-    sqdt = math.sqrt(dt)
-    events = []
-    for k in range(n_steps):
-        y = x + coef.b(x) * dt + coef.sigma(x) @ noise[k] * sqdt
-        try:
-            x, eta = reflect(domain, y)
-        except NoConvergence:
-            fixed = False
-            for level in range(1, 9):
-                sub = 2 ** level
-                nz = _rng(seed, path_index, block=k * 16 + level)
-                sub_noise = nz.standard_normal((sub, sigma0.shape[1]))
-                xs = x.copy()
-                eta_acc = np.zeros(m)
-                ok = True
-                for l in range(sub):
-                    ys = xs + coef.b(xs) * (dt / sub) + \
-                        coef.sigma(xs) @ sub_noise[l] * math.sqrt(dt / sub)
-                    try:
-                        xs, eta_l = reflect(domain, ys)
-                        eta_acc += eta_l
-                    except NoConvergence:
-                        ok = False
-                        break
-                if ok:
-                    x, eta = xs, eta_acc
-                    fixed = True
-                    break
-            if not fixed:
-                events.append({"step": k, "point": x.copy(),
-                               "kind": "NoConvergence"})
-                eta = np.zeros(m)
-        states[k + 1] = x
-        push[k + 1] = push[k] + eta
+        def walk(x, noise, h):
+            return _kernels.constrained_walk(x, b, sigma, normals, offsets,
+                                             gammas, noise, h, _PTOL)
+    else:
+        def walk(x, noise, h):
+            return _euler_walk(domain, coef, x, noise, h)
+    states, push, events = _walk_path(walk, x0, len(domain.pieces),
+                                      sigma.shape[1], n_steps, dt, seed,
+                                      path_index)
     return Trajectory(dt, states, push, seed, events)
 
 

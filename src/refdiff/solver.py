@@ -67,14 +67,8 @@ def interior_grid(domain: dom.DomainSpec, per_axis, box=None) -> np.ndarray:
     excluding a boundary shell of half a grid spacing."""
     lo, hi = domain.bbox if box is None else (np.asarray(box[0], float),
                                               np.asarray(box[1], float))
-    J = domain.dimension
-    if np.isscalar(per_axis):
-        per_axis = [int(per_axis)] * J
-    axes = [l + (np.arange(n) + 0.5) * (h - l) / n
-            for n, l, h in zip(per_axis, lo, hi)]
-    spacing = float(np.max([(h - l) / n for n, l, h in zip(per_axis, lo, hi)]))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    pts, widths = dom.cell_centers(lo, hi, per_axis)
+    spacing = float(np.max(widths))
     vals = domain.piece_values_batch(pts)
     keep = np.min(vals, axis=1) >= spacing / 2.0
     return pts[keep]
@@ -207,11 +201,8 @@ def default_family(domain: dom.DomainSpec, coef: CoefficientField,
                                               np.asarray(box[1], float))
     funcs = []
     per_axis = max(2, int(round(n_interior ** (1.0 / J))))
-    axes = [l + (np.arange(per_axis) + 0.5) * (h - l) / per_axis
-            for l, h in zip(lo, hi)]
-    spacing = float(np.max([(h - l) / per_axis for l, h in zip(lo, hi)]))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    pts, widths = dom.cell_centers(lo, hi, per_axis)
+    spacing = float(np.max(widths))
     rad_full = widen * spacing
     for x, d in zip(pts, dom.distance_to_boundary(domain, pts)):
         rad = min(rad_full, 0.9 * d)
@@ -317,11 +308,11 @@ def default_family(domain: dom.DomainSpec, coef: CoefficientField,
 
 def build_constraints(domain: dom.DomainSpec, coef: CoefficientField,
                       grid_points, family: Sequence[TestFunction],
-                      eq_tol: float = 1e-9, seed: int = 0):
+                      seed: int = 0):
     """Rows M[k, j] = (L f_k)(x_j) with a type per row.
 
-    'eq' rows have boundary-gradient inner products vanishing on sampled
-    boundary points (both signs admissible); other rows must claim a
+    'eq' rows have boundary-gradient inner products vanishing (to 1e-9) on
+    sampled boundary points (both signs admissible); other rows must claim a
     negated-admissible function and are 'ineq' (row value must be <= 0).
     """
     grid_points = np.atleast_2d(np.asarray(grid_points, dtype=float))
@@ -333,7 +324,7 @@ def build_constraints(domain: dom.DomainSpec, coef: CoefficientField,
     rows, types = [], []
     for f in family:
         rows.append(apply_generator_batch(coef, f, grid_points))
-        if np.all(np.abs(frame.inner(f)) <= eq_tol):
+        if np.all(np.abs(frame.inner(f)) <= 1e-9):
             types.append("eq")
         elif f.claims_negated_in_class:
             types.append("ineq")
@@ -396,7 +387,7 @@ def _smoothed_gradient_map(points: np.ndarray, width: float,
 def solve_stationary(domain: dom.DomainSpec, coef: CoefficientField,
                      grid_points=None, family=None, per_axis: int = 64,
                      tolerance: float = 1e-5, max_iter: int = 10000,
-                     init: Optional[np.ndarray] = None, smoothing: float = 2.5,
+                     smoothing: float = 2.5,
                      seed: int = 0) -> SolveResult:
     """Minimize squared stationarity residuals over the probability simplex.
 
@@ -427,10 +418,9 @@ def solve_stationary(domain: dom.DomainSpec, coef: CoefficientField,
     M, types = build_constraints(domain, coef, grid_points, family, seed=seed)
     eq = np.array([t == "eq" for t in types])
     n = len(grid_points)
-    w = np.full(n, 1.0 / n) if init is None else project_simplex(
-        np.asarray(init, dtype=float))
+    w = np.full(n, 1.0 / n)
     if len(family) == 0:
-        # no constraints: every simplex point is feasible, return the init
+        # no constraints: every simplex point is feasible, return the start
         measure = GridMeasure(grid_points, w, residuals=np.zeros(0),
                               objective=0.0, meta={"types": []})
         return SolveResult(measure, 0.0, np.array([0.0]), 0, True)

@@ -323,7 +323,7 @@ class StratumModel:
     reflection all of this depends on the stratum only, so models are cached.
     """
 
-    def __init__(self, domain: dom.DomainSpec, x, shrink_iters: int = 60):
+    def __init__(self, domain: dom.DomainSpec, x):
         from scipy.optimize import linprog
         x = np.asarray(x, dtype=float)
         self.domain = domain
@@ -384,7 +384,7 @@ class StratumModel:
             raise QPFailure(f"reflected cone touches the domain cone at {x}")
         self.R = 0.5
         lam = min(0.9 * mu / 3.0, 0.25, 0.9 * self._q_norm)
-        for _ in range(shrink_iters):
+        for _ in range(60):
             self.lam = lam
             self.eta = lam / 2.0
             self.eps_mol = lam / 12.0
@@ -789,16 +789,15 @@ def _add_boundary(domain, bumps, x, eps):
 
 
 def assemble_cover_family(domain: dom.DomainSpec, coefficients, N: float,
-                          eps: float, verify_cover: bool = True,
-                          seed: int = 0, obligations: int = 3000,
-                          max_repair_rounds: int = 60) -> CoverFamily:
+                          eps: float, seed: int = 0) -> CoverFamily:
     """Build the separation family on the N-ball for scale eps.
 
     Bumps are laid out in three passes: singular-point bumps, per-stratum
     boundary lattices (deepest strata first, graded toward the singular set),
     and a deep interior lattice; a greedy repair loop then inserts bumps at
-    sampled points not yet inside any plateau until the region of interest is
-    fully covered.
+    sampled points not yet inside any plateau, for up to 60 rounds.  Every
+    volume and boundary sample in the reach ball (3000 and 1000 drawn) must
+    end inside a plateau, or SamplingFailure names the gap.
     """
     polyhedral = domain.constant_reflection
     if not (polyhedral or domain.bounded
@@ -817,24 +816,24 @@ def assemble_cover_family(domain: dom.DomainSpec, coefficients, N: float,
         bumps.append(_LatticeBump(sp.x, "singular", r,
                                   f.info["plateau_radius"], f))
 
-    strata = []
     if polyhedral:
         from itertools import combinations
         m = len(domain.pieces)
+        # deepest strata first; a stratum that is empty or only a singular
+        # point gets no lattice
+        strata = []
         for size in range(m, 0, -1):
             for subset in combinations(range(m), size):
-                if _stratum_is_singular(domain, subset):
-                    continue
                 rep = dom._stratum_representative(domain, set(subset))
-                if rep is None:
-                    continue
-                strata.append((subset, rep))
+                if rep is not None and not any(
+                        np.linalg.norm(rep - sp.x) < 1e-9
+                        for sp in domain.singular_points):
+                    strata.append(subset)
     else:
-        for i in range(len(domain.pieces)):
-            strata.append(((i,), None))
+        strata = [(i,) for i in range(len(domain.pieces))]
 
     guard = [sp.x for sp in domain.singular_points]
-    for subset, rep in sorted(strata, key=lambda t: -len(t[0])):
+    for subset in strata:
         pts = _stratum_lattice(domain, subset, lo, hi, eps, guard, eps)
         if pts is None or not len(pts):
             continue
@@ -873,9 +872,9 @@ def assemble_cover_family(domain: dom.DomainSpec, coefficients, N: float,
             _add_interior(domain, bumps, x, eps, depth=d)
 
     # coverage obligations: volume and boundary samples inside the reach ball
-    vol = dom.sample_closure(domain, obligations, seed=seed + 5)
+    vol = dom.sample_closure(domain, 3000, seed=seed + 5)
     try:
-        bnd = dom.sample_boundary(domain, obligations // 3, seed=seed + 6)
+        bnd = dom.sample_boundary(domain, 1000, seed=seed + 6)
         probes = np.vstack([vol, bnd])
     except SamplingFailure:
         probes = vol
@@ -890,7 +889,7 @@ def assemble_cover_family(domain: dom.DomainSpec, coefficients, N: float,
         return cov
 
     covered = plateau_mask(probes, bumps)
-    for _ in range(max_repair_rounds):
+    for _ in range(60):
         if covered.all():
             break
         uncov_idx = np.flatnonzero(~covered)
@@ -934,7 +933,7 @@ def assemble_cover_family(domain: dom.DomainSpec, coefficients, N: float,
             near = np.linalg.norm(probes - added.x, axis=1) <= added.plateau
             if near.any():
                 covered[near] |= added.func._value(probes[near]) >= 1.0 - 1e-12
-    if verify_cover and not covered.all():
+    if not covered.all():
         missing = probes[~covered][:5]
         raise SamplingFailure(
             f"cover gap at {len(probes) - covered.sum()} sample points, "
@@ -993,13 +992,6 @@ def _project_to_stratum(domain, subset, y):
     return x if ok else None
 
 
-def _stratum_is_singular(domain, subset) -> bool:
-    rep = dom._stratum_representative(domain, set(subset))
-    if rep is None:
-        return True
-    return any(np.linalg.norm(rep - sp.x) < 1e-9 for sp in domain.singular_points)
-
-
 def _project_into(domain, z):
     vals = domain.piece_values(z)
     for i in np.argsort(vals):
@@ -1014,7 +1006,7 @@ def _stratum_lattice(domain, subset, lo, hi, eps, guard_points, plateau_lower):
     """Lattice on one polyhedral boundary stratum, graded away from guards."""
     pieces = [domain.pieces[i] for i in subset]
     if any(p.kind != "half-space" for p in pieces):
-        return _curved_stratum_lattice(domain, subset, eps, plateau_lower)
+        return _curved_stratum_lattice(domain, subset, eps)
     J = domain.dimension
     Nmat = np.stack([p.normal for p in pieces])
     offs = np.array([p.offset for p in pieces])
@@ -1051,7 +1043,6 @@ def _stratum_lattice(domain, subset, lo, hi, eps, guard_points, plateau_lower):
         dmin = np.min(np.linalg.norm(pts[:, None, :] - Gp[None, :, :], axis=2),
                       axis=1)
         pts = pts[dmin >= max(plateau_lower * 0.45, 1e-6)]
-    # refine near strata of deeper codimension: add graded sublattices
     return pts
 
 
@@ -1068,7 +1059,7 @@ def _graded_axis(lo_t, hi_t, base):
     return np.unique(np.round(np.array(pts), 12))
 
 
-def _curved_stratum_lattice(domain, subset, eps, plateau_lower):
+def _curved_stratum_lattice(domain, subset, eps):
     i = subset[0]
     try:
         pts, _ = dom.boundary_quadrature(domain, i, max(8, int(4.0 / eps)))

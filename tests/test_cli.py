@@ -75,6 +75,30 @@ def test_simulate_artifact_reproducible(tmp_path):
     assert header.startswith("# config=") and "seed=3" in header
 
 
+def test_simulate_disk_config_reproducible(tmp_path):
+    # the disk's curved boundary takes the general Euler walk
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    for out in (a, b):
+        code = run(["simulate", "--config", str(PRESETS / "disk.json"),
+                    "--output", str(out)])
+        assert code == cli.EXIT_OK
+    assert a.read_bytes() == b.read_bytes()
+    lines = a.read_text().splitlines()
+    assert lines[1] == "t,x0,x1,push0" and len(lines) == 2 + 10001
+
+
+def test_simulate_stride_keeps_every_kth_row(tmp_path):
+    full, strided = tmp_path / "full.csv", tmp_path / "strided.csv"
+    args = ["simulate", "--preset", "orthant", "--J", "2", "--x0", "0.5,0.5",
+            "--T", "0.5", "--dt", "0.01"]
+    assert run(args + ["--output", str(full)]) == cli.EXIT_OK
+    assert run(args + ["--stride", "3", "--output", str(strided)]) == cli.EXIT_OK
+    rows = full.read_text().splitlines()
+    got = strided.read_text().splitlines()
+    assert got[1] == rows[1] == "t,x0,x1,push0,push1"
+    assert got[2:] == rows[2::3]
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"preset": "halfline", "b": "-1", "sigma": "1",

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 import refdiff as rd
 from refdiff import _kernels
 from refdiff.coefficients import CoefficientField
-from refdiff.simulate import (EmpiricalMeasure, _polyhedral_arrays, _rng,
-                              occupation_measure)
+from refdiff.simulate import (_BLOCK, EmpiricalMeasure, _polyhedral_arrays,
+                              _rng, occupation_measure)
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +59,7 @@ def test_zero_noise_constant_path(halfline):
     coef = CoefficientField.constant([0.0], [[0.0]])
     coef.is_constant = True
     traj = rd.simulate_path(halfline.domain, coef, [0.7], T=1.0, dt=0.01,
-                            seed=3, boundary_scheme="projection")
+                            seed=3)
     assert np.allclose(traj.states, 0.7)
     assert np.all(traj.pushing == 0.0)
 
@@ -292,11 +292,67 @@ def test_failed_projections_are_events():
         assert np.array_equal(e["point"], traj.states[e["step"] + 1])
 
 
+def _varying(b, s):
+    """A state-dependent field equal to drift b and dispersion s * I at the
+    origin, so simulate_path takes the general Euler walk."""
+    b = np.asarray(b, dtype=float)
+    eye = np.eye(len(b))
+    return CoefficientField(lambda x: b - 0.1 * x,
+                            lambda x: s * (1.0 + 0.1 * np.tanh(x[0])) * eye)
+
+
+def _general_loop_reference(domain, coef, x0, n_steps, dt, seed, path_index):
+    """Per-step reference for a general walk without failed steps: one noise
+    row per step from the (seed, path) stream, one reflect per step."""
+    noise = _rng(seed, path_index).standard_normal((n_steps, 2))
+    states = np.empty((n_steps + 1, 2))
+    push = np.zeros((n_steps + 1, len(domain.pieces)))
+    x = states[0] = x0
+    for k in range(n_steps):
+        y = x + coef.b(x) * dt + coef.sigma(x) @ noise[k] * math.sqrt(dt)
+        x, eta = rd.reflect(domain, y)
+        states[k + 1] = x
+        push[k + 1] = push[k] + eta
+    return states, push
+
+
+def test_general_walk_on_disk_spans_blocks():
+    disk = rd.make_example("disk")
+    coef = _varying([0.3, 0.0], 1.0)
+    n = _BLOCK + 1500
+    traj = rd.simulate_path(disk.domain, coef, [0.2, 0.1], T=n * 1e-3,
+                            dt=1e-3, seed=5, path_index=1)
+    assert traj.n_steps == n and not traj.events
+    assert np.all(np.linalg.norm(traj.states, axis=1) <= 1.0 + 1e-9)
+    assert np.all(np.diff(traj.pushing[:, 0]) >= 0.0)
+    assert traj.pushing[-1, 0] > 0.0
+    again = rd.simulate_path(disk.domain, coef, [0.2, 0.1], T=n * 1e-3,
+                             dt=1e-3, seed=5, path_index=1)
+    assert np.array_equal(traj.states, again.states)
+    assert np.array_equal(traj.pushing, again.pushing)
+    states, push = _general_loop_reference(disk.domain, coef,
+                                           np.array([0.2, 0.1]), n, 1e-3, 5, 1)
+    assert np.array_equal(traj.states, states)
+    # blocks add their own running sums onto the total: rounding-level gaps
+    assert np.allclose(traj.pushing, push, rtol=1e-12, atol=1e-12)
+
+
+def test_general_walk_failed_projections_are_events(monkeypatch):
+    # the constant kernel must not run: the state-dependent field takes the
+    # general walk, whose failed steps go through the same retry ladder
+    monkeypatch.setattr(_kernels, "constrained_walk", None)
+    traj = rd.simulate_path(_corner_trap(), _varying([-1.0, -1.0], 0.1),
+                            [0.05, 0.05], T=0.2, dt=0.01, seed=0)
+    assert traj.n_steps == 20 and traj.pushing.shape == (21, 2)
+    steps = [e["step"] for e in traj.events]
+    assert len(steps) >= 5 and steps == sorted(set(steps))
+    for e in traj.events:
+        assert e["kind"] == "NoConvergence" and 0 <= e["step"] < 20
+        assert np.array_equal(e["point"], traj.states[e["step"]])
+        assert np.array_equal(e["point"], traj.states[e["step"] + 1])
+
+
 def test_bridge_scheme_guard(halfline):
-    o = rd.make_example("orthant", J=2)
-    with pytest.raises(ValueError):
-        rd.simulate_path(o.domain, o.coefficients, [1.0, 1.0], T=0.1, dt=0.01,
-                         boundary_scheme="bridge")
     with pytest.raises(ValueError):
         rd.simulate_path(halfline.domain, halfline.coefficients, [-1.0],
                          T=0.1, dt=0.01)
