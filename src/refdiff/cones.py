@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from .domain import tangent_basis
 from .errors import BandEmpty, QPFailure
 
 
@@ -53,7 +54,7 @@ class PolyCone:
         # cross-section coordinates in the hyperplane <axis, y> = 1
         scale = G @ self.axis
         Q = G / scale[:, None]
-        T = _hyperplane_basis(self.axis)
+        T = tangent_basis(self.axis)
         P = (Q - self.axis[None, :]) @ T.T          # (m, J-1)
         if J == 2:
             order = np.argsort(P[:, 0])
@@ -107,10 +108,6 @@ class PolyCone:
         self.rays = G / np.linalg.norm(G, axis=1)[:, None]
         self.facets = None
         self._facet_normals = None
-
-    def contains(self, Z, tol: float = 1e-10) -> np.ndarray:
-        """Boolean membership for rows of Z (distance-based, robust)."""
-        return self.distance(Z) <= tol
 
     # -- distance --------------------------------------------------------------
     def project_info(self, Z):
@@ -197,24 +194,6 @@ class PolyCone:
                 B = np.linalg.qr(G[:, act])[0]
                 A[k] = B @ B.T
         return out, A
-
-
-def _hyperplane_basis(n: np.ndarray) -> np.ndarray:
-    """(J-1, J) orthonormal basis orthogonal to unit n."""
-    J = len(n)
-    out = []
-    for k in range(J):
-        e = np.zeros(J)
-        e[k] = 1.0
-        t = e - (e @ n) * n
-        for b in out:
-            t = t - (t @ b) * b
-        nrm = np.linalg.norm(t)
-        if nrm > 1e-10:
-            out.append(t / nrm)
-        if len(out) == J - 1:
-            break
-    return np.array(out)
 
 
 def fattened_generators(base, delta: float) -> np.ndarray:

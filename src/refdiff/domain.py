@@ -239,6 +239,7 @@ class DomainSpec:
     well_posed: Optional[bool] = None
     bounded: bool = False
     active_tol: float = 1e-9
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.pieces:
@@ -269,9 +270,36 @@ class DomainSpec:
         x = np.asarray(x, dtype=float)
         return np.array([p.value(x) for p in self.pieces]).T
 
-    def piece_values_batch(self, X) -> np.ndarray:
-        """(n, m) array of signed values for n points and m pieces."""
-        return self.piece_values(np.atleast_2d(np.asarray(X, dtype=float)))
+    def on_stratum(self, x, faces, eq_tol: float):
+        """Whether a point (or each row of a batch) lies on the stratum of
+        `faces`: |value_i| <= eq_tol on those faces, value_j >= -1e-9 on the
+        others."""
+        on = np.isin(np.arange(len(self.pieces)), faces)
+        vals = self.piece_values(x)
+        return np.all(np.where(on, np.abs(vals) <= eq_tol, vals >= -1e-9), axis=-1)
+
+    def cached(self, key, build):
+        """build() on the first request for key, the kept result after it:
+        geometry that depends on the domain alone is computed once."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
+    @property
+    def face_arrays(self):
+        """(normals (m, J), offsets (m,), unit reflection vectors (m, J)) of a
+        constant-reflection polyhedron."""
+        return self.cached("faces", lambda: (
+            np.stack([p.normal for p in self.pieces]),
+            np.array([p.offset for p in self.pieces]),
+            np.stack([p._unit_gamma for p in self.pieces])))
+
+    @property
+    def strata(self) -> dict:
+        """The nonempty boundary strata of a polyhedron, faces -> a point with
+        exactly that active set (the LP representative), ordered by size and
+        then lexicographically; empty when a piece is curved."""
+        return self.cached("strata", lambda: _strata_table(self))
 
     def to_json(self) -> dict:
         return {
@@ -385,7 +413,7 @@ def boundary_frame(domain: DomainSpec, B, rel_tol: Optional[float] = None) -> Bo
     if rel_tol is None:
         rel_tol = 10 * domain.active_tol
     tol = rel_tol * (1.0 + np.sqrt(row_dot(B, B)))
-    row, piece = np.nonzero(np.abs(domain.piece_values_batch(B)) <= tol[:, None])
+    row, piece = np.nonzero(np.abs(domain.piece_values(B)) <= tol[:, None])
     normal = np.empty((len(row), domain.dimension))
     gamma = np.empty_like(normal)
     for i in np.unique(piece):
@@ -395,23 +423,28 @@ def boundary_frame(domain: DomainSpec, B, rel_tol: Optional[float] = None) -> Bo
     return BoundaryFrame(B, row, piece, normal, gamma)
 
 
-def completely_s_at(domain: DomainSpec, x, tol: float = 1e-9):
+def completely_s_at(domain: DomainSpec, x):
     """Test whether some inward-normal combination makes a strictly positive
     inner product with every active reflection vector.
 
-    Solves:  max t  over  s >= 0, sum s = 1,  <sum_i s_i n_i, gamma_j> >= t.
-    Returns (ok, certificate normal or None, margin t*).
+    Returns (ok, certificate normal or None, margin t*) of positive_normal_lp.
     """
     x = np.asarray(x, dtype=float)
     idx = active_set(domain, x)
     normals = np.stack([domain.pieces[i].unit_normal(x) for i in idx])
     gammas = np.stack([domain.pieces[i].gamma(x) for i in idx])
-    return _positive_normal_lp(normals, gammas, x, tol)
+    ok, s, t_star = positive_normal_lp(normals, gammas, x)
+    return ok, (_as_unit(s @ normals) if ok else None), t_star
 
 
-def _positive_normal_lp(normals, gammas, x, tol):
-    """completely_s_at's LP on the (k, J) normals and reflection vectors of
-    the pieces active at x."""
+def positive_normal_lp(normals, gammas, x):
+    """The completely-S LP on the (k, J) normals and reflection vectors of the
+    pieces active at x:
+
+        max t  over  s >= 0, sum s = 1,  <sum_i s_i n_i, gamma_j> >= t.
+
+    Returns (ok, weights s, t*), ok meaning t* > 1e-9.
+    """
     from scipy.optimize import linprog
     k = len(normals)
     # variables: s_1..s_k, t;  minimize -t
@@ -429,12 +462,7 @@ def _positive_normal_lp(normals, gammas, x, tol):
     if not res.success:
         raise LPFailure(f"certificate LP failed at {x}: {res.message}")
     t_star = -res.fun
-    ok = t_star > tol
-    cert = None
-    if ok:
-        s = res.x[:k]
-        cert = _as_unit(s @ normals)
-    return ok, cert, t_star
+    return t_star > 1e-9, res.x[:k], t_star
 
 
 @dataclass
@@ -454,14 +482,14 @@ class CompletelySReport:
         return [s for s in self.strata if not s.passed]
 
 
-def _stratum_representative(domain: DomainSpec, subset, margin_tol=1e-9):
-    """A point with exactly the given active set, or None if the stratum is empty.
+def _stratum_representative(domain: DomainSpec, faces):
+    """A point of a polyhedron with exactly the given active faces, or None
+    if the stratum is empty.
 
-    For polyhedral domains: maximize the slack t of the inactive faces subject
-    to the subset faces holding with equality, inside the bounding box.
+    Maximizes the slack t of the other faces subject to the given faces
+    holding with equality, inside the bounding box.
     """
     from scipy.optimize import linprog
-    m = len(domain.pieces)
     J = domain.dimension
     lo, hi = domain.bbox
     # variables: x (J), t
@@ -469,11 +497,8 @@ def _stratum_representative(domain: DomainSpec, subset, margin_tol=1e-9):
     c[-1] = -1.0
     A_eq, b_eq, A_ub, b_ub = [], [], [], []
     for i, p in enumerate(domain.pieces):
-        if p.kind != "half-space":
-            return None
-        row = np.concatenate([p.normal, [0.0]])
-        if i in subset:
-            A_eq.append(row)
+        if i in faces:
+            A_eq.append(np.concatenate([p.normal, [0.0]]))
             b_eq.append(p.offset)
         else:
             # <n, x> - c >= t   ->  -<n, x> + t <= -c
@@ -485,38 +510,43 @@ def _stratum_representative(domain: DomainSpec, subset, margin_tol=1e-9):
                   A_eq=np.array(A_eq) if A_eq else None,
                   b_eq=np.array(b_eq) if b_eq else None,
                   bounds=bounds, method="highs")
-    if not res.success:
-        return None
-    t_star = -res.fun
-    if t_star <= margin_tol:
+    if not res.success or -res.fun <= 1e-9:
         return None
     return res.x[:J]
+
+
+def _strata_table(domain: DomainSpec) -> dict:
+    """DomainSpec.strata: every face subset of a polyhedron, by size and then
+    lexicographically, that has a representative."""
+    from itertools import combinations
+    if not all(p.kind == "half-space" for p in domain.pieces):
+        return {}
+    m = len(domain.pieces)
+    table = {}
+    for size in range(1, m + 1):
+        for faces in combinations(range(m), size):
+            rep = _stratum_representative(domain, faces)
+            if rep is not None:
+                table[faces] = rep
+    return table
 
 
 def check_completely_s(domain: DomainSpec, seed: int = 0) -> CompletelySReport:
     """Sweep one representative point per nonempty boundary stratum.
 
-    Polyhedral case: strata are enumerated as face subsets with a nonempty
-    relative interior inside the bounding box.  Curved pieces are handled by
-    sampling 200 boundary points.  The boundary is certified iff every
-    stratum passes.
+    Polyhedral case: the strata are the domain's strata table (face subsets
+    with a nonempty relative interior inside the bounding box).  Curved
+    pieces are handled by sampling 200 boundary points.  The boundary is
+    certified iff every stratum passes.
     """
-    from itertools import combinations
-
     results = []
-    polyhedral = all(p.kind == "half-space" for p in domain.pieces)
-    if polyhedral:
-        m = len(domain.pieces)
-        for size in range(1, m + 1):
-            for subset in combinations(range(m), size):
-                rep = _stratum_representative(domain, set(subset))
-                if rep is None:
-                    continue
-                try:
-                    ok, _, margin = completely_s_at(domain, rep)
-                except EmptyActiveSet:
-                    continue
-                results.append(StratumResult(subset, rep, ok, margin))
+    if all(p.kind == "half-space" for p in domain.pieces):
+        for faces, rep in domain.strata.items():
+            try:
+                ok, _, margin = completely_s_at(domain, rep)
+            except EmptyActiveSet:
+                continue
+            results.append(StratumResult(faces, rep, ok, margin))
     else:
         pts = sample_boundary(domain, 200, seed=seed)
         # strata from the default frame; each LP sees the pieces that
@@ -528,7 +558,7 @@ def check_completely_s(domain: DomainSpec, seed: int = 0) -> CompletelySReport:
             if not k.any():
                 raise EmptyActiveSet(f"point {x} is not within {domain.tol_at(x):.2e} "
                                      "of any piece")
-            ok, _, margin = _positive_normal_lp(frame.normal[k], frame.gamma[k], x, 1e-9)
+            ok, _, margin = positive_normal_lp(frame.normal[k], frame.gamma[k], x)
             cur = by_stratum.get(idx)
             if cur is None or margin < cur.margin:
                 by_stratum[idx] = StratumResult(idx, x, ok, margin)
@@ -536,7 +566,7 @@ def check_completely_s(domain: DomainSpec, seed: int = 0) -> CompletelySReport:
     return CompletelySReport(results, all(r.passed for r in results))
 
 
-def edge_normal(domain: DomainSpec, i: int, j: int, x, tol: float = 1e-12):
+def edge_normal(domain: DomainSpec, i: int, j: int, x):
     """Unit vector normal to the (i,j) edge and to n_i, pointing into face i."""
     x = np.asarray(x, dtype=float)
     ni = domain.pieces[i].unit_normal(x)
@@ -544,8 +574,7 @@ def edge_normal(domain: DomainSpec, i: int, j: int, x, tol: float = 1e-12):
     c = float(np.dot(ni, nj))
     if abs(c) >= 1.0 - 1e-10:
         raise ParallelNormals(f"faces {i} and {j} have parallel normals at {x}")
-    v = (nj - c * ni) / np.sqrt(1.0 - c * c)
-    return v
+    return (nj - c * ni) / np.sqrt(1.0 - c * c)
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +608,7 @@ def sample_closure(domain: DomainSpec, n: int, seed: int = 0,
     tries = 0
     while len(out) < n and tries < 400:
         cand = rng.uniform(lo, hi, size=(max(4 * n, 256), domain.dimension))
-        vals = domain.piece_values_batch(cand)
+        vals = domain.piece_values(cand)
         keep = np.all(vals >= -domain.active_tol, axis=1)
         if center is not None:
             keep &= np.linalg.norm(cand - center, axis=1) <= radius
@@ -660,7 +689,7 @@ def distance_to_boundary(domain: DomainSpec, x):
 # Boundary quadrature
 # ---------------------------------------------------------------------------
 
-def _tangent_basis(n: np.ndarray) -> np.ndarray:
+def tangent_basis(n: np.ndarray) -> np.ndarray:
     """(J-1, J) orthonormal basis of the hyperplane orthogonal to unit n."""
     J = len(n)
     basis = []
@@ -697,7 +726,7 @@ def boundary_quadrature(domain: DomainSpec, piece_index: int, resolution: int):
     x0 = c * n
     if J == 1:
         return x0.reshape(1, 1), np.ones(1)
-    T = _tangent_basis(n)
+    T = tangent_basis(n)
     lo, hi = domain.bbox
 
     if J == 2:
@@ -746,7 +775,7 @@ def boundary_quadrature(domain: DomainSpec, piece_index: int, resolution: int):
     coords, widths = cell_centers(*zip(*extents), resolution)
     cell = np.prod(widths)
     pts = x0[None, :] + coords @ T
-    vals = domain.piece_values_batch(pts)
+    vals = domain.piece_values(pts)
     vals[:, piece_index] = 0.0
     keep = np.all(vals >= -1e-9, axis=1)
     inbox = np.all((pts >= lo - 1e-12) & (pts <= hi + 1e-12), axis=1)

@@ -24,7 +24,7 @@ from .errors import (
     OffFace,
     ZeroMass,
 )
-from .testfunctions import TestFunction, check_admissible
+from .testfunctions import TestFunction
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +175,7 @@ class BarReport:
 def _edge_points(domain: dom.DomainSpec, i: int, j: int, count: int = 12):
     """(n, J) sample of the edge stratum of half-spaces i and j: its
     representative and points along the edge, away from singular points."""
-    rep = dom._stratum_representative(domain, {i, j})
+    rep = domain.strata.get((i, j))
     if rep is None:
         return np.empty((0, domain.dimension))
     _, s, Vt = np.linalg.svd(np.stack([domain.pieces[i].normal, domain.pieces[j].normal]))
@@ -183,10 +183,7 @@ def _edge_points(domain: dom.DomainSpec, i: int, j: int, count: int = 12):
     lo, hi = domain.bbox
     span = float(np.linalg.norm(hi - lo))
     Y = (rep + np.linspace(-span, span, count)[:, None, None] * T).reshape(-1, len(rep))
-    vals = domain.piece_values_batch(Y)
-    edge = np.isin(np.arange(vals.shape[1]), (i, j))
-    pts = np.vstack([rep, Y[np.all(np.where(edge, np.abs(vals) <= 1e-9, vals >= -1e-9),
-                                   axis=1)]])
+    pts = np.vstack([rep, Y[domain.on_stratum(Y, (i, j), 1e-9)]])
     near = np.zeros(len(pts), dtype=bool)
     for sp in domain.singular_points:
         d = pts - sp.x
@@ -265,7 +262,7 @@ def _box_quadrature(p: Density, domain: dom.DomainSpec, scale: float,
     lo2, hi2 = ctr - half, ctr + half
     pts, widths = dom.cell_centers(lo2, hi2, resolution)
     cell = float(np.prod(widths))
-    inside = np.all(domain.piece_values_batch(pts) >= 0.0, axis=1)
+    inside = np.all(domain.piece_values(pts) >= 0.0, axis=1)
     if not inside.any():
         return 0.0
     return float(np.sum(p.value_batch(pts[inside]))) * cell
@@ -317,22 +314,14 @@ class WeakResidual:
 
 
 def weak_residual(coef: CoefficientField, f: TestFunction, pi,
-                  check_membership: bool = False, domain=None,
                   function_id: str = "") -> WeakResidual:
     """sum_j w_j (L f)(x_j) for a discrete measure, with an error estimate.
 
-    The candidate f must have its negation in the admissible class; with
-    check_membership the claim is verified by sampling and a failure raises.
+    The candidate f must claim that its negation is in the admissible class.
     Empirical measures get a CLT standard error; grid measures that carry a
     fine twin get a two-resolution quadrature estimate plus tail bound.
     """
-    if check_membership:
-        if domain is None:
-            raise ValueError("membership check needs the domain")
-        rep = check_admissible(-f, domain, tol=1e-8)
-        if not rep.passed:
-            raise NotInH(f"negated function fails admissibility: {rep}")
-    elif not f.claims_negated_in_class:
+    if not f.claims_negated_in_class:
         raise NotInH("function does not claim negated class membership")
 
     pts = np.atleast_2d(pi.points)

@@ -34,15 +34,6 @@ def _rng(seed: int, path: int = 0, block: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _polyhedral_arrays(domain: dom.DomainSpec):
-    normals = np.stack([p.normal for p in domain.pieces])
-    offsets = np.array([p.offset for p in domain.pieces])
-    x0 = normals[0] * offsets[0]
-    gammas = np.stack([domain.pieces[i].gamma(x0)
-                       for i in range(len(domain.pieces))])
-    return normals, offsets, gammas
-
-
 # ---------------------------------------------------------------------------
 # Projection
 # ---------------------------------------------------------------------------
@@ -57,8 +48,7 @@ def reflect(domain: dom.DomainSpec, y):
     """
     y = np.asarray(y, dtype=float)
     if domain.constant_reflection:
-        normals, offsets, gammas = _polyhedral_arrays(domain)
-        x, eta, ok = _kernels.project_polyhedral(y, normals, offsets, gammas, _PTOL)
+        x, eta, ok = _kernels.project_polyhedral(y, *domain.face_arrays, _PTOL)
         if not ok:
             raise NoConvergence("active-set projection failed", point=y)
         return x, eta
@@ -230,7 +220,7 @@ def simulate_path(domain: dom.DomainSpec, coef: CoefficientField, x0, T: float,
         return Trajectory(dt, states, push[:, None], seed, [])
     sigma = coef.sigma(x0)
     if domain.constant_reflection and coef.is_constant:
-        normals, offsets, gammas = _polyhedral_arrays(domain)
+        normals, offsets, gammas = domain.face_arrays
         b = coef.b(x0)
 
         def walk(x, noise, h):
@@ -267,7 +257,7 @@ def boundary_occupation(domain: dom.DomainSpec, traj: Trajectory,
     n = len(traj.states)
     k0 = int(burn_in * n)
     pts = traj.states[k0:]
-    vals = domain.piece_values_batch(pts)
+    vals = domain.piece_values(pts)
     near_boundary = np.min(vals, axis=1) <= shell
     frac_b = float(np.mean(near_boundary))
     frac_v = 0.0

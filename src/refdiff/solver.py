@@ -69,7 +69,7 @@ def interior_grid(domain: dom.DomainSpec, per_axis, box=None) -> np.ndarray:
                                               np.asarray(box[1], float))
     pts, widths = dom.cell_centers(lo, hi, per_axis)
     spacing = float(np.max(widths))
-    vals = domain.piece_values_batch(pts)
+    vals = domain.piece_values(pts)
     keep = np.min(vals, axis=1) >= spacing / 2.0
     return pts[keep]
 

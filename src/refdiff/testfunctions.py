@@ -52,7 +52,7 @@ class TestFunction:
     def __init__(self, dim, value, gradient, hessian, center=None,
                  support_radius=np.inf, constant_outside=0.0,
                  claims_in_class=False, claims_negated_in_class=False,
-                 constant_near_singular=True, bound_triple=None, info=None):
+                 bound_triple=None, info=None):
         self.dim = dim
         self._value = value
         self._gradient = gradient
@@ -62,7 +62,6 @@ class TestFunction:
         self.constant_outside = float(constant_outside)
         self.claims_in_class = claims_in_class
         self.claims_negated_in_class = claims_negated_in_class
-        self.constant_near_singular = constant_near_singular
         self.bound_triple = bound_triple
         self.info = info or {}
 
@@ -94,7 +93,6 @@ class TestFunction:
             constant_outside=c * self.constant_outside,
             claims_in_class=(self.claims_in_class if c >= 0 else self.claims_negated_in_class),
             claims_negated_in_class=(self.claims_negated_in_class if c >= 0 else self.claims_in_class),
-            constant_near_singular=self.constant_near_singular,
             info=dict(self.info, scaled=c))
 
     def __neg__(self):
@@ -161,7 +159,6 @@ def combine(funcs: Sequence[TestFunction], coeffs=None) -> TestFunction:
         claims_in_class=pos and all(f.claims_in_class for f in funcs),
         claims_negated_in_class=(neg and all(f.claims_in_class for f in funcs))
         or (pos and all(f.claims_negated_in_class for f in funcs)),
-        constant_near_singular=all(f.constant_near_singular for f in funcs),
         info={"kind": "combination", "n": len(funcs)})
 
 
@@ -333,7 +330,7 @@ class StratumModel:
         J = domain.dimension
         k = len(self.idx)
 
-        ok, cert, margin = dom.completely_s_at(domain, x)
+        ok, weights, margin = dom.positive_normal_lp(self.normals, self.gammas, x)
         if not ok:
             raise NotInU(f"no positive normal certificate at {x} (margin {margin:.2e})")
 
@@ -362,19 +359,9 @@ class StratumModel:
         self.beta = self.separation / (4.0 * float(np.max(np.linalg.norm(gens, axis=1))))
         self.cone = PolyCone(gens)
 
-        # inward unit direction q with -q pointing into the domain
-        res_q = linprog(np.concatenate([np.zeros(k), [-1.0]]),
-                        A_ub=np.hstack([-(self.normals @ self.gammas.T).T,
-                                        np.ones((k, 1))]),
-                        b_ub=np.zeros(k),
-                        A_eq=np.concatenate([np.ones(k), [0.0]])[None, :], b_eq=[1.0],
-                        bounds=[(0, None)] * k + [(None, None)], method="highs")
-        if res_q.success and -res_q.fun > 1e-12:
-            d_in = res_q.x[:k] @ self.gammas
-        else:
-            d_in = np.mean(self.gammas, axis=0)
-            if np.min(self.normals @ d_in) <= 0:
-                raise QPFailure(f"no inward reflection combination at {x}")
+        # inward unit direction q with -q pointing into the domain: the
+        # completely-S weights applied to the reflection vectors
+        d_in = weights @ self.gammas
         self.q = -d_in / np.linalg.norm(d_in)
         self._q_norm = float(np.linalg.norm(d_in))
 
@@ -490,14 +477,8 @@ class StratumModel:
 def _stratum_model(domain: dom.DomainSpec, x) -> StratumModel:
     if not domain.constant_reflection:
         return StratumModel(domain, x)
-    cache = getattr(domain, "_stratum_cache", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(domain, "_stratum_cache", cache)
-    key = tuple(dom.active_set(domain, x))
-    if key not in cache:
-        cache[key] = StratumModel(domain, x)
-    return cache[key]
+    return domain.cached(("stratum-model", tuple(dom.active_set(domain, x))),
+                         lambda: StratumModel(domain, x))
 
 
 def boundary_bump(domain: dom.DomainSpec, x, r: float,
@@ -667,6 +648,7 @@ class CoverFamily:
         self.centers = centers
         self.c = c_const
         self.C = C_bound
+        self._bump_x = np.stack([b.x for b in bumps])
 
     def center_index(self, x) -> int:
         x = np.asarray(x, dtype=float)
@@ -676,11 +658,15 @@ class CoverFamily:
             return int(hits[0])          # smallest index tie-break
         return int(np.argmin(d))
 
+    def near(self, z) -> np.ndarray:
+        """Mask of the bumps centred within 2 eps of z (each distance rounded
+        as a 1-D norm rounds it)."""
+        D = self._bump_x - np.asarray(z, dtype=float)
+        return np.sqrt(dom.row_dot(D, D)) < 2.0 * self.eps
+
     def member(self, x) -> TestFunction:
         z = self.centers[self.center_index(x)]
-        sel = [b.func for b in self.bumps
-               if np.linalg.norm(b.x - z) >= 2.0 * self.eps]
-        f = combine(sel)
+        f = combine([b.func for b, near in zip(self.bumps, self.near(z)) if not near])
         f.info.update(kind="cover-member", z=z, eps=self.eps)
         return f
 
@@ -738,18 +724,13 @@ class FamilyEvaluation:
             self.full_grad[idx] += g
             self.full_lf[idx] += lf
 
-    def _corrections(self, z):
-        z = np.asarray(z, dtype=float)
-        return [k for k, b in enumerate(self.family.bumps)
-                if np.linalg.norm(b.x - z) < 2.0 * self.family.eps]
-
     def member_arrays(self, x):
         """(value, gradient, generator value) arrays of the member at x."""
         z = self.family.centers[self.family.center_index(x)]
         v = self.full_value.copy()
         g = self.full_grad.copy()
         lf = self.full_lf.copy()
-        for k in self._corrections(z):
+        for k in np.flatnonzero(self.family.near(z)):
             v[self._idx[k]] -= self._vals[k]
             g[self._idx[k]] -= self._grads[k]
             lf[self._idx[k]] -= self._lfs[k]
@@ -817,24 +798,18 @@ def assemble_cover_family(domain: dom.DomainSpec, coefficients, N: float,
                                   f.info["plateau_radius"], f))
 
     if polyhedral:
-        from itertools import combinations
-        m = len(domain.pieces)
-        # deepest strata first; a stratum that is empty or only a singular
-        # point gets no lattice
-        strata = []
-        for size in range(m, 0, -1):
-            for subset in combinations(range(m), size):
-                rep = dom._stratum_representative(domain, set(subset))
-                if rep is not None and not any(
-                        np.linalg.norm(rep - sp.x) < 1e-9
-                        for sp in domain.singular_points):
-                    strata.append(subset)
+        # deepest strata first; a stratum that is only a singular point gets
+        # no lattice
+        strata = [faces for faces, rep in sorted(domain.strata.items(),
+                                                 key=lambda item: -len(item[0]))
+                  if not any(np.linalg.norm(rep - sp.x) < 1e-9
+                             for sp in domain.singular_points)]
     else:
         strata = [(i,) for i in range(len(domain.pieces))]
 
     guard = [sp.x for sp in domain.singular_points]
     for subset in strata:
-        pts = _stratum_lattice(domain, subset, lo, hi, eps, guard, eps)
+        pts = _stratum_lattice(domain, subset, lo, hi, eps, guard)
         if pts is None or not len(pts):
             continue
         for x in pts:
@@ -845,7 +820,7 @@ def assemble_cover_family(domain: dom.DomainSpec, coefficients, N: float,
     # repair pass below guarantees the remaining coverage)
     def depths_of(P):
         if polyhedral:
-            return np.min(domain.piece_values_batch(P), axis=1)
+            return np.min(domain.piece_values(P), axis=1)
         return dom.distance_to_boundary(domain, P)
 
     spacing = 0.85 * eps / math.sqrt(J)
@@ -986,10 +961,7 @@ def _project_to_stratum(domain, subset, y):
     sol, *_ = np.linalg.lstsq(Nmat.T @ Nmat + 1e-14 * np.eye(domain.dimension),
                               Nmat.T @ (offs - Nmat @ y), rcond=None)
     x = y + sol
-    vals = domain.piece_values(x)
-    ok = all(abs(vals[i]) <= 1e-7 if i in subset else vals[i] >= -1e-9
-             for i in range(len(vals)))
-    return x if ok else None
+    return x if domain.on_stratum(x, subset, 1e-7) else None
 
 
 def _project_into(domain, z):
@@ -1002,7 +974,7 @@ def _project_into(domain, z):
     return z
 
 
-def _stratum_lattice(domain, subset, lo, hi, eps, guard_points, plateau_lower):
+def _stratum_lattice(domain, subset, lo, hi, eps, guard_points):
     """Lattice on one polyhedral boundary stratum, graded away from guards."""
     pieces = [domain.pieces[i] for i in subset]
     if any(p.kind != "half-space" for p in pieces):
@@ -1030,19 +1002,12 @@ def _stratum_lattice(domain, subset, lo, hi, eps, guard_points, plateau_lower):
     mesh = np.meshgrid(*axes, indexing="ij")
     coords = np.stack([m.ravel() for m in mesh], axis=1)
     pts = x0[None, :] + coords @ T
-    vals = domain.piece_values_batch(pts)
-    keep = np.ones(len(pts), dtype=bool)
-    for col in range(vals.shape[1]):
-        if col in subset:
-            keep &= np.abs(vals[:, col]) <= 1e-7
-        else:
-            keep &= vals[:, col] >= -1e-9
-    pts = pts[keep]
+    pts = pts[domain.on_stratum(pts, subset, 1e-7)]
     if guard_points is not None and len(guard_points):
         Gp = np.asarray(guard_points)
         dmin = np.min(np.linalg.norm(pts[:, None, :] - Gp[None, :, :], axis=2),
                       axis=1)
-        pts = pts[dmin >= max(plateau_lower * 0.45, 1e-6)]
+        pts = pts[dmin >= max(eps * 0.45, 1e-6)]
     return pts
 
 

@@ -77,21 +77,27 @@ def test_wedge_vertex_condition():
 
 
 def test_completely_s_report_matches_bruteforce(orthant2, gps2):
-    for system in (orthant2, gps2):
+    for system in (orthant2, gps2, rd.make_example("gps", J=3),
+                   rd.make_example("wedge"), rd.make_example("orthant", J=3)):
         d = system.domain
         report = rd.check_completely_s(d)
         got = {tuple(r.indices): r.passed for r in report.strata}
         # independent enumeration of all 2^m strata via the LP representative
-        expect = {}
+        expect, nonempty = {}, []
         m = len(d.pieces)
         for size in range(1, m + 1):
             for subset in itertools.combinations(range(m), size):
                 rep = dom._stratum_representative(d, set(subset))
                 if rep is None:
                     continue
+                nonempty.append((subset, rep))
                 ok, _, _ = rd.completely_s_at(d, rep)
                 expect[tuple(sorted(rd.active_set(d, rep)))] = ok
         assert got == expect
+        # the domain's strata table is that enumeration, bit for bit
+        assert list(d.strata) == [faces for faces, _ in nonempty]
+        for faces, rep in nonempty:
+            assert np.array_equal(d.strata[faces], rep)
 
 
 def test_edge_normal_examples(orthant2):
@@ -357,7 +363,7 @@ def test_smooth_callables_run_once_per_batch():
                               gamma=_counted(p0._gamma, calls["gamma"]))
     d = dom.DomainSpec(2, [piece], bbox=disk.bbox, bounded=True)
     X = np.random.default_rng(0).uniform(-1.0, 1.0, size=(10_000, 2))
-    assert np.array_equal(d.piece_values_batch(X), disk.piece_values_batch(X))
+    assert np.array_equal(d.piece_values(X), disk.piece_values(X))
     assert calls["phi"] == [10_000]
 
     B = dom.sample_boundary(disk, 300, seed=0)

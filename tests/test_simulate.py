@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 import refdiff as rd
 from refdiff import _kernels
 from refdiff.coefficients import CoefficientField
-from refdiff.simulate import (_BLOCK, EmpiricalMeasure, _polyhedral_arrays,
-                              _rng, occupation_measure)
+from refdiff.simulate import _BLOCK, EmpiricalMeasure, _rng, occupation_measure
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +34,21 @@ def test_reflect_oblique_orthant():
     # solve [1 -1/2; -1/2 1] eta = (1, 1): eta = (2, 2)
     assert np.allclose(eta, [2.0, 2.0])
     assert np.allclose(x, [0.0, 0.0], atol=1e-12)
+
+
+def test_reflect_reads_the_face_arrays_once(monkeypatch):
+    # a constant-reflection polyhedron keeps its stacked face arrays, so
+    # after the first projection no piece's gamma is evaluated again
+    o = rd.make_example("orthant", J=2, D=np.array([[1.0, -0.5], [-0.5, 1.0]]))
+    calls = []
+    for p in o.domain.pieces:
+        monkeypatch.setattr(p, "gamma", lambda x, g=p.gamma: calls.append(x) or g(x))
+    rd.reflect(o.domain, np.array([-1.0, -1.0]))
+    first = len(calls)
+    for y in np.random.default_rng(0).uniform(-1.0, 1.0, size=(50, 2)):
+        rd.reflect(o.domain, y)
+    assert len(calls) == first
+    assert o.domain.face_arrays is o.domain.face_arrays
 
 
 def test_reflect_smooth_disk():
@@ -79,7 +93,7 @@ def test_feasibility_and_pushing_monotone():
     o = rd.make_example("orthant", J=2, D=np.array([[1.0, -0.4], [-0.4, 1.0]]))
     traj = rd.simulate_path(o.domain, o.coefficients, [0.5, 0.5], T=5.0,
                             dt=1e-3, seed=4)
-    vals = o.domain.piece_values_batch(traj.states)
+    vals = o.domain.piece_values(traj.states)
     assert np.min(vals) >= -1e-11
     assert np.all(np.diff(traj.pushing, axis=0) >= -1e-15)
 
@@ -94,7 +108,7 @@ def test_complementarity_projection():
         pushed = inc[:, i] > 0
         assert np.all(np.abs(states[pushed, i]) <= 1e-9)
     # interior-to-interior steps push nothing
-    interior = np.min(o.domain.piece_values_batch(traj.states), axis=1) > 1e-6
+    interior = np.min(o.domain.piece_values(traj.states), axis=1) > 1e-6
     both_int = interior[:-1] & interior[1:]
     assert np.all(inc[both_int] == 0.0)
 
@@ -258,7 +272,7 @@ def test_constant_walk_keeps_one_noise_stream():
     n = 10_000
     traj = rd.simulate_path(o.domain, o.coefficients, [0.5, 0.5], T=n * 1e-3,
                             dt=1e-3, seed=13, path_index=2)
-    normals, offsets, gammas = _polyhedral_arrays(o.domain)
+    normals, offsets, gammas = o.domain.face_arrays
     noise = _rng(13, 2).standard_normal((n, 2))
     states, push, fail = _kernels.constrained_walk(
         np.array([0.5, 0.5]), o.coefficients.b(np.zeros(2)),

@@ -268,7 +268,7 @@ def test_boundary_bump_reflected_cone_separation(orthant2):
     coef = rng.uniform(0, 1, size=(300, m))
     pts = np.array([1.0, 0.0]) + 0.4 * (coef @ model.cone.generators)
     keep = np.linalg.norm(pts - [1.0, 0.0], axis=1) > 1e-8
-    vals = orthant2.domain.piece_values_batch(pts[keep])
+    vals = orthant2.domain.piece_values(pts[keep])
     assert np.all(np.min(vals, axis=1) < -1e-12)
 
 
@@ -374,6 +374,51 @@ def test_family_generator_bound(small_family):
     for k in range(0, len(fam.centers), max(1, len(fam.centers) // 8)):
         _, _, lf = ev.member_arrays(fam.centers[k])
         assert np.abs(lf).max() <= fam.C
+
+
+def _near_loop(fam, z):
+    """The bumps centred within 2 eps of z, one 1-D norm per bump: the scan
+    that the stacked bump centres replace."""
+    return [k for k, b in enumerate(fam.bumps)
+            if np.linalg.norm(b.x - z) < 2.0 * fam.eps]
+
+
+def _member_arrays_loop(ev, near):
+    """(value, gradient, generator value) of the member without the near
+    bumps: the full sums minus each near bump, in bump order."""
+    v, g, lf = ev.full_value.copy(), ev.full_grad.copy(), ev.full_lf.copy()
+    for k in near:
+        v[ev._idx[k]] -= ev._vals[k]
+        g[ev._idx[k]] -= ev._grads[k]
+        lf[ev._idx[k]] -= ev._lfs[k]
+    return v, g, lf
+
+
+@pytest.mark.parametrize("system, N, eps, stride", [
+    (("wedge", {}), 1.0, 0.25, 1), (("gps", {"J": 3}), 0.5, 0.3, 10)])
+def test_member_arrays_match_the_per_bump_loop(system, N, eps, stride):
+    s = rd.make_example(system[0], **system[1])
+    fam = rd.assemble_cover_family(s.domain, s.coefficients, N=N, eps=eps, seed=0)
+    ev = fam.precompute(rd.domain.sample_closure(s.domain, 200, seed=1))
+    refs = {}
+
+    def reference(j):
+        if j not in refs:
+            near = _near_loop(fam, fam.centers[j])
+            assert np.flatnonzero(fam.near(fam.centers[j])).tolist() == near
+            refs[j] = _member_arrays_loop(ev, near)
+        return refs[j]
+
+    # the centres with a bump at 2 eps to within 1e-9, where the strict
+    # comparison decides
+    X = np.stack([b.x for b in fam.bumps])
+    for j, z in enumerate(fam.centers):
+        if np.any(np.abs(np.linalg.norm(X - z, axis=1) - 2.0 * eps) < 1e-9):
+            reference(j)
+    for z in fam.centers[::stride]:
+        # a query's member is that of the first centre within eps/2 of it
+        for got, ref in zip(ev.member_arrays(z), reference(fam.center_index(z))):
+            assert np.array_equal(got, ref)
 
 
 def test_family_manifest(small_family):
