@@ -48,6 +48,22 @@ def _num_list(s):
     return [_num(tok) for tok in str(s).split(",")]
 
 
+def _first(s):
+    return _num_list(s)[0]
+
+
+# preset -> {config key: (make_example parameter, parser)}; a key the config
+# leaves out keeps the gallery's default
+_PRESET_PARAMS = {
+    "halfline": {"b": ("b", _first), "sigma": ("sigma", _first)},
+    "orthant": {"J": ("J", int), "b": ("b", _num_list)},
+    "gps": {"J": ("J", int), "alpha": ("alphabar", _num_list), "b": ("b", _num_list)},
+    "wedge": {k: (k, _num) for k in ("zeta", "theta1", "theta2")},
+    "disk": {"radius": ("radius", _num), "b": ("b", _num_list)},
+    "cusp": {k: (k, _num) for k in ("beta", "theta1", "theta2")},
+}
+
+
 def _config_hash(cfg: dict) -> str:
     canon = json.dumps({k: v for k, v in cfg.items()
                         if k not in ("output", "report_output", "inputs")},
@@ -82,35 +98,9 @@ def _build_system(cfg):
     name = cfg.get("preset")
     if not name:
         raise errors.RefdiffError("a --preset or --system-file is required")
-    params = {}
-    if name == "halfline":
-        if "b" in cfg:
-            params["b"] = _num_list(cfg["b"])[0]
-        if "sigma" in cfg:
-            params["sigma"] = _num_list(cfg["sigma"])[0]
-    elif name == "orthant":
-        params["J"] = int(cfg.get("J", 2))
-        if "b" in cfg:
-            params["b"] = _num_list(cfg["b"])
-    elif name == "gps":
-        params["J"] = int(cfg.get("J", 2))
-        if "alpha" in cfg:
-            params["alphabar"] = _num_list(cfg["alpha"])
-        if "b" in cfg:
-            params["b"] = _num_list(cfg["b"])
-    elif name == "wedge":
-        for key in ("zeta", "theta1", "theta2"):
-            if key in cfg:
-                params[key] = _num(cfg[key])
-    elif name == "disk":
-        if "radius" in cfg:
-            params["radius"] = _num(cfg["radius"])
-        if "b" in cfg:
-            params["b"] = _num_list(cfg["b"])
-    elif name == "cusp":
-        for key in ("beta", "theta1", "theta2"):
-            if key in cfg:
-                params[key] = _num(cfg[key])
+    params = {param: parse(cfg[key])
+              for key, (param, parse) in _PRESET_PARAMS.get(name, {}).items()
+              if key in cfg}
     return make_example(name, **params)
 
 
@@ -390,8 +380,7 @@ def main(argv=None) -> int:
         cfg[key] = val
     cfg.setdefault("seed", 0)
     numeric_errors = (errors.NoConvergence, errors.QPFailure,
-                      errors.SamplingFailure, errors.LPFailure,
-                      errors.Infeasible, errors.ZeroMass,
+                      errors.SamplingFailure, errors.LPFailure, errors.ZeroMass,
                       errors.DivergentMass, errors.NotInU, errors.NotInH)
     try:
         return COMMANDS[ns.command](cfg)

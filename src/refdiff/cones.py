@@ -2,7 +2,8 @@
 
 Cones are given by finite generator sets (conic hulls).  Distances are exact:
 in 1D/2D/3D the face structure is enumerated and evaluation is vectorized
-over query points; higher dimensions fall back to per-point NNLS.
+over query points; higher dimensions, and 3D generators in a plane, fall
+back to per-point NNLS.
 
 The mollified field averages the exact distance over a fixed quadrature
 stencil of a compactly supported radial C^2 kernel; its gradient and Hessian
@@ -49,7 +50,6 @@ class PolyCone:
 
         if J == 1:
             self.rays = np.array([[1.0 if G[0, 0] > 0 else -1.0]])
-            self.facets = []
             return
         # cross-section coordinates in the hyperplane <axis, y> = 1
         scale = G @ self.axis
@@ -62,7 +62,6 @@ class PolyCone:
             if abs(P[order[0], 0] - P[order[-1], 0]) < 1e-13:
                 ray_idx = [order[0]]
             self.rays = np.array([G[i] / np.linalg.norm(G[i]) for i in ray_idx])
-            self.facets = [(i,) for i in range(len(self.rays))]
             if len(self.rays) == 2:
                 # outward normals of the two bounding half-planes
                 normals = []
@@ -75,19 +74,11 @@ class PolyCone:
             else:
                 self._facet_normals = None
             return
-        if J == 3:
+        if J == 3 and len(P) >= 3 and np.linalg.matrix_rank(P - P[0]) == 2:
             from scipy.spatial import ConvexHull
-            if len(P) < 3 or np.linalg.matrix_rank(P - P[0]) < 2:
-                # generators span a 2D wedge inside a plane; treat every
-                # generator pair as a candidate facet and every generator as a ray
-                self.rays = G / np.linalg.norm(G, axis=1)[:, None]
-                self.facets = [(i, j) for i in range(len(G)) for j in range(i + 1, len(G))]
-                self._facet_normals = None
-                return
             hull = ConvexHull(P)
             vidx = hull.vertices
             self.rays = np.array([G[i] / np.linalg.norm(G[i]) for i in vidx])
-            nv = len(vidx)
             pos = {v: k for k, v in enumerate(vidx)}
             self.facets = []
             normals = []
@@ -104,7 +95,8 @@ class PolyCone:
                 normals.append(nu)
             self._facet_normals = np.array(normals)
             return
-        # J >= 4: exact structure not enumerated; NNLS fallback at evaluation
+        # J >= 4, or J = 3 generators in a plane: exact structure not
+        # enumerated; NNLS at evaluation
         self.rays = G / np.linalg.norm(G, axis=1)[:, None]
         self.facets = None
         self._facet_normals = None
@@ -119,7 +111,7 @@ class PolyCone:
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
         J = self.dim
         n = len(Z)
-        if J >= 4 or (J == 3 and self.facets is None):
+        if J >= 3 and self.facets is None:
             return self._project_nnls(Z)
         if J == 1:
             r = self.rays[0, 0]

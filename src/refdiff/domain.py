@@ -531,7 +531,7 @@ def _strata_table(domain: DomainSpec) -> dict:
     return table
 
 
-def check_completely_s(domain: DomainSpec, seed: int = 0) -> CompletelySReport:
+def check_completely_s(domain: DomainSpec) -> CompletelySReport:
     """Sweep one representative point per nonempty boundary stratum.
 
     Polyhedral case: the strata are the domain's strata table (face subsets
@@ -548,7 +548,7 @@ def check_completely_s(domain: DomainSpec, seed: int = 0) -> CompletelySReport:
                 continue
             results.append(StratumResult(faces, rep, ok, margin))
     else:
-        pts = sample_boundary(domain, 200, seed=seed)
+        pts = sample_boundary(domain, 200, seed=0)
         # strata from the default frame; each LP sees the pieces that
         # active_set would return, i.e. the frame at rel_tol = active_tol
         frame = boundary_frame(domain, pts, rel_tol=domain.active_tol)
@@ -810,16 +810,15 @@ class CertificateReport:
 
 def check_singular_certificate(domain: DomainSpec, sp: SingularPoint,
                                coefficients=None, samples: int = 2000,
-                               seed: int = 0, radius_grid: int = 8,
-                               tol: float = 1e-7) -> CertificateReport:
+                               seed: int = 0) -> CertificateReport:
     """Sampled verification of the singular-point certificate.
 
     Checks, over draws y from the closed domain near the point:
       (1) <v, y-x> >= alpha |y-x|;
       (2) <v, gamma_i(y)> >= 0 for active i at boundary samples;
       (3) v' a(y) v >= alpha (when coefficients are given);
-      (4) the two-sided ball sandwich at a grid of radii r < radius/c2.
-    Margins are worst-case; nonnegative margins (within tol) pass.
+      (4) the two-sided ball sandwich at 8 radii r < radius/c2.
+    Margins are worst-case; margins above -1e-7 pass.
     """
     x, v = sp.x, sp.v
     lo, hi = domain.bbox
@@ -847,8 +846,7 @@ def check_singular_certificate(domain: DomainSpec, sp: SingularPoint,
     #   h(y) < r       =>  |y-x| <= c2 r (right)
     left = np.inf
     right = np.inf
-    for r in np.linspace(r_eff / sp.c2 / radius_grid, r_eff / sp.c2, radius_grid,
-                         endpoint=False):
+    for r in np.linspace(r_eff / sp.c2 / 8, r_eff / sp.c2, 8, endpoint=False):
         mask_l = d <= sp.c1 * r
         if mask_l.any():
             left = min(left, float(np.min(r - h[mask_l])))
@@ -858,4 +856,4 @@ def check_singular_certificate(domain: DomainSpec, sp: SingularPoint,
     left = left if np.isfinite(left) else 0.0
     right = right if np.isfinite(right) else 0.0
     return CertificateReport(angle_margin, reflection_margin, ellipticity_margin,
-                             left, right, samples, tol)
+                             left, right, samples, 1e-7)

@@ -76,14 +76,9 @@ class DivergentMass(RefdiffError):
 class NoConvergence(RefdiffError):
     """Boundary projection did not converge."""
 
-    def __init__(self, msg, point=None, step=None):
+    def __init__(self, msg, point=None):
         super().__init__(msg)
         self.point = point
-        self.step = step
-
-
-class Infeasible(RefdiffError):
-    """Solver objective stayed above tolerance at convergence."""
 
 
 class IllPosedParameters(RefdiffError):

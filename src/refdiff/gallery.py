@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -101,7 +100,7 @@ def _rot(theta: float) -> np.ndarray:
 
 def _wedge(zeta: float = math.pi / 2, theta1: float = math.pi / 4,
            theta2: float = math.pi / 4, b=None, sigma=None,
-           box: float = 6.0, singular_at_vertex: Optional[bool] = None) -> ExampleSystem:
+           box: float = 6.0) -> ExampleSystem:
     if not 0.0 < zeta < math.pi:
         raise IllPosedParameters("wedge angle must lie in (0, pi)")
     alpha = (theta1 + theta2) / zeta
@@ -120,16 +119,10 @@ def _wedge(zeta: float = math.pi / 2, theta1: float = math.pi / 4,
         dom.BoundaryPiece("half-space", normal=n2, offset=0.0, gamma=gamma2),
     ]
     sing = []
-    if singular_at_vertex is None:
-        singular_at_vertex = alpha >= 1.0
-    if singular_at_vertex:
-        if alpha >= 1.0:
-            # unit vector orthogonal to gamma1 pointing into the wedge
-            v = np.array([gamma1[1], -gamma1[0]])
-        else:
-            _, v, _ = dom.completely_s_at(
-                dom.DomainSpec(2, pieces, bbox=([-box, 0.0], [box, box])),
-                np.zeros(2))
+    if alpha >= 1.0:
+        # the vertex is singular; v is the unit vector orthogonal to gamma1
+        # pointing into the wedge
+        v = np.array([gamma1[1], -gamma1[0]])
         v = v / np.linalg.norm(v)
         bis = np.array([math.cos(zeta / 2), math.sin(zeta / 2)])
         if np.dot(v, bis) < 0:

@@ -385,10 +385,8 @@ def _smoothed_gradient_map(points: np.ndarray, width: float,
 
 
 def solve_stationary(domain: dom.DomainSpec, coef: CoefficientField,
-                     grid_points=None, family=None, per_axis: int = 64,
-                     tolerance: float = 1e-5, max_iter: int = 10000,
-                     smoothing: float = 2.5,
-                     seed: int = 0) -> SolveResult:
+                     grid_points, family, tolerance: float = 1e-5,
+                     max_iter: int = 10000, seed: int = 0) -> SolveResult:
     """Minimize squared stationarity residuals over the probability simplex.
 
     minimize  sum_eq (M w)^2 + sum_ineq max(0, M w)^2
@@ -400,21 +398,16 @@ def solve_stationary(domain: dom.DomainSpec, coef: CoefficientField,
     preconditioned by a Gaussian smoother P, which steers the iteration to
     the smooth representative of the minimizing set; the objective trace
     remains nonincreasing.  The widths shrink from a sixth of the grid span
-    to smoothing times the typical grid spacing (coarse-to-fine
-    continuation; smoothing=0 disables preconditioning), and a last phase
-    runs unsmoothed.  The gradient 2 M^T pos lies in the row space of the
-    k x n constraint matrix M, so each phase forms the n x k matrix
-    2 P M^T once, building P in row blocks, and its direction is
-    (2 P M^T) pos: O(n k) per iteration, and O(n k) memory plus one row
+    to 2.5 times the typical grid spacing (coarse-to-fine continuation),
+    and a last phase runs unsmoothed.  The gradient 2 M^T pos lies in the
+    row space of the k x n constraint matrix M, so each phase forms the
+    n x k matrix 2 P M^T once, building P in row blocks, and its direction
+    is (2 P M^T) pos: O(n k) per iteration, and O(n k) memory plus one row
     block of P, never an n x n array.
     Raises nothing on a high floor; feasible is False when the converged
     objective exceeds the tolerance.
     """
-    if grid_points is None:
-        grid_points = interior_grid(domain, per_axis)
     grid_points = np.atleast_2d(np.asarray(grid_points, dtype=float))
-    if family is None:
-        family = default_family(domain, coef, seed=seed)
     M, types = build_constraints(domain, coef, grid_points, family, seed=seed)
     eq = np.array([t == "eq" for t in types])
     n = len(grid_points)
@@ -430,11 +423,10 @@ def solve_stationary(domain: dom.DomainSpec, coef: CoefficientField,
     h_typ = nn[1] if len(nn) > 1 else 1.0
     span = float(np.max(np.ptp(grid_points, axis=0)))
     phase_widths = []
-    if smoothing and smoothing > 0:
-        wm = span / 6.0
-        while wm > smoothing * h_typ * 0.9:
-            phase_widths.append(wm)
-            wm /= 2.0
+    wm = span / 6.0
+    while wm > 2.5 * h_typ * 0.9:
+        phase_widths.append(wm)
+        wm /= 2.0
     phase_widths.append(None)
 
     def objective(wv):
@@ -484,8 +476,7 @@ def solve_stationary(domain: dom.DomainSpec, coef: CoefficientField,
     return SolveResult(measure, obj, np.array(trace), it_total, feasible)
 
 
-def residual_report(coef: CoefficientField, measure, holdout,
-                    domain=None) -> dict:
+def residual_report(coef: CoefficientField, measure, holdout) -> dict:
     """Weak residuals of a measure against a holdout family."""
     entries = []
     for k, f in enumerate(holdout):

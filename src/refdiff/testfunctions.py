@@ -10,9 +10,10 @@ inner product), not just numerically.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -98,16 +99,17 @@ class TestFunction:
     def __neg__(self):
         return self.scaled(-1.0)
 
-    def check_derivatives(self, probes, rtol_grad=1e-5, rtol_hess=1e-4):
+    def check_derivatives(self, probes):
         """Central-difference consistency of gradient and Hessian at probe
-        points, with steps 1e-6 (1 + |x|) and 1e-5 (1 + |x|)."""
+        points, with steps 1e-6 (1 + |x|) and 1e-5 (1 + |x|), to relative
+        tolerances 1e-5 and 1e-4."""
         P = np.atleast_2d(np.asarray(probes, dtype=float))
         H = self._hessian(P)
         H_fd = _diff1(self._gradient, P, 1e-5)
         worst_g = _relative_gap(self._gradient(P), _diff1(self._value, P, 1e-6))
         worst_h = _relative_gap(H, 0.5 * (H_fd + np.swapaxes(H_fd, 1, 2)))
         return {"grad_err": worst_g, "hess_err": worst_h,
-                "grad_ok": worst_g <= rtol_grad, "hess_ok": worst_h <= rtol_hess}
+                "grad_ok": worst_g <= 1e-5, "hess_ok": worst_h <= 1e-4}
 
 
 def _relative_gap(A, B) -> float:
@@ -173,8 +175,13 @@ def interior_bump(domain: dom.DomainSpec, x, r: float) -> TestFunction:
     d = dom.distance_to_boundary(domain, x)
     if math.sqrt(r) >= d:
         raise TooClose(f"sqrt(r)={math.sqrt(r):.3g} reaches the boundary (dist {d:.3g})")
+    return _radial_bump(domain.dimension, x, r)
+
+
+def _radial_bump(J: int, x, r: float) -> TestFunction:
+    """interior_bump's function, for a caller that knows the ball fits."""
+    x = np.asarray(x, dtype=float)
     xi = _XI
-    J = domain.dimension
 
     def value(Y):
         z = np.einsum("ij,ij->i", Y - x, Y - x) / r
@@ -254,7 +261,7 @@ def singular_bump(domain: dom.DomainSpec, sp: dom.SingularPoint, r: float) -> Te
 
 
 def singular_ramp(domain: dom.DomainSpec, sp: dom.SingularPoint, delta: float,
-                  eps: float, coefficients=None, width: Optional[float] = None):
+                  eps: float, coefficients=None):
     """Monotone ramp l(h(y)) in the certificate direction of a singular point.
 
     Zero near the point, constant far away, with the negated function in the
@@ -270,7 +277,7 @@ def singular_ramp(domain: dom.DomainSpec, sp: dom.SingularPoint, delta: float,
     if 2.0 * (eps + math.sqrt(eps)) >= sp.alpha * eps0:
         raise BadParameters(
             f"eps too large: need 2(eps + sqrt(eps)) < alpha * eps0 = {sp.alpha * eps0:.3g}")
-    ramp = RampProfile(delta, eps, width)
+    ramp = RampProfile(delta, eps)
     J = domain.dimension
     x, v = sp.x, sp.v
 
@@ -321,37 +328,21 @@ class StratumModel:
     """
 
     def __init__(self, domain: dom.DomainSpec, x):
-        from scipy.optimize import linprog
         x = np.asarray(x, dtype=float)
         self.domain = domain
         self.idx = tuple(dom.active_set(domain, x))
         self.normals = np.stack([domain.pieces[i].unit_normal(x) for i in self.idx])
         self.gammas = np.stack([domain.pieces[i].gamma(x) for i in self.idx])
         J = domain.dimension
-        k = len(self.idx)
 
         ok, weights, margin = dom.positive_normal_lp(self.normals, self.gammas, x)
         if not ok:
             raise NotInU(f"no positive normal certificate at {x} (margin {margin:.2e})")
-
-        # separation of the reflected hull from the domain cone:
-        # t* = max over hull of min_i <n_i, d>, must be negative
-        c = np.zeros(k + 1)
-        c[-1] = -1.0
-        G = self.normals @ (-self.gammas.T)      # G[i, j] = <n_i, -gamma_j>
-        rows = []
-        for i in range(k):
-            # t - <n_i, sum_j a_j (-gamma_j)> <= 0
-            rows.append(np.concatenate([-G[i], [1.0]]))
-        res = linprog(c, A_ub=np.array(rows), b_ub=np.zeros(k),
-                      A_eq=np.concatenate([np.ones(k), [0.0]])[None, :], b_eq=[1.0],
-                      bounds=[(0, None)] * k + [(None, None)], method="highs")
-        if not res.success:
-            raise QPFailure(f"separation LP failed at {x}")
-        t_star = -res.fun
-        if t_star >= 0:
-            raise NotInU(f"reflected hull not separated at {x} (t*={t_star:.2e})")
-        self.separation = -t_star
+        # the separation of the reflected hull conv(-gamma_j) from the domain
+        # cone, -max over that hull of min_i <n_i, d>, is the value of the
+        # matrix game N Gamma^T seen by the other player: by LP duality it
+        # equals the certificate's margin
+        self.separation = margin
 
         self.delta = min(self.separation / 2.0, 0.3)
         gens = fattened_generators(-self.gammas, self.delta)
@@ -366,7 +357,7 @@ class StratumModel:
         self._q_norm = float(np.linalg.norm(d_in))
 
         # opening between the local domain cone and the reflected cone
-        mu = self._domain_cone_gap(x)
+        mu = self._domain_cone_gap()
         if mu <= 0:
             raise QPFailure(f"reflected cone touches the domain cone at {x}")
         self.R = 0.5
@@ -377,19 +368,19 @@ class StratumModel:
             self.eps_mol = lam / 12.0
             self.mol = MollifiedConeDistance(self.cone, self.eta, 2.5 * lam,
                                              self.eps_mol)
-            if self._verify_gradient_margin():
+            self.theta = self._gradient_margin()
+            if self.theta is not None and self.theta > 0.25 * self.margin:
                 break
             lam *= 0.5
         else:
             raise QPFailure(f"could not certify gradient margin at {x}")
         self.zeta = zeta_for_band(self.lam)
         self.anchor = self.lam * (self.R / 2.0) * self.q
-        self.theta = self._theta
 
-    def _domain_cone_gap(self, x, n_dirs: int = 4096) -> float:
+    def _domain_cone_gap(self) -> float:
         rng = np.random.default_rng(20240517)
         J = self.domain.dimension
-        W = rng.standard_normal((n_dirs, J))
+        W = rng.standard_normal((4096, J))
         W /= np.linalg.norm(W, axis=1, keepdims=True)
         feas = np.all(W @ self.normals.T >= 0.0, axis=1)
         cand = [W[feas]] if feas.any() else []
@@ -404,20 +395,18 @@ class StratumModel:
         W = np.vstack(cand)
         return float(np.min(self.cone.distance(W)))
 
-    def _verify_gradient_margin(self) -> bool:
+    def _gradient_margin(self) -> Optional[float]:
+        """min of <grad l, gamma_j> over 600 seeded probes in the mollifier's
+        band, or None when fewer than 20 probes fall in the band."""
         rng = np.random.default_rng(99)
         J = self.domain.dimension
         Z = rng.standard_normal((600, J))
         Z /= np.linalg.norm(Z, axis=1, keepdims=True)
         Z = Z * rng.uniform(0.2, 2.5, size=(600, 1))
-        d = self.cone.distance(Z)
-        band = (d > self.eta) & (d < 2.5 * self.lam)
+        band = self.mol.band_mask(Z)
         if band.sum() < 20:
-            return False
-        G = self.mol.gradient(Z[band])
-        inner = G @ self.gammas.T
-        self._theta = float(np.min(inner))
-        return self._theta > 0.25 * self.margin
+            return None
+        return float(np.min(self.mol.gradient(Z[band]) @ self.gammas.T))
 
     def r_cap(self, x) -> float:
         """Largest admissible bump radius at a stratum point."""
@@ -435,6 +424,7 @@ class StratumModel:
             cap = min(cap, float(np.linalg.norm(sp.x - x)))
         return 0.99 * cap
 
+    @functools.cached_property
     def bump_constants(self):
         """Scale-invariant plateau radius and bound triple of a unit bump.
 
@@ -442,8 +432,6 @@ class StratumModel:
         fraction and the (sup, sup r, sup r^2) bounds are shared by the whole
         stratum.
         """
-        if hasattr(self, "_bump_constants"):
-            return self._bump_constants
         J = self.domain.dimension
         zeta, mol, anchor = self.zeta, self.mol, self.anchor
         dirs = _unit_directions(J, 40)
@@ -470,8 +458,7 @@ class StratumModel:
         sup_g = float(np.max(np.linalg.norm(grads, axis=1)))
         sup_h = float(np.max(np.sum(np.abs(hess), axis=(1, 2))))
         A = 1.2 * max(1.0, sup_v, sup_g, sup_h)
-        self._bump_constants = (plateau_unit, A)
-        return self._bump_constants
+        return plateau_unit, A
 
 
 def _stratum_model(domain: dom.DomainSpec, x) -> StratumModel:
@@ -532,7 +519,7 @@ def boundary_bump(domain: dom.DomainSpec, x, r: float,
                               + s1[act][:, None, None] * mol.hessian(Z[act])) / (r * r)
         return out
 
-    plateau_unit, A = model.bump_constants()
+    plateau_unit, A = model.bump_constants
     d_plateau = plateau_unit * r
     return TestFunction(
         J, value, gradient, hessian, center=x, support_radius=r,
@@ -544,15 +531,15 @@ def boundary_bump(domain: dom.DomainSpec, x, r: float,
               "delta_fat": model.delta})
 
 
-def _unit_directions(J, n, seed=3):
-    rng = np.random.default_rng(seed)
+def _unit_directions(J, n):
+    rng = np.random.default_rng(3)
     W = rng.standard_normal((n, J))
     W /= np.linalg.norm(W, axis=1, keepdims=True)
     return W
 
 
-def _ball_samples(J, n, seed=4):
-    rng = np.random.default_rng(seed)
+def _ball_samples(J, n):
+    rng = np.random.default_rng(4)
     W = rng.standard_normal((n, J))
     W /= np.linalg.norm(W, axis=1, keepdims=True)
     rad = rng.uniform(0, 1, size=(n, 1)) ** (1.0 / J)
@@ -743,12 +730,14 @@ def _lattice_points(lo, hi, spacing):
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def _add_interior(domain, bumps, x, eps, depth=None):
-    d = dom.distance_to_boundary(domain, x) if depth is None else depth
+def _add_interior(domain, bumps, x, eps, d):
+    """Append the interior bump of radius 0.95 min(eps, d) at x, whose depth
+    is d, unless that radius is below eps / 1000."""
     rho = 0.95 * min(eps, d)
     if rho <= eps * 1e-3:
         return False
-    f = interior_bump(domain, x, rho ** 2)
+    # the radius-rho ball fits: rho < d
+    f = _radial_bump(domain.dimension, x, rho ** 2)
     bumps.append(_LatticeBump(np.asarray(x, float), "interior", rho ** 2,
                               rho / 2.0, f))
     return True
@@ -776,7 +765,8 @@ def assemble_cover_family(domain: dom.DomainSpec, coefficients, N: float,
     Bumps are laid out in three passes: singular-point bumps, per-stratum
     boundary lattices (deepest strata first, graded toward the singular set),
     and a deep interior lattice; a greedy repair loop then inserts bumps at
-    sampled points not yet inside any plateau, for up to 60 rounds.  Every
+    sampled points not yet inside any plateau, for up to 60 rounds, trying
+    each point until it is covered or found uncoverable.  Every
     volume and boundary sample in the reach ball (3000 and 1000 drawn) must
     end inside a plateau, or SamplingFailure names the gap.
     """
@@ -828,7 +818,7 @@ def assemble_cover_family(domain: dom.DomainSpec, coefficients, N: float,
     deep = deep[np.linalg.norm(deep, axis=1) <= reach]
     dd = depths_of(deep)
     for x, d in zip(deep[dd >= eps], dd[dd >= eps]):
-        _add_interior(domain, bumps, x, eps, depth=d)
+        _add_interior(domain, bumps, x, eps, d)
 
     face_plateau = max([b.plateau for b in bumps if b.kind == "boundary"],
                        default=0.27 * eps)
@@ -844,7 +834,7 @@ def assemble_cover_family(domain: dom.DomainSpec, coefficients, N: float,
         dP = depths_of(P)
         keep = (dP >= 0.7 * t_lo_band) & (dP < 1.3 * t_hi_band)
         for x, d in zip(P[keep], dP[keep]):
-            _add_interior(domain, bumps, x, eps, depth=d)
+            _add_interior(domain, bumps, x, eps, d)
 
     # coverage obligations: volume and boundary samples inside the reach ball
     vol = dom.sample_closure(domain, 3000, seed=seed + 5)
@@ -864,21 +854,22 @@ def assemble_cover_family(domain: dom.DomainSpec, coefficients, N: float,
         return cov
 
     covered = plateau_mask(probes, bumps)
+    # a probe that no bump can cover is given up for good: an attempt's
+    # outcome depends on the probe alone
+    blocked = np.zeros(len(probes), dtype=bool)
     for _ in range(60):
-        if covered.all():
+        todo = np.flatnonzero(~covered & ~blocked)
+        if not len(todo):
             break
-        uncov_idx = np.flatnonzero(~covered)
-        depths = dom.distance_to_boundary(domain, probes[uncov_idx])
-        order = uncov_idx[np.argsort(-depths)]
-        new_bumps = []
-        blocked = np.zeros(len(probes), dtype=bool)
+        depths = dom.distance_to_boundary(domain, probes[todo])
+        order = todo[np.argsort(-depths)]
         for i in order[:400]:
-            if covered[i] or blocked[i]:
+            if covered[i]:
                 continue
             y = probes[i]
             d = dom.distance_to_boundary(domain, y)
             added = None
-            if d > 0.25 * eps and _add_interior(domain, bumps, y, eps, depth=d):
+            if d > 0.25 * eps and _add_interior(domain, bumps, y, eps, d):
                 added = bumps[-1]
             if added is None:
                 # bump the nearby strata, accepting only a bump whose plateau
@@ -899,12 +890,11 @@ def assemble_cover_family(domain: dom.DomainSpec, coefficients, N: float,
                         break
                     bumps.pop()
             if added is None and d > 0.02 * eps \
-                    and _add_interior(domain, bumps, y, eps, depth=d):
+                    and _add_interior(domain, bumps, y, eps, d):
                 added = bumps[-1]
             if added is None:
                 blocked[i] = True
                 continue
-            new_bumps.append(added)
             near = np.linalg.norm(probes - added.x, axis=1) <= added.plateau
             if near.any():
                 covered[near] |= added.func._value(probes[near]) >= 1.0 - 1e-12

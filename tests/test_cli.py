@@ -9,6 +9,7 @@ import pytest
 
 from refdiff import cli
 from refdiff._csv import write_csv
+from refdiff.gallery import make_example
 
 
 PRESETS = Path(__file__).resolve().parents[1] / "presets"
@@ -192,3 +193,54 @@ def test_import_leaves_scipy_optimize_unloaded():
          "import sys, refdiff, refdiff.cli; print('scipy.optimize' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def _ladder_params(cfg):
+    """make_example's parameters from a config: the per-preset ladder that
+    cli._PRESET_PARAMS replaced."""
+    name, params = cfg["preset"], {}
+    if name == "halfline":
+        if "b" in cfg:
+            params["b"] = cli._num_list(cfg["b"])[0]
+        if "sigma" in cfg:
+            params["sigma"] = cli._num_list(cfg["sigma"])[0]
+    elif name == "orthant":
+        params["J"] = int(cfg.get("J", 2))
+        if "b" in cfg:
+            params["b"] = cli._num_list(cfg["b"])
+    elif name == "gps":
+        params["J"] = int(cfg.get("J", 2))
+        if "alpha" in cfg:
+            params["alphabar"] = cli._num_list(cfg["alpha"])
+        if "b" in cfg:
+            params["b"] = cli._num_list(cfg["b"])
+    elif name == "wedge":
+        for key in ("zeta", "theta1", "theta2"):
+            if key in cfg:
+                params[key] = cli._num(cfg[key])
+    elif name == "disk":
+        if "radius" in cfg:
+            params["radius"] = cli._num(cfg["radius"])
+        if "b" in cfg:
+            params["b"] = cli._num_list(cfg["b"])
+    elif name == "cusp":
+        for key in ("beta", "theta1", "theta2"):
+            if key in cfg:
+                params[key] = cli._num(cfg[key])
+    return params
+
+
+@pytest.mark.parametrize("preset, keys", [
+    ("halfline", {"b": "-2", "sigma": "1.5"}),
+    ("orthant", {"J": 3, "b": "-1,-0.5"}),
+    ("gps", {"J": 3, "alpha": "1/4,3/4", "b": "-1,-2"}),
+    ("wedge", {"zeta": "1.2", "theta1": "0.3", "theta2": "-0.2"}),
+    ("disk", {"radius": "2", "b": "0.5,0"}),
+    ("cusp", {"beta": "3", "theta1": "-0.1", "theta2": "0"})])
+def test_preset_table_matches_the_ladder(preset, keys):
+    for extra in [{}] + [{k: v} for k, v in keys.items()]:
+        cfg = {"preset": preset, "seed": 0, **extra}
+        got = cli._build_system(cfg)
+        want = make_example(preset, **_ladder_params(cfg))
+        assert got.params == want.params
+        assert got.domain.dumps() == want.domain.dumps()

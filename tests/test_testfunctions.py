@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -5,10 +6,11 @@ import pytest
 
 import refdiff as rd
 from refdiff import domain as dom
+from refdiff import testfunctions as tf
 from refdiff.cones import MollifiedConeDistance, PolyCone, fattened_generators
-from refdiff.errors import NotInU, RadiusTooLarge, TooClose
+from refdiff.errors import NotInU, RadiusTooLarge, SamplingFailure, TooClose
 from refdiff.profiles import rising_cutoff
-from refdiff.testfunctions import _stratum_model, combine
+from refdiff.testfunctions import StratumModel, _stratum_model, combine
 
 
 @pytest.fixture(scope="module")
@@ -33,15 +35,19 @@ def test_polycone_halfplane_distance():
 
 
 def test_polycone_3d_matches_nnls():
-    rng = np.random.default_rng(0)
-    gens = fattened_generators(-np.array([[1.0, -0.5, 0.2], [-0.3, 1.0, 0.1]]), 0.2)
-    cone = PolyCone(gens)
     from scipy.optimize import nnls
-    Z = rng.standard_normal((50, 3)) * 2
-    d_fast = cone.distance(Z)
-    G = gens.T
-    d_ref = np.array([np.linalg.norm(z - G @ nnls(G, z)[0]) for z in Z])
-    assert np.allclose(d_fast, d_ref, atol=1e-9)
+    for gens in (
+            fattened_generators(-np.array([[1.0, -0.5, 0.2], [-0.3, 1.0, 0.1]]), 0.2),
+            # generators in the plane z = x + y: the cone is a 2D wedge
+            np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 2.0],
+                      [0.2, 1.0, 1.2]])):
+        rng = np.random.default_rng(0)
+        cone = PolyCone(gens)
+        Z = rng.standard_normal((50, 3)) * 2
+        d_fast = cone.distance(Z)
+        G = gens.T
+        d_ref = np.array([np.linalg.norm(z - G @ nnls(G, z)[0]) for z in Z])
+        assert np.allclose(d_fast, d_ref, atol=1e-9)
 
 
 def test_mollified_distance_near_halfspace():
@@ -105,6 +111,26 @@ def test_interior_bump_boundary_gradient_zero(orthant2):
     f = rd.interior_bump(orthant2.domain, [1.0, 1.0], 0.25)
     Y = np.column_stack([np.linspace(0, 3, 60), np.zeros(60)])
     assert np.all(f.gradient(Y) == 0.0)
+
+
+def test_assembled_interior_bumps_are_interior_bumps():
+    # the assembler skips interior_bump's clearance check (it knows the
+    # depth), not its formulas
+    w = rd.make_example("wedge")
+    fam = rd.assemble_cover_family(w.domain, w.coefficients, N=1.0, eps=0.25, seed=0)
+    inner = [b for b in fam.bumps if b.kind == "interior"]
+    assert len(inner) > 100
+    U = np.random.default_rng(15).uniform(-1.1, 1.1, size=(40, 2))
+    for b in inner[::4]:
+        f = rd.interior_bump(w.domain, b.x, b.r)
+        Y = b.x + math.sqrt(b.r) * U
+        for got, want in ((b.func._value, f._value), (b.func._gradient, f._gradient),
+                          (b.func._hessian, f._hessian)):
+            assert np.array_equal(got(Y), want(Y))
+        assert b.func.bound_triple == f.bound_triple
+        assert b.func.support_radius == f.support_radius
+    with pytest.raises(TooClose):
+        rd.interior_bump(w.domain, [1.0, 0.1], 0.04)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +298,70 @@ def test_boundary_bump_reflected_cone_separation(orthant2):
     assert np.all(np.min(vals, axis=1) < -1e-12)
 
 
+def _separation_lp(normals, gammas):
+    """The separation of the reflected hull conv(-gamma_j) from the domain
+    cone, -max over that hull of min_i <n_i, d>, from its own LP: the
+    reference for StratumModel.separation."""
+    from scipy.optimize import linprog
+    k = len(normals)
+    c = np.zeros(k + 1)
+    c[-1] = -1.0
+    G = normals @ (-gammas.T)
+    A_ub = np.hstack([-G, np.ones((k, 1))])
+    res = linprog(c, A_ub=A_ub, b_ub=np.zeros(k),
+                  A_eq=np.concatenate([np.ones(k), [0.0]])[None, :], b_eq=[1.0],
+                  bounds=[(0, None)] * k + [(None, None)], method="highs")
+    assert res.success
+    return res.fun
+
+
+def _stratum_points(domain):
+    if domain.strata:
+        return list(domain.strata.values())
+    th = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
+    return list(np.stack([np.cos(th), np.sin(th)], axis=1))     # the unit disk
+
+
+@pytest.mark.parametrize("name, params", [
+    ("gps", {"J": 3}), ("wedge", {}), ("orthant", {"J": 2, "box": 4.0}),
+    ("orthant", {"J": 3}), ("gps", {"J": 2}), ("disk", {}),
+    ("halfline", {"box": 20.0}), ("orthant", {"J": 2, "D": [[1.0, 0.5], [0.3, 1.0]]})])
+def test_separation_is_the_certificate_margin(name, params):
+    # by LP duality the separation LP and the completely-S LP have one value
+    d = rd.make_example(name, **params).domain
+    built = 0
+    for x in _stratum_points(d):
+        idx = dom.active_set(d, x)
+        ref = _separation_lp(np.stack([d.pieces[i].unit_normal(x) for i in idx]),
+                             np.stack([d.pieces[i].gamma(x) for i in idx]))
+        try:
+            model = StratumModel(d, x)
+        except NotInU:
+            assert ref <= 1e-9
+            continue
+        assert abs(model.separation - ref) <= 4 * np.spacing(ref)
+        built += 1
+    assert built >= 1
+
+
+@pytest.mark.parametrize("name, params, x", [
+    ("gps", {"J": 3}, [0.0, 0.0, 1.0]), ("wedge", {}, [1.0, 0.0])])
+def test_stratum_model_solves_one_certificate_lp(monkeypatch, name, params, x):
+    # the completely-S LP and the cone's pointedness LP; nothing else
+    import scipy.optimize
+    d = rd.make_example(name, **params).domain
+    calls = []
+    linprog = scipy.optimize.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", counted)
+    StratumModel(d, np.array(x))
+    assert len(calls) == 2
+
+
 def test_boundary_bump_oblique(gps2):
     g = rd.boundary_bump(gps2.domain, [1.0, 0.0], 0.4)
     Y = np.column_stack([np.random.default_rng(10).uniform(0.6, 1.4, 200),
@@ -419,6 +509,31 @@ def test_member_arrays_match_the_per_bump_loop(system, N, eps, stride):
         # a query's member is that of the first centre within eps/2 of it
         for got, ref in zip(ev.member_arrays(z), reference(fam.center_index(z))):
             assert np.array_equal(got, ref)
+
+
+def test_repair_gives_up_an_uncoverable_probe(monkeypatch):
+    # with no boundary bumps the probes on the boundary stay uncovered; each
+    # is tried on its (at most three) nearby strata once, not once per round
+    o = rd.make_example("orthant", J=2, box=4.0)
+    tried = collections.Counter()
+    probe = []
+    project = tf._project_to_stratum
+
+    def recording_project(domain, subset, y):
+        probe[:] = [tuple(y)]
+        return project(domain, subset, y)
+
+    def no_boundary_bump(domain, bumps, x, eps):
+        if probe:           # the stratum lattices run before the repair loop
+            tried[probe[0]] += 1
+        return None
+
+    monkeypatch.setattr(tf, "_project_to_stratum", recording_project)
+    monkeypatch.setattr(tf, "_add_boundary", no_boundary_bump)
+    with pytest.raises(SamplingFailure, match="cover gap"):
+        rd.assemble_cover_family(o.domain, o.coefficients, N=0.8, eps=0.3, seed=0)
+    assert len(tried) > 10
+    assert max(tried.values()) <= 3
 
 
 def test_family_manifest(small_family):
