@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -90,6 +91,8 @@ def _build_system(cfg):
         with open(cfg["system_file"]) as fh:
             raw = json.load(fh)
         domain = dom.domain_from_json(raw)
+        if domain.constant_reflection:
+            _reject_ill_posed_reflection(domain)
         J = domain.dimension
         b = np.asarray(_num_list(cfg["b"]) if "b" in cfg else np.zeros(J))
         sig = np.eye(J) * (_num_list(cfg["sigma"])[0] if "sigma" in cfg else 1.0)
@@ -102,6 +105,31 @@ def _build_system(cfg):
               for key, (param, parse) in _PRESET_PARAMS.get(name, {}).items()
               if key in cfg}
     return make_example(name, **params)
+
+
+def _at_singular_point(domain, rep) -> bool:
+    """Whether a stratum's representative is a declared singular point."""
+    return any(np.linalg.norm(np.asarray(rep) - sp.x) < 1e-6
+               for sp in domain.singular_points)
+
+
+def _reject_ill_posed_reflection(domain):
+    """IllPosedParameters unless, on every stratum of a constant-reflection
+    polyhedron other than a declared singular point, N Gamma^T restricted to
+    the stratum's faces is a P-matrix (every principal minor positive)."""
+    normals, _, gammas = domain.face_arrays
+    M = normals @ gammas.T
+    for faces, rep in domain.strata.items():
+        if _at_singular_point(domain, rep):
+            continue
+        for k in range(1, len(faces) + 1):
+            for sub in itertools.combinations(faces, k):
+                minor = float(np.linalg.det(M[np.ix_(sub, sub)]))
+                if minor <= 0.0:
+                    raise errors.IllPosedParameters(
+                        f"reflection is ill-posed on faces {list(faces)}: N Gamma^T "
+                        f"there is not a P-matrix (principal minor {minor:.3g} "
+                        f"on faces {list(sub)})")
 
 
 def _grid(cfg, base, J):
@@ -144,15 +172,10 @@ def cmd_check_domain(cfg):
                          "sandwich_left": rep.sandwich_left_margin,
                          "sandwich_right": rep.sandwich_right_margin}})
     failing = [list(r.indices) for r in report.failing()]
-    declared = [list(map(float, sp.x)) for sp in system.domain.singular_points]
     # verdict: failures allowed only at strata through declared singular points
-    ok = True
-    for r in report.failing():
-        near = any(np.linalg.norm(np.asarray(r.representative) - np.asarray(s)) < 1e-6
-                   for s in declared)
-        if not near:
-            ok = False
-    ok = ok and all(s["passed"] for s in sing)
+    ok = (all(_at_singular_point(system.domain, r.representative)
+              for r in report.failing())
+          and all(s["passed"] for s in sing))
     payload = {
         "preset": system.name,
         "params": system.params,
@@ -258,7 +281,10 @@ def cmd_solve(cfg):
         box = None
         if "box" in cfg:
             hi_box = _num_list(cfg["box"])
-            box = (np.zeros(J), np.asarray(hi_box))
+            if len(hi_box) not in (1, J):
+                raise errors.BadParameters(
+                    f"box needs 1 or J = {J} upper bounds, got {len(hi_box)}")
+            box = (np.zeros(J), np.asarray(hi_box) * np.ones(J))
         grid = interior_grid(system.domain, n_grid, box=box)
     lo, hi = grid.min(axis=0), grid.max(axis=0)
     fam = default_family(system.domain, system.coefficients,

@@ -280,34 +280,21 @@ class MollifiedConeDistance:
         n, q, J, w, d, A = self._node_data(Z)
         return d.reshape(n, q) @ self._weights
 
-    def gradient(self, Z) -> np.ndarray:
-        """Exact gradient: stencil average of (z' - proj z') / dist."""
-        n, q, J, w, d, A = self._node_data(Z)
-        safe = np.maximum(d, 1e-300)
-        g = np.where(d[:, None] > 1e-12, w / safe[:, None], 0.0)
-        return np.einsum("nqj,q->nj", g.reshape(n, q, J), self._weights)
-
-    def hessian(self, Z) -> np.ndarray:
-        """Exact a.e. Hessian: stencil average of (I - A - gg') / dist."""
+    def jet(self, Z):
+        """(value, gradient, Hessian) from one stencil projection: the
+        stencil averages of dist, of the exact gradient (z' - proj z') /
+        dist and of the exact a.e. Hessian (I - A - gg') / dist."""
         n, q, J, w, d, A = self._node_data(Z)
         safe = np.maximum(d, 1e-300)
         g = w / safe[:, None]
+        G = np.einsum("nqj,q->nj", np.where(d[:, None] > 1e-12, g, 0.0).reshape(n, q, J),
+                      self._weights)
         H = (np.eye(J)[None, :, :] - A - np.einsum("ni,nj->nij", g, g)) \
             / safe[:, None, None]
         H = np.where((d > 1e-12)[:, None, None], H, 0.0)
-        return np.einsum("nqij,q->nij", H.reshape(n, q, J, J), self._weights)
+        return (d.reshape(n, q) @ self._weights, G,
+                np.einsum("nqij,q->nij", H.reshape(n, q, J, J), self._weights))
 
     def band_mask(self, Z) -> np.ndarray:
         d = self.cone.distance(Z)
         return (d > self.eta) & (d < self.lam)
-
-    def gradient_margin(self, Z, probe_vectors) -> float:
-        """max over band points and probes of <grad l, p>; negative certifies
-        the uniform descent property against all probe vectors."""
-        Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        mask = self.band_mask(Z)
-        if not mask.any():
-            raise BandEmpty("no query points inside the band")
-        G = self.gradient(Z[mask])
-        P = np.atleast_2d(np.asarray(probe_vectors, dtype=float))
-        return float(np.max(G @ P.T))

@@ -37,7 +37,8 @@ def apply_generator(coef: CoefficientField, f, x) -> float:
 
 def apply_generator_batch(coef: CoefficientField, f, X) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    return coef.generator(X, f.gradient(X), f.hessian(X))
+    _, G, H = f.jet(X)
+    return coef.generator(X, G, H)
 
 
 def apply_adjoint(coef: CoefficientField, p: Density, x):

@@ -134,22 +134,22 @@ def coordinate_step(domain: dom.DomainSpec, axis: int, center: float,
     J = domain.dimension
     e = np.zeros(J)
     e[axis] = 1.0
+    ee = np.outer(e, e)
 
     def value(Y):
         return prof.value(Y[:, axis])
 
-    def gradient(Y):
-        return prof.d1(Y[:, axis])[:, None] * e[None, :]
-
-    def hessian(Y):
-        return prof.d2(Y[:, axis])[:, None, None] * np.outer(e, e)[None, :, :]
+    def jet(Y):
+        t = Y[:, axis]
+        return (prof.value(t), prof.d1(t)[:, None] * e[None, :],
+                prof.d2(t)[:, None, None] * ee[None, :, :])
 
     ctr = np.zeros(J)
     ctr[axis] = center
-    return TestFunction(J, value, gradient, hessian, center=ctr,
-                        support_radius=np.inf, constant_outside=1.0,
-                        info={"kind": "step", "axis": axis, "center": center,
-                              "width": width})
+    return TestFunction.from_jet(J, value, jet, center=ctr,
+                                 support_radius=np.inf, constant_outside=1.0,
+                                 info={"kind": "step", "axis": axis, "center": center,
+                                       "width": width})
 
 
 def radial_step(domain: dom.DomainSpec, center, c: float, width: float) -> TestFunction:
@@ -159,27 +159,24 @@ def radial_step(domain: dom.DomainSpec, center, c: float, width: float) -> TestF
     prof = rising_cutoff(c - width, c + width)
     center = np.asarray(center, dtype=float)
     J = domain.dimension
+    eye = np.eye(J)[None, :, :]
 
     def value(Y):
         return prof.value(np.linalg.norm(Y - center, axis=1))
 
-    def gradient(Y):
+    def jet(Y):
         D = Y - center
-        rr = np.maximum(np.linalg.norm(D, axis=1), 1e-300)
-        return (prof.d1(rr) / rr)[:, None] * D
-
-    def hessian(Y):
-        D = Y - center
-        rr = np.maximum(np.linalg.norm(D, axis=1), 1e-300)
+        dist = np.linalg.norm(D, axis=1)
+        rr = np.maximum(dist, 1e-300)
+        slope = prof.d1(rr) / rr
         u = D / rr[:, None]
         uu = np.einsum("ni,nj->nij", u, u)
-        eye = np.eye(J)[None, :, :]
-        return (prof.d2(rr)[:, None, None] * uu
-                + (prof.d1(rr) / rr)[:, None, None] * (eye - uu))
+        return (prof.value(dist), slope[:, None] * D,
+                prof.d2(rr)[:, None, None] * uu + slope[:, None, None] * (eye - uu))
 
-    return TestFunction(J, value, gradient, hessian, center=center,
-                        support_radius=np.inf, constant_outside=1.0,
-                        info={"kind": "radial-step", "c": c, "width": width})
+    return TestFunction.from_jet(J, value, jet, center=center,
+                                 support_radius=np.inf, constant_outside=1.0,
+                                 info={"kind": "radial-step", "c": c, "width": width})
 
 
 def default_family(domain: dom.DomainSpec, coef: CoefficientField,

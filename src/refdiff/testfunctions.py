@@ -46,7 +46,13 @@ _ZETA_SUP = _sup_abs_d1_d2(_ZETA, np.linspace(-0.1, 2.2, 301))
 
 
 class TestFunction:
-    """C^2 function with value/gradient/Hessian access and class metadata."""
+    """C^2 function with value/gradient/Hessian access and class metadata.
+
+    It holds two batch callables: value(Y) -> (n,) and jet(Y) -> (value,
+    gradient (n, J), Hessian (n, J, J)), the one derivative pass.  The
+    constructor adapts three separate callables value, gradient, hessian
+    (a user's function); from_jet takes the jet itself.
+    """
 
     __test__ = False          # not a pytest collection target
 
@@ -56,8 +62,7 @@ class TestFunction:
                  bound_triple=None, info=None):
         self.dim = dim
         self._value = value
-        self._gradient = gradient
-        self._hessian = hessian
+        self._jet = lambda Y: (value(Y), gradient(Y), hessian(Y))
         self.center = None if center is None else np.asarray(center, dtype=float)
         self.support_radius = float(support_radius)
         self.constant_outside = float(constant_outside)
@@ -66,6 +71,12 @@ class TestFunction:
         self.bound_triple = bound_triple
         self.info = info or {}
 
+    @classmethod
+    def from_jet(cls, dim, value, jet, **meta) -> "TestFunction":
+        out = cls(dim, value, None, None, **meta)
+        out._jet = jet
+        return out
+
     def value(self, y):
         Y, single = dom.as_batch(y, self.dim)
         out = self._value(Y)
@@ -73,23 +84,27 @@ class TestFunction:
 
     __call__ = value
 
-    def gradient(self, y):
+    def jet(self, y):
+        """(value, gradient, Hessian) from one pass, at a point or a batch."""
         Y, single = dom.as_batch(y, self.dim)
-        out = self._gradient(Y)
-        return out[0] if single else out
+        v, G, H = self._jet(Y)
+        return (float(v[0]), G[0], H[0]) if single else (v, G, H)
+
+    def gradient(self, y):
+        return self.jet(y)[1]
 
     def hessian(self, y):
-        Y, single = dom.as_batch(y, self.dim)
-        out = self._hessian(Y)
-        return out[0] if single else out
+        return self.jet(y)[2]
 
     def scaled(self, c: float) -> "TestFunction":
         c = float(c)
-        return TestFunction(
-            self.dim,
-            lambda Y: c * self._value(Y),
-            lambda Y: c * self._gradient(Y),
-            lambda Y: c * self._hessian(Y),
+
+        def jet(Y):
+            v, G, H = self._jet(Y)
+            return c * v, c * G, c * H
+
+        return TestFunction.from_jet(
+            self.dim, lambda Y: c * self._value(Y), jet,
             center=self.center, support_radius=self.support_radius,
             constant_outside=c * self.constant_outside,
             claims_in_class=(self.claims_in_class if c >= 0 else self.claims_negated_in_class),
@@ -104,9 +119,9 @@ class TestFunction:
         points, with steps 1e-6 (1 + |x|) and 1e-5 (1 + |x|), to relative
         tolerances 1e-5 and 1e-4."""
         P = np.atleast_2d(np.asarray(probes, dtype=float))
-        H = self._hessian(P)
-        H_fd = _diff1(self._gradient, P, 1e-5)
-        worst_g = _relative_gap(self._gradient(P), _diff1(self._value, P, 1e-6))
+        _, G, H = self._jet(P)
+        H_fd = _diff1(lambda X: self._jet(X)[1], P, 1e-5)
+        worst_g = _relative_gap(G, _diff1(self._value, P, 1e-6))
         worst_h = _relative_gap(H, 0.5 * (H_fd + np.swapaxes(H_fd, 1, 2)))
         return {"grad_err": worst_g, "hess_err": worst_h,
                 "grad_ok": worst_g <= 1e-5, "hess_ok": worst_h <= 1e-4}
@@ -134,17 +149,14 @@ def combine(funcs: Sequence[TestFunction], coeffs=None) -> TestFunction:
             out += c * f._value(Y)
         return out
 
-    def gradient(Y):
-        out = np.zeros_like(Y)
+    def jet(Y):
+        v, G, H = np.zeros(len(Y)), np.zeros_like(Y), np.zeros((len(Y), J, J))
         for c, f in zip(coeffs, funcs):
-            out += c * f._gradient(Y)
-        return out
-
-    def hessian(Y):
-        out = np.zeros((len(Y), J, J))
-        for c, f in zip(coeffs, funcs):
-            out += c * f._hessian(Y)
-        return out
+            fv, fG, fH = f._jet(Y)
+            v += c * fv
+            G += c * fG
+            H += c * fH
+        return v, G, H
 
     centers = [f.center for f in funcs if f.center is not None]
     if centers and all(np.isfinite(f.support_radius) for f in funcs):
@@ -155,8 +167,8 @@ def combine(funcs: Sequence[TestFunction], coeffs=None) -> TestFunction:
         center, rad = None, np.inf
     pos = bool(np.all(coeffs >= 0))
     neg = bool(np.all(coeffs <= 0))
-    return TestFunction(
-        J, value, gradient, hessian, center=center, support_radius=rad,
+    return TestFunction.from_jet(
+        J, value, jet, center=center, support_radius=rad,
         constant_outside=float(np.dot(coeffs, [f.constant_outside for f in funcs])),
         claims_in_class=pos and all(f.claims_in_class for f in funcs),
         claims_negated_in_class=(neg and all(f.claims_in_class for f in funcs))
@@ -182,29 +194,25 @@ def _radial_bump(J: int, x, r: float) -> TestFunction:
     """interior_bump's function, for a caller that knows the ball fits."""
     x = np.asarray(x, dtype=float)
     xi = _XI
+    eye = np.eye(J)
 
     def value(Y):
         z = np.einsum("ij,ij->i", Y - x, Y - x) / r
         return xi.value(z)
 
-    def gradient(Y):
+    def jet(Y):
         D = Y - x
         z = np.einsum("ij,ij->i", D, D) / r
-        return xi.d1(z)[:, None] * (2.0 / r) * D
-
-    def hessian(Y):
-        D = Y - x
-        z = np.einsum("ij,ij->i", D, D) / r
-        eye = np.eye(J)
-        t1 = xi.d1(z)[:, None, None] * (2.0 / r) * eye[None, :, :]
+        d1 = xi.d1(z)
+        t1 = d1[:, None, None] * (2.0 / r) * eye[None, :, :]
         t2 = xi.d2(z)[:, None, None] * (4.0 / r ** 2) * np.einsum("ni,nj->nij", D, D)
-        return t1 + t2
+        return xi.value(z), d1[:, None] * (2.0 / r) * D, t1 + t2
 
     rho = math.sqrt(r)
     sup_d1, sup_d2 = _XI_SUP
     # |grad| <= 2 ||xi'|| / rho and sum |d2| <= (4 J^2 ||xi''|| + 2 J ||xi'||) / rho^2
-    return TestFunction(
-        J, value, gradient, hessian, center=x, support_radius=rho,
+    return TestFunction.from_jet(
+        J, value, jet, center=x, support_radius=rho,
         constant_outside=0.0, claims_in_class=True, claims_negated_in_class=True,
         bound_triple=(1.0, 2.0 * sup_d1 / rho,
                       (4.0 * J * J * sup_d2 + 2.0 * J * sup_d1) / rho ** 2),
@@ -238,22 +246,22 @@ def singular_bump(domain: dom.DomainSpec, sp: dom.SingularPoint, r: float) -> Te
         t = (r - (Y - x) @ v) / r
         return (2.0 / kappa) * np.maximum(0.0, t)
 
+    vv = np.einsum("i,j->ij", v, v)
+
     def value(Y):
         return zeta.value(_arg(Y))
 
-    def gradient(Y):
-        s = zeta.d1(_arg(Y)) * scale
-        return -s[:, None] * v[None, :]
-
-    def hessian(Y):
-        s = zeta.d2(_arg(Y)) * scale ** 2
-        return s[:, None, None] * np.einsum("i,j->ij", v, v)[None, :, :]
+    def jet(Y):
+        t = _arg(Y)
+        s1 = zeta.d1(t) * scale
+        s2 = zeta.d2(t) * scale ** 2
+        return zeta.value(t), -s1[:, None] * v[None, :], s2[:, None, None] * vv[None, :, :]
 
     sup_d1, sup_d2 = _ZETA_SUP
     A = max(1.0, 2.0 * sup_d1 / kappa,
             4.0 * sup_d2 / kappa ** 2 * float(np.sum(np.abs(v)) ** 2))
-    return TestFunction(
-        J, value, gradient, hessian, center=x, support_radius=sp.c2 * r,
+    return TestFunction.from_jet(
+        J, value, jet, center=x, support_radius=sp.c2 * r,
         constant_outside=0.0, claims_in_class=True, claims_negated_in_class=False,
         bound_triple=(A, A / r, A / r ** 2),
         info={"kind": "singular", "r": r, "kappa": kappa,
@@ -280,18 +288,18 @@ def singular_ramp(domain: dom.DomainSpec, sp: dom.SingularPoint, delta: float,
     ramp = RampProfile(delta, eps)
     J = domain.dimension
     x, v = sp.x, sp.v
+    vv = np.einsum("i,j->ij", v, v)
 
     def value(Y):
         return ramp.value((Y - x) @ v)
 
-    def gradient(Y):
-        return ramp.d1((Y - x) @ v)[:, None] * v[None, :]
+    def jet(Y):
+        h = (Y - x) @ v
+        return (ramp.value(h), ramp.d1(h)[:, None] * v[None, :],
+                ramp.d2(h)[:, None, None] * vv[None, :, :])
 
-    def hessian(Y):
-        return ramp.d2((Y - x) @ v)[:, None, None] * np.einsum("i,j->ij", v, v)[None, :, :]
-
-    f = TestFunction(
-        J, value, gradient, hessian, center=x,
+    f = TestFunction.from_jet(
+        J, value, jet, center=x,
         support_radius=(eps + math.sqrt(eps)) / sp.alpha,
         constant_outside=ramp.plateau, claims_in_class=False,
         claims_negated_in_class=True,
@@ -406,7 +414,7 @@ class StratumModel:
         band = self.mol.band_mask(Z)
         if band.sum() < 20:
             return None
-        return float(np.min(self.mol.gradient(Z[band]) @ self.gammas.T))
+        return float(np.min(self.mol.jet(Z[band])[1] @ self.gammas.T))
 
     def r_cap(self, x) -> float:
         """Largest admissible bump radius at a stratum point."""
@@ -445,12 +453,9 @@ class StratumModel:
                 hi_d = mid
         plateau_unit = lo_d
 
-        probes = _ball_samples(J, 300) + anchor
-        kv = mol.value(probes)
+        kv, G, H = mol.jet(_ball_samples(J, 300) + anchor)
         s1 = zeta.d1(kv)
         s2 = zeta.d2(kv)
-        G = mol.gradient(probes)
-        H = mol.hessian(probes)
         sup_v = float(np.max(np.abs(zeta.value(kv))))
         grads = s1[:, None] * G
         hess = (s2[:, None, None] * np.einsum("ni,nj->nij", G, G)
@@ -486,43 +491,35 @@ def boundary_bump(domain: dom.DomainSpec, x, r: float,
     J = domain.dimension
     mol, zeta, anchor = model.mol, model.zeta, model.anchor
 
-    def _support(Y):
-        # rows outside the support stay zero: only the others reach the
-        # mollified distance, whose cone projections dominate the cost
-        rows = np.flatnonzero(np.linalg.norm(Y - x, axis=1) < r)
-        Z = (Y[rows] - x) / r + anchor
-        return rows, Z, (mol.value(Z) if len(rows) else np.empty(0))
-
+    # rows outside the support stay zero: only the others reach the
+    # mollified distance, whose cone projections dominate the cost
     def value(Y):
         out = np.zeros(len(Y))
-        rows, _, k = _support(Y)
-        out[rows] = zeta.value(k)
+        rows = np.flatnonzero(np.linalg.norm(Y - x, axis=1) < r)
+        if len(rows):
+            out[rows] = zeta.value(mol.value((Y[rows] - x) / r + anchor))
         return out
 
-    def gradient(Y):
-        out = np.zeros_like(Y)
-        rows, Z, k = _support(Y)
-        s = zeta.d1(k)
-        act = s != 0.0
-        if act.any():
-            out[rows[act]] = (s[act][:, None] / r) * mol.gradient(Z[act])
-        return out
-
-    def hessian(Y):
-        out = np.zeros((len(Y), J, J))
-        rows, Z, k = _support(Y)
+    def jet(Y):
+        v, G, H = np.zeros(len(Y)), np.zeros_like(Y), np.zeros((len(Y), J, J))
+        rows = np.flatnonzero(np.linalg.norm(Y - x, axis=1) < r)
+        if not len(rows):
+            return v, G, H
+        k, Gk, Hk = mol.jet((Y[rows] - x) / r + anchor)
         s1, s2 = zeta.d1(k), zeta.d2(k)
-        act = (s1 != 0.0) | (s2 != 0.0)
-        if act.any():
-            G = mol.gradient(Z[act])
-            out[rows[act]] = (s2[act][:, None, None] * np.einsum("ni,nj->nij", G, G)
-                              + s1[act][:, None, None] * mol.hessian(Z[act])) / (r * r)
-        return out
+        v[rows] = zeta.value(k)
+        act = s1 != 0.0
+        G[rows[act]] = (s1[act][:, None] / r) * Gk[act]
+        act |= s2 != 0.0
+        Ga = Gk[act]
+        H[rows[act]] = (s2[act][:, None, None] * np.einsum("ni,nj->nij", Ga, Ga)
+                        + s1[act][:, None, None] * Hk[act]) / (r * r)
+        return v, G, H
 
     plateau_unit, A = model.bump_constants
     d_plateau = plateau_unit * r
-    return TestFunction(
-        J, value, gradient, hessian, center=x, support_radius=r,
+    return TestFunction.from_jet(
+        J, value, jet, center=x, support_radius=r,
         constant_outside=0.0, claims_in_class=True, claims_negated_in_class=False,
         bound_triple=(A, A / r, A / (r * r)),
         info={"kind": "boundary", "r": r, "stratum": model.idx,
@@ -700,9 +697,8 @@ class FamilyEvaluation:
                 self._lfs.append(np.empty(0))
                 continue
             pts = self.Y[idx]
-            v = bump.func._value(pts)
-            g = bump.func._gradient(pts)
-            lf = coefficients.generator(pts, g, bump.func._hessian(pts))
+            v, g, H = bump.func._jet(pts)
+            lf = coefficients.generator(pts, g, H)
             self._idx.append(idx)
             self._vals.append(v)
             self._grads.append(g)

@@ -241,7 +241,7 @@ def test_criterion_06_singular_ramp_bounds():
     # dense evaluation over the domain for the sups
     pts = dom.sample_closure(gps.domain, 4000, seed=3)
     sup_g = float(np.max(np.abs(f._value(pts))))
-    sup_grad = float(np.max(np.linalg.norm(f._gradient(pts), axis=1)))
+    sup_grad = float(np.max(np.linalg.norm(f.gradient(pts), axis=1)))
     # 1000 samples on the certified band
     rng = np.random.default_rng(4)
     band = []
@@ -253,7 +253,7 @@ def test_criterion_06_singular_ramp_bounds():
         keep = (h >= delta + 2 * math.sqrt(delta)) & (h <= eps / 2)
         band.extend(cand[keep])
     band = np.asarray(band[:1000])
-    H = f._hessian(band)
+    H = f.hessian(band)
     a0 = gps.coefficients.a(sp.x)
     second = np.einsum("nij,ij->n", H, a0)
     min_second = float(np.min(second))

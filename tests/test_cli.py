@@ -154,21 +154,58 @@ def test_csv_writer_matches_row_loop(tmp_path):
                                             rows, "m")
 
 
+_CORNER_TRAP = {"dimension": 2, "pieces": [
+    {"kind": "half-space", "normal": [1.0, 0.0], "offset": 0.0,
+     "gamma": [1.0, -2.0]},
+    {"kind": "half-space", "normal": [0.0, 1.0], "offset": 0.0,
+     "gamma": [-2.0, 1.0]}]}
+
+
 def test_simulate_failed_projections_exit_numeric(tmp_path):
     # N Gamma^T = [[1, -2], [-2, 1]] is not a P-matrix, and the drift runs
-    # into the corner, where the projection fails
+    # into the corner, where the projection fails; the corner is declared
+    # singular, so the system passes the well-posedness check at load
     system = tmp_path / "trap.json"
-    system.write_text(json.dumps({"dimension": 2, "pieces": [
-        {"kind": "half-space", "normal": [1.0, 0.0], "offset": 0.0,
-         "gamma": [1.0, -2.0]},
-        {"kind": "half-space", "normal": [0.0, 1.0], "offset": 0.0,
-         "gamma": [-2.0, 1.0]}]}))
+    system.write_text(json.dumps(dict(_CORNER_TRAP, V=[
+        {"x": [0.0, 0.0], "v": [0.6, 0.8], "r": 1.0, "alpha": 0.5,
+         "c1": 0.5, "c2": 2.0}])))
     out = tmp_path / "trap.csv"
     code = run(["simulate", "--system-file", str(system), "--b=-1,-1",
                 "--sigma", "0.1", "--x0", "0.05,0.05", "--T", "0.2",
                 "--dt", "0.01", "--output", str(out)])
     assert code == cli.EXIT_NUMERIC
     assert len(out.read_text().splitlines()) == 2 + 21
+
+
+def test_system_file_with_ill_posed_reflection_exits_usage(tmp_path, capsys):
+    # the same corner, undeclared: rejected before any simulation
+    system = tmp_path / "trap.json"
+    system.write_text(json.dumps(_CORNER_TRAP))
+    out = tmp_path / "trap.csv"
+    code = run(["simulate", "--system-file", str(system), "--b=-1,-1",
+                "--sigma", "0.1", "--output", str(out)])
+    assert code == cli.EXIT_USAGE
+    assert "faces [0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_solve_box_broadcasts_one_bound(tmp_path, capsys):
+    args = ["solve", "--preset", "orthant", "--grid", "12", "--n-steps", "6",
+            "--n-interior", "6"]
+    outs = []
+    for k, box in enumerate(("4", "4,4")):
+        out = tmp_path / f"m{k}.csv"
+        code = run(args + ["--box", box, "--output", str(out),
+                           "--report-output", str(tmp_path / f"s{k}.json")])
+        assert code == cli.EXIT_OK
+        outs.append(out.read_text().split("\n", 1)[1])    # below the header
+    assert outs[0] == outs[1]
+    capsys.readouterr()
+    code = run(args + ["--box", "4,4,4", "--output", str(tmp_path / "m.csv"),
+                       "--report-output", str(tmp_path / "s.json")])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "box" in err and "J = 2" in err
 
 
 def test_solve_gps3_default_grid_follows_dimension(tmp_path):

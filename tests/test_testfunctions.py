@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import refdiff as rd
 from refdiff import domain as dom
@@ -10,6 +13,7 @@ from refdiff import testfunctions as tf
 from refdiff.cones import MollifiedConeDistance, PolyCone, fattened_generators
 from refdiff.errors import NotInU, RadiusTooLarge, SamplingFailure, TooClose
 from refdiff.profiles import rising_cutoff
+from refdiff.solver import coordinate_step, radial_step
 from refdiff.testfunctions import StratumModel, _stratum_model, combine
 
 
@@ -76,10 +80,9 @@ def test_mollified_distance_bounds_and_descent():
     # distance approximation within eps on the band
     assert np.max(np.abs(mol.value(Zb) - cone.distance(Zb))) <= 0.05
     # descent against every probe inside the fattened hull (the -gamma rays)
-    margin = mol.gradient_margin(Zb, -gam)
-    assert margin < 0
+    _, G, H = mol.jet(Zb)
+    assert float(np.max(G @ (-gam).T)) < 0
     # second differences bounded by 3/eta + 1
-    H = mol.hessian(Zb)
     assert np.max(np.abs(H)) <= 3.0 / 0.12 + 1.0
 
 
@@ -124,9 +127,9 @@ def test_assembled_interior_bumps_are_interior_bumps():
     for b in inner[::4]:
         f = rd.interior_bump(w.domain, b.x, b.r)
         Y = b.x + math.sqrt(b.r) * U
-        for got, want in ((b.func._value, f._value), (b.func._gradient, f._gradient),
-                          (b.func._hessian, f._hessian)):
-            assert np.array_equal(got(Y), want(Y))
+        assert np.array_equal(b.func._value(Y), f._value(Y))
+        for got, want in zip(b.func.jet(Y), f.jet(Y)):
+            assert np.array_equal(got, want)
         assert b.func.bound_triple == f.bound_triple
         assert b.func.support_radius == f.support_radius
     with pytest.raises(TooClose):
@@ -169,8 +172,8 @@ def test_singular_bump_bound_triple(gps2):
     A0, A1, A2 = f.bound_triple
     P = np.random.default_rng(5).uniform(0, 1.2, size=(500, 2))
     assert np.abs(f._value(P)).max() <= A0
-    assert np.linalg.norm(f._gradient(P), axis=1).max() <= A1
-    assert np.abs(f._hessian(P)).sum(axis=(1, 2)).max() <= A2
+    assert np.linalg.norm(f.gradient(P), axis=1).max() <= A1
+    assert np.abs(f.hessian(P)).sum(axis=(1, 2)).max() <= A2
 
 
 def _resampled_sups(prof, grid):
@@ -248,17 +251,17 @@ def _boundary_bump_reference(model, x, r, Y):
     mol, zeta, anchor = model.mol, model.zeta, model.anchor
     Z = (Y - x) / r + anchor
     outside = np.linalg.norm(Y - x, axis=1) >= r
-    k = mol.value(Z)
+    k = mol.jet(Z)[0]
     value = zeta.value(k)
     s1, s2 = zeta.d1(k), zeta.d2(k)
     grad = np.zeros_like(Y)
     act = s1 != 0.0
-    grad[act] = (s1[act][:, None] / r) * mol.gradient(Z[act])
+    grad[act] = (s1[act][:, None] / r) * mol.jet(Z[act])[1]
     hess = np.zeros((len(Y), len(x), len(x)))
     act = (s1 != 0.0) | (s2 != 0.0)
-    G = mol.gradient(Z[act])
+    _, G, H = mol.jet(Z[act])
     hess[act] = (s2[act][:, None, None] * np.einsum("ni,nj->nij", G, G)
-                 + s1[act][:, None, None] * mol.hessian(Z[act])) / (r * r)
+                 + s1[act][:, None, None] * H) / (r * r)
     for out in (value, grad, hess):
         out[outside] = 0.0
     return value, grad, hess
@@ -383,7 +386,7 @@ def test_boundary_bump_translation_covariance(orthant2):
     shift = np.array([0.7, 0.0])
     Y = np.random.default_rng(11).uniform([0.6, 0.0], [1.4, 0.5], size=(100, 2))
     assert np.max(np.abs(g1._value(Y) - g2._value(Y + shift))) <= 1e-10
-    assert np.max(np.abs(g1._gradient(Y) - g2._gradient(Y + shift))) <= 1e-10
+    assert np.max(np.abs(g1.gradient(Y) - g2.gradient(Y + shift))) <= 1e-10
 
 
 def test_boundary_bump_bound_triple_dominates(orthant2):
@@ -392,8 +395,8 @@ def test_boundary_bump_bound_triple_dominates(orthant2):
     P = np.array([1.0, 0.0]) + 0.5 * np.random.default_rng(12).uniform(
         -1, 1, size=(600, 2))
     assert np.abs(g._value(P)).max() <= A0
-    assert np.linalg.norm(g._gradient(P), axis=1).max() <= A1
-    assert np.abs(g._hessian(P)).sum(axis=(1, 2)).max() <= A2
+    assert np.linalg.norm(g.gradient(P), axis=1).max() <= A1
+    assert np.abs(g.hessian(P)).sum(axis=(1, 2)).max() <= A2
 
 
 def test_check_admissible_detects_violation(orthant2):
@@ -412,6 +415,75 @@ def test_check_admissible_detects_violation(orthant2):
     rep = rd.check_admissible(f, orthant2.domain, samples=300, seed=13)
     assert rep.worst_boundary_inner >= np.dot(gam, gam) - 1e-9
     assert not rep.passed
+
+
+# ---------------------------------------------------------------------------
+# the jet
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def jet_cases(orthant2, gps2):
+    o, g = orthant2.domain, gps2.domain
+    sp = g.singular_points[0]
+    cases = {
+        "interior": rd.interior_bump(o, [1.0, 1.0], 0.25),
+        "boundary-orthant2": rd.boundary_bump(o, [1.0, 0.0], 0.5),
+        "boundary-gps2-face": rd.boundary_bump(g, [1.0, 0.0], 0.4),
+        "boundary-gps2-face1": rd.boundary_bump(g, [0.0, 1.5], 0.3),
+        "singular": rd.singular_bump(g, sp, 0.4),
+        "ramp": rd.singular_ramp(g, sp, delta=2e-5, eps=0.04)[0],
+        "coordinate-step": coordinate_step(o, 0, 1.0, 0.3),
+        "radial-step": radial_step(o, [0.5, 0.5], 1.0, 0.3),
+    }
+    cases["combine"] = combine([cases[k] for k in ("interior", "boundary-orthant2",
+                                                   "singular", "coordinate-step")],
+                               [1.0, -0.5, 2.0, 0.25])
+    cases["scaled"] = cases["boundary-gps2-face1"].scaled(-1.7)
+    return cases
+
+
+@pytest.mark.parametrize("name", ["interior", "boundary-orthant2", "boundary-gps2-face",
+                                  "boundary-gps2-face1", "singular", "ramp",
+                                  "coordinate-step", "radial-step", "combine",
+                                  "scaled"])
+@settings(max_examples=30, deadline=None)
+@given(U=arrays(float, st.tuples(st.integers(1, 60), st.just(2)),
+                elements=st.floats(-1.5, 1.5)))
+def test_jet_is_bit_equal_to_the_separate_calls(jet_cases, name, U):
+    f = jet_cases[name]
+    radius = f.support_radius if np.isfinite(f.support_radius) else 1.5
+    Y = (f.center if f.center is not None else 0.0) + radius * U
+    v, G, H = f.jet(Y)
+    assert np.array_equal(f.value(Y), v)
+    assert np.array_equal(f.gradient(Y), G)
+    assert np.array_equal(f.hessian(Y), H)
+    assert f.value(Y[0]) == f.jet(Y[0])[0]
+
+
+def test_gps3_precompute_projects_each_stencil_once(monkeypatch):
+    # criterion 05's gps3 point set: each boundary bump's jet projects its
+    # stencil nodes once, not once for the value and again for each
+    # derivative
+    gps = rd.make_example("gps", J=3)
+    N, eps = 0.5, 0.3
+    fam = rd.assemble_cover_family(gps.domain, gps.coefficients, N=N, eps=eps, seed=0)
+    B = dom.sample_boundary(gps.domain, 10000, seed=1)
+    V = dom.sample_closure(gps.domain, 3000, seed=2)
+    pts = np.vstack([B[np.linalg.norm(B, axis=1) <= N + 2 * eps],
+                     V[np.linalg.norm(V, axis=1) <= N + 2 * eps]])
+    calls, rows = [0], [0]
+    project_info = PolyCone.project_info
+
+    def counted(self, Z):
+        calls[0] += 1
+        rows[0] += len(Z)
+        return project_info(self, Z)
+
+    monkeypatch.setattr(PolyCone, "project_info", counted)
+    fam.precompute(pts, gps.coefficients)
+    # 1,752 calls on 1,217,190 rows when the value, gradient and Hessian
+    # each projected the stencil
+    assert calls[0] <= 584 and rows[0] <= 405_730
 
 
 # ---------------------------------------------------------------------------
