@@ -13,8 +13,7 @@ Hessian.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -242,13 +241,12 @@ class MollifiedConeDistance:
     eta: float
     lam: float
     eps: float
-    width: Optional[float] = None
+    width: float = field(init=False)
 
     def __post_init__(self):
         if not (0 < self.eta < self.lam):
             raise BandEmpty(f"need 0 < eta < lam, got {self.eta}, {self.lam}")
-        if self.width is None:
-            self.width = min(self.eta / 4.0, self.eps / 2.0)
+        self.width = min(self.eta / 4.0, self.eps / 2.0)
         J = self.cone.dim
         # radial Gauss nodes on [0,1] against rho^(J-1) psi(rho)
         xs, ws = np.polynomial.legendre.leggauss(5)

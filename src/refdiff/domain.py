@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
@@ -236,9 +236,8 @@ class DomainSpec:
     pieces: list
     singular_points: list = field(default_factory=list)
     bbox: Optional[tuple] = None
-    well_posed: Optional[bool] = None
     bounded: bool = False
-    active_tol: float = 1e-9
+    active_tol: ClassVar[float] = 1e-9
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -307,7 +306,6 @@ class DomainSpec:
             "pieces": [p.to_json() for p in self.pieces],
             "V": [v.to_json() for v in self.singular_points],
             "bbox": [list(map(float, self.bbox[0])), list(map(float, self.bbox[1]))],
-            "well_posed": self.well_posed,
             "bounded": self.bounded,
         }
 
@@ -333,8 +331,7 @@ def domain_from_json(d) -> DomainSpec:
             for v in d.get("V", [])]
     return DomainSpec(
         dimension=d["dimension"], pieces=pieces, singular_points=sing,
-        bbox=d.get("bbox"), well_posed=d.get("well_posed"),
-        bounded=d.get("bounded", False))
+        bbox=d.get("bbox"), bounded=d.get("bounded", False))
 
 
 # ---------------------------------------------------------------------------
@@ -430,11 +427,16 @@ def completely_s_at(domain: DomainSpec, x):
     Returns (ok, certificate normal or None, margin t*) of positive_normal_lp.
     """
     x = np.asarray(x, dtype=float)
-    idx = active_set(domain, x)
-    normals = np.stack([domain.pieces[i].unit_normal(x) for i in idx])
-    gammas = np.stack([domain.pieces[i].gamma(x) for i in idx])
+    normals, gammas = face_vectors(domain, active_set(domain, x), x)
     ok, s, t_star = positive_normal_lp(normals, gammas, x)
     return ok, (_as_unit(s @ normals) if ok else None), t_star
+
+
+def face_vectors(domain: DomainSpec, faces, x):
+    """Unit normals and reflection vectors, (k, J) each, of the given pieces
+    at x."""
+    return (np.stack([domain.pieces[i].unit_normal(x) for i in faces]),
+            np.stack([domain.pieces[i].gamma(x) for i in faces]))
 
 
 def positive_normal_lp(normals, gammas, x):
@@ -535,17 +537,15 @@ def check_completely_s(domain: DomainSpec) -> CompletelySReport:
     """Sweep one representative point per nonempty boundary stratum.
 
     Polyhedral case: the strata are the domain's strata table (face subsets
-    with a nonempty relative interior inside the bounding box).  Curved
+    with a nonempty relative interior inside the bounding box), each decided
+    on its own faces at its representative.  Curved
     pieces are handled by sampling 200 boundary points.  The boundary is
     certified iff every stratum passes.
     """
     results = []
     if all(p.kind == "half-space" for p in domain.pieces):
         for faces, rep in domain.strata.items():
-            try:
-                ok, _, margin = completely_s_at(domain, rep)
-            except EmptyActiveSet:
-                continue
+            ok, _, margin = positive_normal_lp(*face_vectors(domain, faces, rep), rep)
             results.append(StratumResult(faces, rep, ok, margin))
     else:
         pts = sample_boundary(domain, 200, seed=0)

@@ -5,15 +5,19 @@ class RefdiffError(Exception):
     """Base class for all package-specific errors."""
 
 
+class NumericFailure(RefdiffError):
+    """A computation failed on its data: the CLI reports it with exit code 3."""
+
+
 class EmptyActiveSet(RefdiffError):
     """Queried the active face set at a point that is not near the boundary."""
 
 
-class LPFailure(RefdiffError):
+class LPFailure(NumericFailure):
     """A linear program used for a geometric certificate did not converge."""
 
 
-class SamplingFailure(RefdiffError):
+class SamplingFailure(NumericFailure):
     """Rejection sampling could not populate the requested region."""
 
 
@@ -41,7 +45,7 @@ class RadiusTooLarge(RefdiffError):
     """Bump radius exceeds the certified radius of its construction."""
 
 
-class QPFailure(RefdiffError):
+class QPFailure(NumericFailure):
     """Cone projection subproblem failed."""
 
 
@@ -49,11 +53,11 @@ class BandEmpty(RefdiffError):
     """Mollification band is empty (bad eta/lambda)."""
 
 
-class NotInU(RefdiffError):
+class NotInU(NumericFailure):
     """Boundary point fails the positive-normal (completely-S type) condition."""
 
 
-class NotInH(RefdiffError):
+class NotInH(NumericFailure):
     """A function claimed membership in the admissible test class but fails the check."""
 
 
@@ -65,15 +69,15 @@ class OffEdge(RefdiffError):
     """Edge residual requested at a point not on the edge."""
 
 
-class ZeroMass(RefdiffError):
+class ZeroMass(NumericFailure):
     """Density integrates to (numerically) zero."""
 
 
-class DivergentMass(RefdiffError):
+class DivergentMass(NumericFailure):
     """Density mass does not converge on expanding boxes."""
 
 
-class NoConvergence(RefdiffError):
+class NoConvergence(NumericFailure):
     """Boundary projection did not converge."""
 
     def __init__(self, msg, point=None):

@@ -26,7 +26,6 @@ class ExampleSystem:
     params: dict
     domain: dom.DomainSpec
     coefficients: CoefficientField
-    well_posed_condition: str = ""
     meta: dict = field(default_factory=dict)
 
 
@@ -52,11 +51,9 @@ def _halfline(b: float = -1.0, sigma: float = 1.0, box: float = 12.0) -> Example
     if b >= 0:
         raise IllPosedParameters("half-line preset needs negative drift for positive recurrence")
     piece = dom.BoundaryPiece("half-space", normal=[1.0], offset=0.0, gamma=[1.0])
-    domain = dom.DomainSpec(1, [piece], bbox=([0.0], [box]), well_posed=True,
-                            bounded=False)
+    domain = dom.DomainSpec(1, [piece], bbox=([0.0], [box]), bounded=False)
     coef = CoefficientField.constant([b], [[sigma]])
-    return ExampleSystem("halfline", {"b": b, "sigma": sigma}, domain, coef,
-                         well_posed_condition="b < 0")
+    return ExampleSystem("halfline", {"b": b, "sigma": sigma}, domain, coef)
 
 
 def _orthant(J: int = 2, b=None, sigma=None, D=None, box: float = 10.0) -> ExampleSystem:
@@ -81,7 +78,7 @@ def _orthant(J: int = 2, b=None, sigma=None, D=None, box: float = 10.0) -> Examp
         pieces.append(dom.BoundaryPiece("half-space", normal=n, offset=0.0,
                                         gamma=d / d[i]))
     domain = dom.DomainSpec(J, pieces, bbox=(np.zeros(J), box * np.ones(J)),
-                            well_posed=True, bounded=False)
+                            bounded=False)
     report = dom.check_completely_s(domain)
     if not report.boundary_is_certified:
         raise IllPosedParameters(
@@ -89,8 +86,7 @@ def _orthant(J: int = 2, b=None, sigma=None, D=None, box: float = 10.0) -> Examp
             f"{[r.indices for r in report.failing()]}")
     coef = CoefficientField.constant(b, sigma)
     return ExampleSystem("orthant", {"J": J, "b": list(map(float, b))},
-                         domain, coef,
-                         well_posed_condition="completely-S reflection matrix")
+                         domain, coef)
 
 
 def _rot(theta: float) -> np.ndarray:
@@ -139,7 +135,7 @@ def _wedge(zeta: float = math.pi / 2, theta1: float = math.pi / 4,
                                   alpha=alpha0, c1=0.5, c2=max(c2, 1.0 + 1e-9))]
     domain = dom.DomainSpec(2, pieces, singular_points=sing,
                             bbox=([-box, 0.0], [box, box]),
-                            well_posed=True, bounded=False)
+                            bounded=False)
     if b is None:
         b = [-1.0, -1.0]
     if sigma is None:
@@ -148,8 +144,7 @@ def _wedge(zeta: float = math.pi / 2, theta1: float = math.pi / 4,
     return ExampleSystem(
         "wedge", {"zeta": zeta, "theta1": theta1, "theta2": theta2,
                   "alpha": alpha},
-        domain, coef, well_posed_condition="alpha = (theta1+theta2)/zeta < 2",
-        meta={"alpha": alpha})
+        domain, coef, meta={"alpha": alpha})
 
 
 def _gps(J: int = 2, alphabar=None, b=None, sigma=None, box: float = 8.0) -> ExampleSystem:
@@ -172,15 +167,14 @@ def _gps(J: int = 2, alphabar=None, b=None, sigma=None, box: float = 8.0) -> Exa
                               c2=math.sqrt(J) if J > 1 else 1.0 + 1e-9)]
     domain = dom.DomainSpec(J, pieces, singular_points=sing,
                             bbox=(np.zeros(J), box * np.ones(J)),
-                            well_posed=True, bounded=False)
+                            bounded=False)
     if b is None:
         b = -np.ones(J)
     if sigma is None:
         sigma = np.eye(J)
     coef = CoefficientField.constant(b, sigma)
     return ExampleSystem("gps", {"J": J, "alphabar": list(map(float, ab))},
-                         domain, coef,
-                         well_posed_condition="pathwise unique reflection map")
+                         domain, coef)
 
 
 def _disk(radius: float = 1.0, b=None, sigma=None) -> ExampleSystem:
@@ -206,14 +200,13 @@ def _disk(radius: float = 1.0, b=None, sigma=None) -> ExampleSystem:
                               chart=chart, name=f"disk:{R}")
     dom.register_chart(f"disk:{R}", lambda: piece)
     domain = dom.DomainSpec(2, [piece], bbox=([-R, -R], [R, R]),
-                            well_posed=True, bounded=True)
+                            bounded=True)
     if b is None:
         b = [0.0, 0.0]
     if sigma is None:
         sigma = np.eye(2)
     coef = CoefficientField.constant(b, sigma)
-    return ExampleSystem("disk", {"radius": R}, domain, coef,
-                         well_posed_condition="smooth domain, oblique angle < pi/2")
+    return ExampleSystem("disk", {"radius": R}, domain, coef)
 
 
 def _cusp(beta: float = 2.0, theta1: float = 0.0, theta2: float = 0.0,
@@ -271,7 +264,7 @@ def _cusp(beta: float = 2.0, theta1: float = 0.0, theta2: float = 0.0,
     v = np.array([math.cos(theta1), -math.sin(theta1)])
     domain0 = dom.DomainSpec(2, [p1, p2], bbox=([0.0, -box ** beta],
                                                 [box, box ** beta]),
-                             well_posed=True, bounded=False)
+                             bounded=False)
     r0 = 0.5
     samples = dom.sample_closure(domain0, 800, seed=11, center=np.zeros(2), radius=r0)
     d = np.linalg.norm(samples, axis=1)
@@ -291,7 +284,7 @@ def _cusp(beta: float = 2.0, theta1: float = 0.0, theta2: float = 0.0,
                               c1=0.5, c2=c2)]
     domain = dom.DomainSpec(2, [p1, p2], singular_points=sing,
                             bbox=([0.0, -box ** beta], [box, box ** beta]),
-                            well_posed=True, bounded=False)
+                            bounded=False)
     domain.allow_curved_family = True
     if b is None:
         b = [-0.5, 0.0]
@@ -300,7 +293,6 @@ def _cusp(beta: float = 2.0, theta1: float = 0.0, theta2: float = 0.0,
     coef = CoefficientField.constant(b, sigma)
     return ExampleSystem("cusp", {"beta": beta, "theta1": theta1,
                                   "theta2": theta2}, domain, coef,
-                         well_posed_condition="theta1 + theta2 <= 0",
                          meta={"experimental": True, "gamma1_at_origin": g10})
 
 

@@ -10,7 +10,6 @@ gradient with Armijo line search on the probability simplex.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -23,7 +22,7 @@ from .errors import (BadParameters, ChartMissing, NotInH, RadiusTooLarge,
                      SamplingFailure)
 from .operators import apply_generator_batch, weak_residual
 from .testfunctions import TestFunction, interior_bump, boundary_bump, \
-    singular_ramp, check_admissible
+    singular_ramp
 
 
 # ---------------------------------------------------------------------------
@@ -208,11 +207,7 @@ def default_family(domain: dom.DomainSpec, coef: CoefficientField,
             # and boundary bumps cover the shell
         funcs.append(interior_bump(domain, x, rad ** 2))
 
-    try:
-        B = dom.sample_boundary(domain, 300, seed=seed)
-    except SamplingFailure:
-        B = np.empty((0, J))
-    frame = dom.boundary_frame(domain, B)
+    frame = _class_frame(domain, seed)
 
     def classify(f):
         inner = frame.inner(f)
@@ -299,6 +294,17 @@ def default_family(domain: dom.DomainSpec, coef: CoefficientField,
     return funcs
 
 
+def _class_frame(domain: dom.DomainSpec, seed: int) -> dom.BoundaryFrame:
+    """The boundary frame on which a family member's side of the admissible
+    class is decided: 400 seeded boundary samples, none when the boundary
+    cannot be sampled.  default_family and build_constraints both read it."""
+    try:
+        B = dom.sample_boundary(domain, 400, seed=seed)
+    except SamplingFailure:
+        B = np.empty((0, domain.dimension))
+    return dom.boundary_frame(domain, B)
+
+
 # ---------------------------------------------------------------------------
 # Constraint assembly and solve
 # ---------------------------------------------------------------------------
@@ -309,19 +315,17 @@ def build_constraints(domain: dom.DomainSpec, coef: CoefficientField,
     """Rows M[k, j] = (L f_k)(x_j) with a type per row.
 
     'eq' rows have boundary-gradient inner products vanishing (to 1e-9) on
-    sampled boundary points (both signs admissible); other rows must claim a
-    negated-admissible function and are 'ineq' (row value must be <= 0).
+    sampled boundary points (both signs admissible), unless the function
+    claims only its negated side; other rows must claim a negated-admissible
+    function and are 'ineq' (row value must be <= 0).
     """
     grid_points = np.atleast_2d(np.asarray(grid_points, dtype=float))
-    try:
-        B = dom.sample_boundary(domain, 400, seed=seed)
-    except SamplingFailure:
-        B = np.empty((0, domain.dimension))
-    frame = dom.boundary_frame(domain, B)
+    frame = _class_frame(domain, seed)
     rows, types = [], []
     for f in family:
         rows.append(apply_generator_batch(coef, f, grid_points))
-        if np.all(np.abs(frame.inner(f)) <= 1e-9):
+        one_sided = f.claims_negated_in_class and not f.claims_in_class
+        if not one_sided and np.all(np.abs(frame.inner(f)) <= 1e-9):
             types.append("eq")
         elif f.claims_negated_in_class:
             types.append("ineq")

@@ -339,8 +339,7 @@ class StratumModel:
         x = np.asarray(x, dtype=float)
         self.domain = domain
         self.idx = tuple(dom.active_set(domain, x))
-        self.normals = np.stack([domain.pieces[i].unit_normal(x) for i in self.idx])
-        self.gammas = np.stack([domain.pieces[i].gamma(x) for i in self.idx])
+        self.normals, self.gammas = dom.face_vectors(domain, self.idx, x)
         J = domain.dimension
 
         ok, weights, margin = dom.positive_normal_lp(self.normals, self.gammas, x)
@@ -386,10 +385,7 @@ class StratumModel:
         self.anchor = self.lam * (self.R / 2.0) * self.q
 
     def _domain_cone_gap(self) -> float:
-        rng = np.random.default_rng(20240517)
-        J = self.domain.dimension
-        W = rng.standard_normal((4096, J))
-        W /= np.linalg.norm(W, axis=1, keepdims=True)
+        W = _unit_rows(np.random.default_rng(20240517), 4096, self.domain.dimension)
         feas = np.all(W @ self.normals.T >= 0.0, axis=1)
         cand = [W[feas]] if feas.any() else []
         # structured directions: normals, gammas, and their positive sums
@@ -407,10 +403,7 @@ class StratumModel:
         """min of <grad l, gamma_j> over 600 seeded probes in the mollifier's
         band, or None when fewer than 20 probes fall in the band."""
         rng = np.random.default_rng(99)
-        J = self.domain.dimension
-        Z = rng.standard_normal((600, J))
-        Z /= np.linalg.norm(Z, axis=1, keepdims=True)
-        Z = Z * rng.uniform(0.2, 2.5, size=(600, 1))
+        Z = _unit_rows(rng, 600, self.domain.dimension) * rng.uniform(0.2, 2.5, size=(600, 1))
         band = self.mol.band_mask(Z)
         if band.sum() < 20:
             return None
@@ -438,30 +431,25 @@ class StratumModel:
 
         The bump at radius r is a function of (y - x)/r alone, so the plateau
         fraction and the (sup, sup r, sup r^2) bounds are shared by the whole
-        stratum.
+        stratum: they are read off the unit bump (x = 0, r = 1), whose
+        support holds every one of the 300 ball samples.
         """
         J = self.domain.dimension
-        zeta, mol, anchor = self.zeta, self.mol, self.anchor
-        dirs = _unit_directions(J, 40)
+        dirs = _unit_rows(np.random.default_rng(3), 40, J)
         lo_d, hi_d = 0.0, 0.6
         for _ in range(30):
             mid = 0.5 * (lo_d + hi_d)
-            k = mol.value(mid * dirs + anchor)
+            k = self.mol.value(mid * dirs + self.anchor)
             if np.all(k <= 1.25 * self.lam):
                 lo_d = mid
             else:
                 hi_d = mid
         plateau_unit = lo_d
 
-        kv, G, H = mol.jet(_ball_samples(J, 300) + anchor)
-        s1 = zeta.d1(kv)
-        s2 = zeta.d2(kv)
-        sup_v = float(np.max(np.abs(zeta.value(kv))))
-        grads = s1[:, None] * G
-        hess = (s2[:, None, None] * np.einsum("ni,nj->nij", G, G)
-                + s1[:, None, None] * H)
-        sup_g = float(np.max(np.linalg.norm(grads, axis=1)))
-        sup_h = float(np.max(np.sum(np.abs(hess), axis=(1, 2))))
+        v, G, H = _boundary_jet(self, np.zeros(J), 1.0, _ball_samples(J, 300))
+        sup_v = float(np.max(np.abs(v)))
+        sup_g = float(np.max(np.linalg.norm(G, axis=1)))
+        sup_h = float(np.max(np.sum(np.abs(H), axis=(1, 2))))
         A = 1.2 * max(1.0, sup_v, sup_g, sup_h)
         return plateau_unit, A
 
@@ -500,26 +488,11 @@ def boundary_bump(domain: dom.DomainSpec, x, r: float,
             out[rows] = zeta.value(mol.value((Y[rows] - x) / r + anchor))
         return out
 
-    def jet(Y):
-        v, G, H = np.zeros(len(Y)), np.zeros_like(Y), np.zeros((len(Y), J, J))
-        rows = np.flatnonzero(np.linalg.norm(Y - x, axis=1) < r)
-        if not len(rows):
-            return v, G, H
-        k, Gk, Hk = mol.jet((Y[rows] - x) / r + anchor)
-        s1, s2 = zeta.d1(k), zeta.d2(k)
-        v[rows] = zeta.value(k)
-        act = s1 != 0.0
-        G[rows[act]] = (s1[act][:, None] / r) * Gk[act]
-        act |= s2 != 0.0
-        Ga = Gk[act]
-        H[rows[act]] = (s2[act][:, None, None] * np.einsum("ni,nj->nij", Ga, Ga)
-                        + s1[act][:, None, None] * Hk[act]) / (r * r)
-        return v, G, H
-
     plateau_unit, A = model.bump_constants
     d_plateau = plateau_unit * r
     return TestFunction.from_jet(
-        J, value, jet, center=x, support_radius=r,
+        J, value, functools.partial(_boundary_jet, model, x, r),
+        center=x, support_radius=r,
         constant_outside=0.0, claims_in_class=True, claims_negated_in_class=False,
         bound_triple=(A, A / r, A / (r * r)),
         info={"kind": "boundary", "r": r, "stratum": model.idx,
@@ -528,8 +501,28 @@ def boundary_bump(domain: dom.DomainSpec, x, r: float,
               "delta_fat": model.delta})
 
 
-def _unit_directions(J, n):
-    rng = np.random.default_rng(3)
+def _boundary_jet(model: StratumModel, x, r: float, Y):
+    """Jet of the model's boundary bump of radius r at x: zeta(l((y - x)/r +
+    anchor)) by the chain rule, computed on the rows in its support only."""
+    J = model.domain.dimension
+    v, G, H = np.zeros(len(Y)), np.zeros_like(Y), np.zeros((len(Y), J, J))
+    rows = np.flatnonzero(np.linalg.norm(Y - x, axis=1) < r)
+    if not len(rows):
+        return v, G, H
+    k, Gk, Hk = model.mol.jet((Y[rows] - x) / r + model.anchor)
+    s1, s2 = model.zeta.d1(k), model.zeta.d2(k)
+    v[rows] = model.zeta.value(k)
+    act = s1 != 0.0
+    G[rows[act]] = (s1[act][:, None] / r) * Gk[act]
+    act |= s2 != 0.0
+    Ga = Gk[act]
+    H[rows[act]] = (s2[act][:, None, None] * np.einsum("ni,nj->nij", Ga, Ga)
+                    + s1[act][:, None, None] * Hk[act]) / (r * r)
+    return v, G, H
+
+
+def _unit_rows(rng, n, J):
+    """n seeded standard-normal rows of length J, each scaled to unit norm."""
     W = rng.standard_normal((n, J))
     W /= np.linalg.norm(W, axis=1, keepdims=True)
     return W
@@ -537,10 +530,7 @@ def _unit_directions(J, n):
 
 def _ball_samples(J, n):
     rng = np.random.default_rng(4)
-    W = rng.standard_normal((n, J))
-    W /= np.linalg.norm(W, axis=1, keepdims=True)
-    rad = rng.uniform(0, 1, size=(n, 1)) ** (1.0 / J)
-    return W * rad
+    return _unit_rows(rng, n, J) * rng.uniform(0, 1, size=(n, 1)) ** (1.0 / J)
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +602,6 @@ class _LatticeBump:
     r: float
     plateau: float
     func: TestFunction
-    l_bound: float = 0.0
 
 
 class CoverFamily:
@@ -726,20 +715,20 @@ def _lattice_points(lo, hi, spacing):
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def _add_interior(domain, bumps, x, eps, d):
-    """Append the interior bump of radius 0.95 min(eps, d) at x, whose depth
-    is d, unless that radius is below eps / 1000."""
+def _interior_at(J, x, eps, d):
+    """The interior bump of radius 0.95 min(eps, d) at x, whose depth is d,
+    or None when that radius is below eps / 1000."""
     rho = 0.95 * min(eps, d)
     if rho <= eps * 1e-3:
-        return False
+        return None
     # the radius-rho ball fits: rho < d
-    f = _radial_bump(domain.dimension, x, rho ** 2)
-    bumps.append(_LatticeBump(np.asarray(x, float), "interior", rho ** 2,
-                              rho / 2.0, f))
-    return True
+    return _LatticeBump(np.asarray(x, float), "interior", rho ** 2, rho / 2.0,
+                        _radial_bump(J, x, rho ** 2))
 
 
-def _add_boundary(domain, bumps, x, eps):
+def _boundary_at(domain, x, eps):
+    """The boundary bump of radius min(eps, r_cap) at x, or None when x has
+    no stratum model or that radius is below eps / 1000."""
     try:
         model = _stratum_model(domain, x)
     except (NotInU, QPFailure):
@@ -748,10 +737,17 @@ def _add_boundary(domain, bumps, x, eps):
     if r <= eps * 1e-3:
         return None
     f = boundary_bump(domain, x, r, model=model)
-    lb = _LatticeBump(np.asarray(x, float), "boundary", r,
-                      f.info["plateau_radius"], f)
-    bumps.append(lb)
-    return lb
+    return _LatticeBump(np.asarray(x, float), "boundary", r,
+                        f.info["plateau_radius"], f)
+
+
+def _covers(bump: _LatticeBump, P) -> np.ndarray:
+    """Mask of the rows of P inside the bump's plateau: within plateau
+    (1 - 1e-12) of its centre, where its value is at least 1 - 1e-12."""
+    cov = np.linalg.norm(P - bump.x, axis=1) <= bump.plateau * (1 - 1e-12)
+    if cov.any():
+        cov[cov] = bump.func._value(P[cov]) >= 1.0 - 1e-12
+    return cov
 
 
 def assemble_cover_family(domain: dom.DomainSpec, coefficients, N: float,
@@ -798,8 +794,7 @@ def assemble_cover_family(domain: dom.DomainSpec, coefficients, N: float,
         pts = _stratum_lattice(domain, subset, lo, hi, eps, guard)
         if pts is None or not len(pts):
             continue
-        for x in pts:
-            _add_boundary(domain, bumps, x, eps)
+        bumps += [b for b in (_boundary_at(domain, x, eps) for x in pts) if b]
 
     # interior lattices: a deep coarse lattice plus graded shell bands whose
     # spacing tracks the local plateau scale (overlapping in depth; the
@@ -813,8 +808,8 @@ def assemble_cover_family(domain: dom.DomainSpec, coefficients, N: float,
     deep = _lattice_points(lo, hi, spacing)
     deep = deep[np.linalg.norm(deep, axis=1) <= reach]
     dd = depths_of(deep)
-    for x, d in zip(deep[dd >= eps], dd[dd >= eps]):
-        _add_interior(domain, bumps, x, eps, d)
+    bumps += [b for b in (_interior_at(J, x, eps, d)
+                          for x, d in zip(deep[dd >= eps], dd[dd >= eps])) if b]
 
     face_plateau = max([b.plateau for b in bumps if b.kind == "boundary"],
                        default=0.27 * eps)
@@ -829,8 +824,8 @@ def assemble_cover_family(domain: dom.DomainSpec, coefficients, N: float,
         P = P[np.linalg.norm(P, axis=1) <= reach]
         dP = depths_of(P)
         keep = (dP >= 0.7 * t_lo_band) & (dP < 1.3 * t_hi_band)
-        for x, d in zip(P[keep], dP[keep]):
-            _add_interior(domain, bumps, x, eps, d)
+        bumps += [b for b in (_interior_at(J, x, eps, d)
+                              for x, d in zip(P[keep], dP[keep])) if b]
 
     # coverage obligations: volume and boundary samples inside the reach ball
     vol = dom.sample_closure(domain, 3000, seed=seed + 5)
@@ -841,15 +836,9 @@ def assemble_cover_family(domain: dom.DomainSpec, coefficients, N: float,
         probes = vol
     probes = probes[np.linalg.norm(probes, axis=1) <= reach]
 
-    def plateau_mask(points, blist):
-        cov = np.zeros(len(points), dtype=bool)
-        for b in blist:
-            near = np.linalg.norm(points - b.x, axis=1) <= b.plateau * (1 - 1e-12)
-            if near.any():
-                cov[near] |= b.func._value(points[near]) >= 1.0 - 1e-12
-        return cov
-
-    covered = plateau_mask(probes, bumps)
+    covered = np.zeros(len(probes), dtype=bool)
+    for b in bumps:
+        covered |= _covers(b, probes)
     # a probe that no bump can cover is given up for good: an attempt's
     # outcome depends on the probe alone
     blocked = np.zeros(len(probes), dtype=bool)
@@ -864,36 +853,26 @@ def assemble_cover_family(domain: dom.DomainSpec, coefficients, N: float,
                 continue
             y = probes[i]
             d = dom.distance_to_boundary(domain, y)
-            added = None
-            if d > 0.25 * eps and _add_interior(domain, bumps, y, eps, d):
-                added = bumps[-1]
+            added = _interior_at(J, y, eps, d) if d > 0.25 * eps else None
             if added is None:
-                # bump the nearby strata, accepting only a bump whose plateau
+                # bump the nearby strata, keeping only a bump whose plateau
                 # actually contains the gap point
                 vals = domain.piece_values(y)
                 near = [int(k) for k in np.argsort(vals)[:2]]
                 for sub in ([tuple(sorted(near))] if len(near) > 1 else []) + \
                         [(k,) for k in near]:
                     xq = _project_to_stratum(domain, sub, y)
-                    if xq is None:
-                        continue
-                    lb = _add_boundary(domain, bumps, xq, eps)
-                    if lb is None:
-                        continue
-                    if (np.linalg.norm(y - lb.x) <= lb.plateau
-                            and lb.func.value(y) >= 1.0 - 1e-12):
-                        added = lb
+                    b = None if xq is None else _boundary_at(domain, xq, eps)
+                    if b is not None and _covers(b, y[None])[0]:
+                        added = b
                         break
-                    bumps.pop()
-            if added is None and d > 0.02 * eps \
-                    and _add_interior(domain, bumps, y, eps, d):
-                added = bumps[-1]
+            if added is None and d > 0.02 * eps:
+                added = _interior_at(J, y, eps, d)
             if added is None:
                 blocked[i] = True
                 continue
-            near = np.linalg.norm(probes - added.x, axis=1) <= added.plateau
-            if near.any():
-                covered[near] |= added.func._value(probes[near]) >= 1.0 - 1e-12
+            bumps.append(added)
+            covered |= _covers(added, probes)
     if not covered.all():
         missing = probes[~covered][:5]
         raise SamplingFailure(
@@ -922,12 +901,10 @@ def assemble_cover_family(domain: dom.DomainSpec, coefficients, N: float,
     Bv = coefficients.b(B_pts)
     sup_b = float(np.max(np.sqrt(dom.row_dot(Bv, Bv))))
     sup_a = float(np.max(np.abs(coefficients.a(B_pts))))
-    for b in bumps:
-        A0, A1, A2 = b.func.bound_triple or (1.0, 1.0 / b.r, 1.0 / b.r ** 2)
-        b.l_bound = sup_b * A1 + 0.5 * sup_a * A2
+    lb = np.array([sup_b * A1 + 0.5 * sup_a * A2
+                   for _, A1, A2 in (b.func.bound_triple for b in bumps)])
     centers_arr = np.stack([b.x for b in bumps])
     radii = np.array([b.func.support_radius for b in bumps])
-    lb = np.array([b.l_bound for b in bumps])
     overlap = 0.0
     for y in np.vstack([B_pts, probes[:400]]):
         mask = np.linalg.norm(centers_arr - y, axis=1) <= radii

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from refdiff import cli
+from refdiff import cli, errors
 from refdiff._csv import write_csv
 from refdiff.gallery import make_example
 
@@ -218,6 +218,48 @@ def test_solve_gps3_default_grid_follows_dimension(tmp_path):
     assert cli._grid({}, 64, 3) == 16 and cli._grid({}, 256, 3) == 40
     assert cli._grid({}, 64, 1) == cli._grid({}, 64, 2) == 64
     assert cli._grid({"grid": 20}, 64, 3) == 20
+
+
+def test_check_domain_disk_passes(tmp_path):
+    # the curved branch of check_completely_s: sampled boundary strata
+    out = tmp_path / "geo.json"
+    assert run(["check-domain", "--preset", "disk", "--output", str(out)]) == cli.EXIT_OK
+    payload = json.loads(out.read_text())
+    assert payload["passed"] and payload["boundary_fully_certified"]
+
+
+def test_make_tests_disk_is_reproducible(tmp_path):
+    # the curved stratum lattice and projections of a bounded smooth domain
+    texts = []
+    for k in range(2):
+        out = tmp_path / f"family{k}.json"
+        code = run(["make-tests", "--preset", "disk", "--N", "0.5", "--eps", "0.3",
+                    "--output", str(out)])
+        assert code == cli.EXIT_OK
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1]
+    assert any(b["kind"] == "boundary" for b in json.loads(texts[0])["bumps"])
+
+
+@pytest.mark.parametrize("exc", [
+    errors.NoConvergence, errors.QPFailure, errors.SamplingFailure,
+    errors.LPFailure, errors.ZeroMass, errors.DivergentMass, errors.NotInU,
+    errors.NotInH])
+def test_numeric_failures_exit_numeric(exc, monkeypatch, capsys):
+    def fails(cfg):
+        raise exc("at x = [0.0]")
+
+    monkeypatch.setitem(cli.COMMANDS, "report", fails)
+    assert run(["report"]) == cli.EXIT_NUMERIC
+    assert capsys.readouterr().err == "numeric failure: at x = [0.0]\n"
+
+
+def test_missing_closed_form_is_a_usage_error(tmp_path, capsys):
+    for cmd in ("verify-bar", "weak-check"):
+        code = run([cmd, "--preset", "cusp", "--output", str(tmp_path / "out")])
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err == \
+            "error: no closed-form stationary density for 'cusp'\n"
 
 
 def test_import_leaves_scipy_optimize_unloaded():

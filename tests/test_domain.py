@@ -78,10 +78,13 @@ def test_wedge_vertex_condition():
 
 def test_completely_s_report_matches_bruteforce(orthant2, gps2):
     for system in (orthant2, gps2, rd.make_example("gps", J=3),
-                   rd.make_example("wedge"), rd.make_example("orthant", J=3)):
+                   rd.make_example("wedge"), rd.make_example("orthant", J=3),
+                   rd.make_example("halfline")):
         d = system.domain
         report = rd.check_completely_s(d)
-        got = {tuple(r.indices): r.passed for r in report.strata}
+        # each stratum's LP on its own faces decides as the LP on the
+        # active set at its representative, margin bit for bit
+        got = {tuple(r.indices): (r.passed, r.margin) for r in report.strata}
         # independent enumeration of all 2^m strata via the LP representative
         expect, nonempty = {}, []
         m = len(d.pieces)
@@ -91,8 +94,8 @@ def test_completely_s_report_matches_bruteforce(orthant2, gps2):
                 if rep is None:
                     continue
                 nonempty.append((subset, rep))
-                ok, _, _ = rd.completely_s_at(d, rep)
-                expect[tuple(sorted(rd.active_set(d, rep)))] = ok
+                ok, _, margin = rd.completely_s_at(d, rep)
+                expect[tuple(sorted(rd.active_set(d, rep)))] = (ok, margin)
         assert got == expect
         # the domain's strata table is that enumeration, bit for bit
         assert list(d.strata) == [faces for faces, _ in nonempty]
@@ -194,6 +197,9 @@ def test_domain_json_roundtrip():
     d3 = rd.domain_from_json(g.domain.dumps())
     assert len(d3.singular_points) == 1
     assert np.allclose(d3.singular_points[0].v, g.domain.singular_points[0].v)
+    # a file written with the dropped well_posed key still loads
+    d4 = rd.domain_from_json(dict(o.domain.to_json(), well_posed=True))
+    assert d4.dumps() == o.domain.dumps()
 
 
 def test_distance_to_boundary():

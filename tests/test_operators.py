@@ -221,8 +221,8 @@ def test_green_identity_on_box():
     o = rd.make_example("orthant", J=2, box=2.0)
     f = interior_bump(o.domain, [1.0, 1.0], 0.16)
     g = interior_bump(o.domain, [1.1, 0.9], 0.25)
-    p = Density(lambda x: g.value(x), grad=lambda x: g.gradient(x),
-                hess=lambda x: g.hessian(x))
+    p = Density.from_batch(g._value, grad=lambda X: g.jet(X)[1],
+                           hess=lambda X: g.jet(X)[2])
     n = 220
     axes = [np.linspace(0.3, 1.8, n)] * 2
     cell = (axes[0][1] - axes[0][0]) ** 2
@@ -230,7 +230,10 @@ def test_green_identity_on_box():
     pts = np.column_stack([X.ravel(), Y.ravel()])
     from refdiff.operators import apply_generator_batch
     lf = apply_generator_batch(coef, f, pts)
-    lsp = np.array([apply_adjoint(coef, p, x) for x in pts])
+    lsp = apply_adjoint(coef, p, pts)
+    # a batch row is the point result
+    for k in range(0, len(pts), 97):
+        assert apply_adjoint(coef, p, pts[k]) == lsp[k]
     lhs = np.sum(p.value_batch(pts) * lf) * cell
     rhs = np.sum(f._value(pts) * lsp) * cell
     assert abs(lhs - rhs) < 5e-4 * (1 + abs(lhs))
@@ -283,6 +286,17 @@ def _slope_one_function():
                      support_radius=R)
     f.claims_negated_in_class = True
     return f
+
+
+def test_weak_residual_empirical_exponential_draws(halfline):
+    # i.i.d. draws from the stationary Exp(2) law: the unit-slope function's
+    # residual is -(sigma^2 theta / 2) f'(0) = -1, up to its CLT error
+    from refdiff.simulate import EmpiricalMeasure
+    x = np.random.default_rng(20261019).exponential(0.5, size=(20000, 1))
+    pi = EmpiricalMeasure(x, np.full(len(x), 1.0 / len(x)))
+    wr = weak_residual(halfline.coefficients, _slope_one_function(), pi)
+    assert 0.0 < wr.error < 0.05
+    assert abs(wr.value + 1.0) <= 3.0 * wr.error
 
 
 def test_weak_residual_point_mass():

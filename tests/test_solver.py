@@ -114,6 +114,24 @@ def test_build_constraints_sampling_errors(halfline, grid_1d, monkeypatch):
         build_constraints(halfline.domain, halfline.coefficients, grid_1d, [step])
 
 
+def test_gps2_cli_family_rows_follow_the_claims():
+    # the family of `solve --preset gps --J 2`: a row is 'eq' exactly when
+    # its member claims both sides of the class, and every member claims at
+    # least its negated side
+    gps = rd.make_example("gps", J=2)
+    grid = interior_grid(gps.domain, 64)
+    lo, hi = grid.min(axis=0), grid.max(axis=0)
+    fam = default_family(gps.domain, gps.coefficients, n_interior=16,
+                         n_steps=24, box=(lo, hi),
+                         min_feature=2 * float(np.max(hi - lo)) / 64)
+    assert any(f.info["kind"] == "singular-ramp" for f in fam)
+    _, types = build_constraints(gps.domain, gps.coefficients, grid[:5], fam)
+    assert {"eq", "ineq"} <= set(types)
+    for f, t in zip(fam, types):
+        assert f.claims_negated_in_class
+        assert (t == "eq") == (f.claims_in_class and f.claims_negated_in_class), f.info
+
+
 def test_default_family_propagates_untyped_faults(halfline, monkeypatch):
     # only the package's typed construction failures skip a family member
     def broken(*a, **k):

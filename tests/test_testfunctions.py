@@ -399,6 +399,30 @@ def test_boundary_bump_bound_triple_dominates(orthant2):
     assert np.abs(g.hessian(P)).sum(axis=(1, 2)).max() <= A2
 
 
+@pytest.mark.parametrize("J", [1, 2, 3, 4])
+def test_ball_samples_lie_inside_the_unit_ball(J):
+    # bump_constants reads a stratum's constants off the unit bump on these
+    # rows, so each must lie in that bump's support |y| < 1
+    Y = tf._ball_samples(J, 300)
+    assert Y.shape == (300, J)
+    assert np.all(np.linalg.norm(Y, axis=1) < 1.0)
+
+
+@pytest.mark.parametrize("system, x", [("orthant2", [1.0, 0.0]),
+                                       ("gps2", [1.0, 0.0]), ("gps2", [0.0, 1.5])])
+def test_bump_constants_are_the_chain_rule_sups(system, x, request):
+    # the sup constants by the chain rule on one jet of the 300 ball samples
+    model = _stratum_model(request.getfixturevalue(system).domain, np.asarray(x))
+    zeta = model.zeta
+    k, G, H = model.mol.jet(tf._ball_samples(2, 300) + model.anchor)
+    s1, s2 = zeta.d1(k), zeta.d2(k)
+    hess = s2[:, None, None] * np.einsum("ni,nj->nij", G, G) + s1[:, None, None] * H
+    A = 1.2 * max(1.0, float(np.max(np.abs(zeta.value(k)))),
+                  float(np.max(np.linalg.norm(s1[:, None] * G, axis=1))),
+                  float(np.max(np.sum(np.abs(hess), axis=(1, 2)))))
+    assert model.bump_constants[1] == A
+
+
 def test_check_admissible_detects_violation(orthant2):
     gam = orthant2.domain.pieces[0].gamma([0.0, 1.0])
 
@@ -595,13 +619,13 @@ def test_repair_gives_up_an_uncoverable_probe(monkeypatch):
         probe[:] = [tuple(y)]
         return project(domain, subset, y)
 
-    def no_boundary_bump(domain, bumps, x, eps):
+    def no_boundary_bump(domain, x, eps):
         if probe:           # the stratum lattices run before the repair loop
             tried[probe[0]] += 1
         return None
 
     monkeypatch.setattr(tf, "_project_to_stratum", recording_project)
-    monkeypatch.setattr(tf, "_add_boundary", no_boundary_bump)
+    monkeypatch.setattr(tf, "_boundary_at", no_boundary_bump)
     with pytest.raises(SamplingFailure, match="cover gap"):
         rd.assemble_cover_family(o.domain, o.coefficients, N=0.8, eps=0.3, seed=0)
     assert len(tried) > 10
