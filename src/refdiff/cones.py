@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import tangent_basis
+from .domain import row_dot, tangent_basis
 from .errors import BandEmpty, QPFailure
 
 
@@ -276,7 +276,7 @@ class MollifiedConeDistance:
 
     def value(self, Z) -> np.ndarray:
         n, q, J, w, d, A = self._node_data(Z)
-        return d.reshape(n, q) @ self._weights
+        return row_dot(d.reshape(n, q), self._weights)
 
     def jet(self, Z):
         """(value, gradient, Hessian) from one stencil projection: the
@@ -290,7 +290,7 @@ class MollifiedConeDistance:
         H = (np.eye(J)[None, :, :] - A - np.einsum("ni,nj->nij", g, g)) \
             / safe[:, None, None]
         H = np.where((d > 1e-12)[:, None, None], H, 0.0)
-        return (d.reshape(n, q) @ self._weights, G,
+        return (row_dot(d.reshape(n, q), self._weights), G,
                 np.einsum("nqij,q->nij", H.reshape(n, q, J, J), self._weights))
 
     def band_mask(self, Z) -> np.ndarray:

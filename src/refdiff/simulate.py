@@ -21,7 +21,6 @@ from . import domain as dom
 from ._csv import write_csv
 from .coefficients import CoefficientField
 from .errors import NoConvergence
-from .operators import apply_generator_batch
 
 _PTOL = 1e-12
 
@@ -353,10 +352,10 @@ def submartingale_estimate(domain: dom.DomainSpec, coef: CoefficientField, f,
     vals = np.empty((n_paths, len(cps)))
     for p in range(n_paths):
         traj = simulate_path(domain, coef, x0, T, dt, seed=seed, path_index=p)
-        lf = apply_generator_batch(coef, f, traj.states[:-1])
+        v, G, H = f.jet(traj.states)
+        lf = coef.generator(traj.states[:-1], G[:-1], H[:-1])
         comp = np.concatenate([[0.0], np.cumsum(lf) * dt])
-        fvals = f._value(traj.states[idx])
-        vals[p] = fvals - comp[idx]
+        vals[p] = v[idx] - comp[idx]
     mean = vals.mean(axis=0)
     ci = 2.0 * vals.std(axis=0, ddof=1) / math.sqrt(n_paths)
     margins = []

@@ -135,9 +135,6 @@ def coordinate_step(domain: dom.DomainSpec, axis: int, center: float,
     e[axis] = 1.0
     ee = np.outer(e, e)
 
-    def value(Y):
-        return prof.value(Y[:, axis])
-
     def jet(Y):
         t = Y[:, axis]
         return (prof.value(t), prof.d1(t)[:, None] * e[None, :],
@@ -145,7 +142,7 @@ def coordinate_step(domain: dom.DomainSpec, axis: int, center: float,
 
     ctr = np.zeros(J)
     ctr[axis] = center
-    return TestFunction.from_jet(J, value, jet, center=ctr,
+    return TestFunction.from_jet(J, jet, center=ctr,
                                  support_radius=np.inf, constant_outside=1.0,
                                  info={"kind": "step", "axis": axis, "center": center,
                                        "width": width})
@@ -160,9 +157,6 @@ def radial_step(domain: dom.DomainSpec, center, c: float, width: float) -> TestF
     J = domain.dimension
     eye = np.eye(J)[None, :, :]
 
-    def value(Y):
-        return prof.value(np.linalg.norm(Y - center, axis=1))
-
     def jet(Y):
         D = Y - center
         dist = np.linalg.norm(D, axis=1)
@@ -173,7 +167,7 @@ def radial_step(domain: dom.DomainSpec, center, c: float, width: float) -> TestF
         return (prof.value(dist), slope[:, None] * D,
                 prof.d2(rr)[:, None, None] * uu + slope[:, None, None] * (eye - uu))
 
-    return TestFunction.from_jet(J, value, jet, center=center,
+    return TestFunction.from_jet(J, jet, center=center,
                                  support_radius=np.inf, constant_outside=1.0,
                                  info={"kind": "radial-step", "c": c, "width": width})
 

@@ -48,10 +48,11 @@ _ZETA_SUP = _sup_abs_d1_d2(_ZETA, np.linspace(-0.1, 2.2, 301))
 class TestFunction:
     """C^2 function with value/gradient/Hessian access and class metadata.
 
-    It holds two batch callables: value(Y) -> (n,) and jet(Y) -> (value,
-    gradient (n, J), Hessian (n, J, J)), the one derivative pass.  The
-    constructor adapts three separate callables value, gradient, hessian
-    (a user's function); from_jet takes the jet itself.
+    It holds one batch callable, its jet: jet(Y) -> (value (n,), gradient
+    (n, J), Hessian (n, J, J)) from one pass; every value is the jet's first
+    part.  The constructor composes three separate callables value,
+    gradient, hessian (a user's function) into the jet; from_jet takes the
+    jet itself.
     """
 
     __test__ = False          # not a pytest collection target
@@ -61,7 +62,6 @@ class TestFunction:
                  claims_in_class=False, claims_negated_in_class=False,
                  bound_triple=None, info=None):
         self.dim = dim
-        self._value = value
         self._jet = lambda Y: (value(Y), gradient(Y), hessian(Y))
         self.center = None if center is None else np.asarray(center, dtype=float)
         self.support_radius = float(support_radius)
@@ -72,10 +72,13 @@ class TestFunction:
         self.info = info or {}
 
     @classmethod
-    def from_jet(cls, dim, value, jet, **meta) -> "TestFunction":
-        out = cls(dim, value, None, None, **meta)
+    def from_jet(cls, dim, jet, **meta) -> "TestFunction":
+        out = cls(dim, None, None, None, **meta)
         out._jet = jet
         return out
+
+    def _value(self, Y):
+        return self._jet(Y)[0]
 
     def value(self, y):
         Y, single = dom.as_batch(y, self.dim)
@@ -104,7 +107,7 @@ class TestFunction:
             return c * v, c * G, c * H
 
         return TestFunction.from_jet(
-            self.dim, lambda Y: c * self._value(Y), jet,
+            self.dim, jet,
             center=self.center, support_radius=self.support_radius,
             constant_outside=c * self.constant_outside,
             claims_in_class=(self.claims_in_class if c >= 0 else self.claims_negated_in_class),
@@ -143,12 +146,6 @@ def combine(funcs: Sequence[TestFunction], coeffs=None) -> TestFunction:
     coeffs = np.asarray(coeffs, dtype=float)
     J = funcs[0].dim
 
-    def value(Y):
-        out = np.zeros(len(Y))
-        for c, f in zip(coeffs, funcs):
-            out += c * f._value(Y)
-        return out
-
     def jet(Y):
         v, G, H = np.zeros(len(Y)), np.zeros_like(Y), np.zeros((len(Y), J, J))
         for c, f in zip(coeffs, funcs):
@@ -168,7 +165,7 @@ def combine(funcs: Sequence[TestFunction], coeffs=None) -> TestFunction:
     pos = bool(np.all(coeffs >= 0))
     neg = bool(np.all(coeffs <= 0))
     return TestFunction.from_jet(
-        J, value, jet, center=center, support_radius=rad,
+        J, jet, center=center, support_radius=rad,
         constant_outside=float(np.dot(coeffs, [f.constant_outside for f in funcs])),
         claims_in_class=pos and all(f.claims_in_class for f in funcs),
         claims_negated_in_class=(neg and all(f.claims_in_class for f in funcs))
@@ -196,10 +193,6 @@ def _radial_bump(J: int, x, r: float) -> TestFunction:
     xi = _XI
     eye = np.eye(J)
 
-    def value(Y):
-        z = np.einsum("ij,ij->i", Y - x, Y - x) / r
-        return xi.value(z)
-
     def jet(Y):
         D = Y - x
         z = np.einsum("ij,ij->i", D, D) / r
@@ -212,7 +205,7 @@ def _radial_bump(J: int, x, r: float) -> TestFunction:
     sup_d1, sup_d2 = _XI_SUP
     # |grad| <= 2 ||xi'|| / rho and sum |d2| <= (4 J^2 ||xi''|| + 2 J ||xi'||) / rho^2
     return TestFunction.from_jet(
-        J, value, jet, center=x, support_radius=rho,
+        J, jet, center=x, support_radius=rho,
         constant_outside=0.0, claims_in_class=True, claims_negated_in_class=True,
         bound_triple=(1.0, 2.0 * sup_d1 / rho,
                       (4.0 * J * J * sup_d2 + 2.0 * J * sup_d1) / rho ** 2),
@@ -243,13 +236,10 @@ def singular_bump(domain: dom.DomainSpec, sp: dom.SingularPoint, r: float) -> Te
     scale = 2.0 / (kappa * r)
 
     def _arg(Y):
-        t = (r - (Y - x) @ v) / r
+        t = (r - dom.row_dot(Y - x, v)) / r
         return (2.0 / kappa) * np.maximum(0.0, t)
 
     vv = np.einsum("i,j->ij", v, v)
-
-    def value(Y):
-        return zeta.value(_arg(Y))
 
     def jet(Y):
         t = _arg(Y)
@@ -261,7 +251,7 @@ def singular_bump(domain: dom.DomainSpec, sp: dom.SingularPoint, r: float) -> Te
     A = max(1.0, 2.0 * sup_d1 / kappa,
             4.0 * sup_d2 / kappa ** 2 * float(np.sum(np.abs(v)) ** 2))
     return TestFunction.from_jet(
-        J, value, jet, center=x, support_radius=sp.c2 * r,
+        J, jet, center=x, support_radius=sp.c2 * r,
         constant_outside=0.0, claims_in_class=True, claims_negated_in_class=False,
         bound_triple=(A, A / r, A / r ** 2),
         info={"kind": "singular", "r": r, "kappa": kappa,
@@ -290,16 +280,13 @@ def singular_ramp(domain: dom.DomainSpec, sp: dom.SingularPoint, delta: float,
     x, v = sp.x, sp.v
     vv = np.einsum("i,j->ij", v, v)
 
-    def value(Y):
-        return ramp.value((Y - x) @ v)
-
     def jet(Y):
-        h = (Y - x) @ v
+        h = dom.row_dot(Y - x, v)
         return (ramp.value(h), ramp.d1(h)[:, None] * v[None, :],
                 ramp.d2(h)[:, None, None] * vv[None, :, :])
 
     f = TestFunction.from_jet(
-        J, value, jet, center=x,
+        J, jet, center=x,
         support_radius=(eps + math.sqrt(eps)) / sp.alpha,
         constant_outside=ramp.plateau, claims_in_class=False,
         claims_negated_in_class=True,
@@ -477,21 +464,10 @@ def boundary_bump(domain: dom.DomainSpec, x, r: float,
     if not 0.0 < r <= cap:
         raise RadiusTooLarge(f"need r in (0, {cap:.3g}] at {x}, got {r}")
     J = domain.dimension
-    mol, zeta, anchor = model.mol, model.zeta, model.anchor
-
-    # rows outside the support stay zero: only the others reach the
-    # mollified distance, whose cone projections dominate the cost
-    def value(Y):
-        out = np.zeros(len(Y))
-        rows = np.flatnonzero(np.linalg.norm(Y - x, axis=1) < r)
-        if len(rows):
-            out[rows] = zeta.value(mol.value((Y[rows] - x) / r + anchor))
-        return out
-
     plateau_unit, A = model.bump_constants
     d_plateau = plateau_unit * r
     return TestFunction.from_jet(
-        J, value, functools.partial(_boundary_jet, model, x, r),
+        J, functools.partial(_boundary_jet, model, x, r),
         center=x, support_radius=r,
         constant_outside=0.0, claims_in_class=True, claims_negated_in_class=False,
         bound_triple=(A, A / r, A / (r * r)),

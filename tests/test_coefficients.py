@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import refdiff as rd
 from refdiff.coefficients import CoefficientField, Density
-from refdiff.operators import apply_adjoint
+from refdiff.operators import apply_adjoint, apply_generator_batch
 
 
 def _points(J, lo=-2.0, hi=2.0):
@@ -117,3 +117,36 @@ def test_batched_adjoint_equals_the_point_formula(X):
         Y = X[:, :J] / (1.0 + 2.0 * (system.name == "disk"))
         expected = np.array([_adjoint_loop(system.coefficients, p, y) for y in Y])
         assert np.array_equal(apply_adjoint(system.coefficients, p, Y), expected)
+
+
+def _adjoint_term_scale(coef, p, x):
+    """The sum of |terms| in _adjoint_loop: the scale of a difference that
+    comes from summing the same terms in another order."""
+    a, da, d2a, b, db = coef.a(x), coef.da(x), coef.d2a(x), coef.b(x), coef.db(x)
+    pv, gp = abs(p(x)), np.abs(p.gradient(x))
+    t1 = np.sum(np.abs(np.einsum("ijij->ij", d2a))) * pv
+    t2 = np.sum(np.abs(np.einsum("iji->ij", da)) * gp)
+    return (0.5 * (t1 + 2.0 * t2 + np.sum(np.abs(a * p.hessian(x))))
+            + np.sum(np.abs(np.diag(db))) * pv + np.sum(np.abs(b) * gp))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(X=_points(3))
+def test_variable_fields_adjoint_and_generator_equal_the_point_formulas(X):
+    # the non-constant branches of CoefficientField.adjoint and .generator,
+    # with finite-difference derivatives of b and a
+    p = DENSITIES["per-point"]
+    f = rd.TestFunction(3, _batch(_value), _batch(_grad), _batch(_hess))
+    for name in ("variable", "diagonal"):
+        coef = FIELDS[name]
+        got = apply_adjoint(coef, p, X)
+        want = np.array([_adjoint_loop(coef, p, x) for x in X])
+        if name == "diagonal":
+            assert np.array_equal(got, want)
+        else:
+            # the batch sums d2a and da in another order
+            scale = np.array([_adjoint_term_scale(coef, p, x) for x in X])
+            assert np.all(np.abs(got - want) <= 1e-14 * scale)
+        lf = np.array([np.dot(coef.b(x), _grad(x)) + 0.5 * np.sum(coef.a(x) * _hess(x))
+                       for x in X])
+        assert np.array_equal(apply_generator_batch(coef, f, X), lf)

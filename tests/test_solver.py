@@ -132,6 +132,24 @@ def test_gps2_cli_family_rows_follow_the_claims():
         assert (t == "eq") == (f.claims_in_class and f.claims_negated_in_class), f.info
 
 
+def test_default_family_boundary_members_claim_their_negated_side():
+    # boundary bumps enter the family negated: a row for int L f >= 0
+    o = rd.make_example("orthant", J=2, b=[-1.0, -0.5])
+    box = ([0.0, 0.0], [4.0, 4.0])
+    fam = default_family(o.domain, o.coefficients, n_interior=9, n_boundary=4,
+                         n_steps=8, box=box, min_feature=0)
+    bumps = [f for f in fam if f.info["kind"] == "boundary"]
+    assert len(bumps) == 8
+    _, types = build_constraints(o.domain, o.coefficients,
+                                 interior_grid(o.domain, 100, box=box), bumps)
+    assert types == ["ineq"] * 8
+    for f in bumps:
+        assert f.claims_negated_in_class and not f.claims_in_class
+        assert rd.check_admissible(-f, o.domain).passed
+        # the negated, normalised plateau value at the bump's centre
+        assert f(f.center) == -abs(f.info["scaled"])
+
+
 def test_default_family_propagates_untyped_faults(halfline, monkeypatch):
     # only the package's typed construction failures skip a family member
     def broken(*a, **k):

@@ -54,6 +54,30 @@ def test_polycone_3d_matches_nnls():
         assert np.allclose(d_fast, d_ref, atol=1e-9)
 
 
+def test_polycone_4d_orthant_projects_to_the_positive_part():
+    # J >= 4 projects by NNLS: onto the orthant that is max(z, 0), and the
+    # face projector marks the positive coordinates
+    cone = PolyCone(np.eye(4))
+    Z = np.random.default_rng(4).standard_normal((40, 4))
+    proj, A = cone.project_info(Z)
+    assert np.max(np.abs(proj - np.maximum(Z, 0.0))) <= 1e-12
+    assert np.max(np.abs(A - np.eye(4) * (Z > 0)[:, None, :])) <= 1e-12
+
+
+def test_polycone_4d_projection_satisfies_kkt():
+    gens = fattened_generators(np.array([[1.0, 0.2, 0.1, 0.0], [0.0, 1.0, 0.3, 0.1],
+                                         [0.2, 0.0, 1.0, 0.0], [0.1, 0.1, 0.0, 1.0]]), 0.1)
+    cone = PolyCone(gens)
+    Z = 2.0 * np.random.default_rng(5).standard_normal((40, 4))
+    proj, A = cone.project_info(Z)
+    R = Z - proj
+    # the residual lies in the polar cone and is orthogonal to the projection
+    assert np.max(R @ gens.T) <= 1e-12
+    assert np.max(np.abs(np.einsum("ij,ij->i", proj, R))) <= 1e-12
+    # the projection is fixed by the face projector
+    assert np.max(np.abs(np.einsum("nij,nj->ni", A, proj) - proj)) <= 1e-12
+
+
 def test_mollified_distance_near_halfspace():
     # pointed fan nearly filling the lower half-plane: above it, and away
     # from the fan edges, the distance is the height, up to the fan opening
@@ -477,11 +501,12 @@ def test_jet_is_bit_equal_to_the_separate_calls(jet_cases, name, U):
     f = jet_cases[name]
     radius = f.support_radius if np.isfinite(f.support_radius) else 1.5
     Y = (f.center if f.center is not None else 0.0) + radius * U
+    # the row contract: a row of a batch jet is the jet of that row alone
     v, G, H = f.jet(Y)
-    assert np.array_equal(f.value(Y), v)
-    assert np.array_equal(f.gradient(Y), G)
-    assert np.array_equal(f.hessian(Y), H)
-    assert f.value(Y[0]) == f.jet(Y[0])[0]
+    for k in range(len(Y)):
+        vk, Gk, Hk = f.jet(Y[k])
+        assert vk == v[k] and f(Y[k]) == v[k]
+        assert np.array_equal(Gk, G[k]) and np.array_equal(Hk, H[k])
 
 
 def test_gps3_precompute_projects_each_stencil_once(monkeypatch):
