@@ -6,7 +6,8 @@ and eta_i growing only while x lies on face i.  For a polyhedral domain with
 face normals N and constant reflection vectors Gamma this has a unique
 solution when N Gamma^T is a P-matrix (Harrison & Reiman 1981);
 `project_polyhedral` solves it for one step, a linear complementarity
-problem, and `constrained_walk` applies it after every Euler step.
+problem, and `constrained_walk` applies it to every Euler step that may
+leave the domain.
 
 On the half-line {s >= 0} the Skorokhod map is explicit.  With the free path
 F_k = s0 + sum_{j<k} inc_j and the running minimum F_j + dmin_j of each
@@ -19,8 +20,6 @@ for constant drift and diffusion (Asmussen, Glynn & Pitman 1995).
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -55,38 +54,100 @@ def project_polyhedral(y, normals, offsets, gammas, ptol=1e-12):
     return x, eta, False
 
 
+# Free steps a walk sums ahead at once, and the face residual above which a
+# free step is kept without projection: `project_polyhedral` returns a step
+# whose residuals are all >= -ptol unchanged, and the screen's rounding of a
+# residual differs from its own by far less than this margin.
+_WINDOW = 32
+_SCREEN = 1e-9
+
+
 def constrained_walk(x0, b, sigma, normals, offsets, gammas, noise, dt,
                      ptol=1e-12):
-    """Projected Euler walk from x0; noise holds one standard normal row per step.
+    """Projected Euler walks from the rows of x0: noise[p] holds one standard
+    normal row per step of path p, and dt is one step size or one per path.
 
-    Returns (states, cumulative pushing, fail_step); fail_step is -1 on
-    success, else the first step whose projection failed, and the arrays
-    stop at the state before it.
+    Each path moves ahead by a window of free steps at once, a running sum
+    from its current state with the additions of a step-by-step loop.  The
+    steps whose face residuals all stay above _SCREEN are kept as they are;
+    the first step at or below it goes to `project_polyhedral`, and so does
+    each next step whose free point is at or below it too.  The next window
+    starts from the first step above it.
+
+    Returns (states, cumulative pushing, fail), shaped (P, n + 1, J),
+    (P, n + 1, m) and (P,); fail[p] is -1 when path p took every step, else
+    its first step whose projection failed, and path p's rows stop at the
+    state before it.
     """
-    inc = b * dt + noise @ (sigma.T * math.sqrt(dt))
-    n = len(inc)
-    states = np.empty((n + 1, len(x0)))
-    push = np.zeros((n + 1, len(offsets)))
-    x = states[0] = x0
-    for k in range(n):
-        x, eta, ok = project_polyhedral(x + inc[k], normals, offsets, gammas,
-                                        ptol)
-        if not ok:
-            return states[:k + 1], push[:k + 1], k
-        states[k + 1] = x
-        push[k + 1] = push[k] + eta
-    return states, push, -1
+    h = np.reshape(dt, (-1, 1, 1))
+    P, n = noise.shape[:2]
+    J = len(b)
+    # zero rows past the last step let every window read _WINDOW rows
+    inc = np.zeros((P, n + _WINDOW, J))
+    inc[:, :n] = noise @ (sigma.T * np.sqrt(h))
+    inc[:, :n] += b * h
+    states = np.empty((P, n + 1, J))
+    push = np.zeros((P, n + 1, len(offsets)))
+    states[:, 0] = x0
+    fail = np.full(P, -1)
+    k = np.zeros(P, dtype=int)          # steps each path has taken
+    ahead = np.arange(_WINDOW)
+    free = np.empty((P, _WINDOW + 1, J))
+    live = np.arange(P if n else 0)
+    while live.size:
+        at = k[live]
+        rows = at[:, None] + ahead
+        win = free[:len(live)]
+        win[:, 0] = states[live, at]
+        win[:, 1:] = inc[live[:, None], rows]
+        np.cumsum(win, axis=1, out=win)
+        resid = win[:, 1:] @ normals.T
+        resid -= offsets
+        stop = (resid <= _SCREEN).any(axis=2)
+        stop |= rows >= n
+        kept = np.where(stop.any(axis=1), stop.argmax(axis=1), _WINDOW)
+        taken = ahead < kept[:, None]
+        to = (np.repeat(live, kept), rows[taken] + 1)
+        states[to] = win[:, 1:][taken]
+        push[to] = np.repeat(push[live, at], kept, axis=0)
+        at += kept
+        k[live] = at
+        for i in np.flatnonzero((kept < _WINDOW) & (at < n)).tolist():
+            p, s, y = live[i], at[i], win[i, kept[i] + 1]
+            # project, and go on projecting while the next free step also
+            # reaches the margin, as it does on a face pushed against
+            while True:
+                x, eta, ok = project_polyhedral(y, normals, offsets, gammas,
+                                                ptol)
+                if not ok:
+                    fail[p] = s
+                    break
+                states[p, s + 1] = x
+                push[p, s + 1] = push[p, s] + eta
+                s += 1
+                if s == n:
+                    break
+                y = x + inc[p, s]
+                if min((normals @ y - offsets).tolist()) > _SCREEN:
+                    break
+            k[p] = s
+        live = live[(k[live] < n) & (fail[live] < 0)]
+    return states, push, fail
 
 
 def halfline_bridge_walk(s0, drift, diff, noise, logu, dt):
-    """Exact reflected walk on {s >= 0} from s0; noise holds one standard
-    normal and logu the log of one uniform per step.
+    """Exact reflected walks on {s >= 0} from the entries of s0: row p of
+    noise holds one standard normal and of logu the log of one uniform per
+    step of path p; dt is one step size or a column of one per path.
 
-    Returns (states, cumulative pushing).
+    Returns (states, cumulative pushing), each (P, n + 1).
     """
-    inc = drift * dt + diff * math.sqrt(dt) * noise
-    dmin = 0.5 * (inc - np.sqrt(inc * inc - 2.0 * diff * diff * dt * logu))
-    free = np.cumsum(np.concatenate(([s0], inc)))
+    h = np.reshape(dt, (-1, 1))
+    inc = drift * h + diff * np.sqrt(h) * noise
+    dmin = 0.5 * (inc - np.sqrt(inc * inc - 2.0 * diff * diff * h * logu))
+    free = np.cumsum(np.concatenate((np.reshape(s0, (-1, 1)), inc), axis=1),
+                     axis=1)
     push = np.zeros_like(free)
-    np.maximum.accumulate(np.maximum(0.0, -(free[:-1] + dmin)), out=push[1:])
+    np.maximum.accumulate(np.maximum(0.0, -(free[:, :-1] + dmin)), axis=1,
+                          out=push[:, 1:])
     return free + push, push

@@ -25,12 +25,27 @@ from .errors import NoConvergence
 _PTOL = 1e-12
 
 
+def _key(seed: int, path: int, block: int) -> np.ndarray:
+    return np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF),
+                     np.uint64(((path & 0xFFFFFFFF) << 32)
+                               | (block & 0xFFFFFFFF))],
+                    dtype=np.uint64)
+
+
 def _rng(seed: int, path: int = 0, block: int = 0) -> np.random.Generator:
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF),
-                    np.uint64(((path & 0xFFFFFFFF) << 32)
-                              | (block & 0xFFFFFFFF))],
-                   dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_key(seed, path, block)))
+
+
+def _streams(seed: int, paths, block: int = 0):
+    """The streams _rng(seed, path, block) of paths in turn, as one generator
+    re-keyed before each yield (a seventh of the cost of building one), so
+    each stream must be read before the next one is taken."""
+    rng = _rng(seed, 0, block)
+    fresh = rng.bit_generator.state
+    for q in paths:
+        fresh["state"]["key"] = _key(seed, q, block)
+        rng.bit_generator.state = fresh
+        yield rng
 
 
 # ---------------------------------------------------------------------------
@@ -124,54 +139,115 @@ class EmpiricalMeasure:
 # pre-drawn increments, so the cost of retries stays linear in the path length.
 _BLOCK = 4096
 
+# State rows of one block of Monte-Carlo paths (their steps plus one): the
+# paths of a block are walked, and their test-function jets taken, together.
+_ROWS = 1 << 13
 
-def _walk_path(walk, x0, m, n_noise, n_steps, dt, seed, path_index):
-    """Drive walk(x, noise, h) -> (states, cumulative push, fail_step) over
-    n_steps steps of size dt on m faces, with n_noise normals per step.
 
-    Noise comes in blocks of _BLOCK rows from the (seed, path_index) stream.
-    A failed step is retried at 2^1 ... 2^8 sub-steps, each level on its own
-    stream; if every level fails the path stays put and the step is recorded
-    as an event.  After a failure the path continues on a stream keyed by the
-    failed step.
+def _check_steps(T: float, dt: float):
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    if not T >= 0:
+        raise ValueError(f"T must be nonnegative, got {T}")
+
+
+def _runs(lengths):
+    """Consecutive runs of positions of nondecreasing step counts, each as
+    many as fit in _ROWS padded state rows (at least one)."""
+    start = 0
+    for end in range(1, len(lengths) + 1):
+        if (end == len(lengths)
+                or (end + 1 - start) * (lengths[end] + 1) > _ROWS):
+            yield slice(start, end)
+            start = end
+
+
+def _walk_paths(walk, X0, n_noise, n_steps, h, seed, paths):
+    """Drive walk(X, noise, h) -> (states, cumulative push, fail), the block
+    contract of _kernels.constrained_walk, over one path per row of X0: path
+    paths[p] takes n_steps[p] steps of size h[p], with n_noise normals per
+    step.
+
+    Noise comes in blocks of _BLOCK rows from each path's (seed, path)
+    stream, and the first blocks of all paths are walked together.  A failed
+    step is retried at 2^1 ... 2^8 sub-steps, each level on its own stream;
+    if every level fails the path stays put and the step is recorded as an
+    event.  After a failure the path continues alone, on a stream keyed by
+    the failed step; so does a path past its first block.
+
+    Returns (states, push, events): (P, N + 1, J) and (P, N + 1, m) arrays,
+    N the most steps, whose rows past a path's own steps are undefined, and
+    one event list per path.
     """
-    x, p = x0, np.zeros(m)
-    states, push, events = [x[None, :]], [p[None, :]], []
-    rng = _rng(seed, path_index)
-    k = 0
-    while k < n_steps:
-        st, pu, fail = walk(x, rng.standard_normal(
-            (min(_BLOCK, n_steps - k), n_noise)), dt)
-        states.append(st[1:])
-        push.append(p + pu[1:])
-        k += len(st) - 1
-        x, p = st[-1], p + pu[-1]
-        if fail < 0:
-            continue
-        # local refinement: retry the failed step at halved step sizes
-        x_next, push_inc = x, np.zeros_like(p)
-        for level in range(1, 9):
-            sub = 2 ** level
-            sub_noise = _rng(seed, path_index, block=k * 16 + level
-                             ).standard_normal((sub, n_noise))
-            st2, pu2, f2 = walk(x, sub_noise, dt / sub)
-            if f2 < 0:
-                x_next, push_inc = st2[-1], pu2[-1]
-                break
-        else:
-            events.append({"step": k, "point": x.copy(),
-                           "kind": "NoConvergence"})
-        x, p = x_next, p + push_inc
-        states.append(x[None, :])
-        push.append(p[None, :])
-        k += 1
-        rng = _rng(seed, path_index, block=k * 16 + 9)
-    return np.concatenate(states), np.concatenate(push), events
+    first = [min(_BLOCK, n) for n in n_steps]
+    noise = np.zeros((len(paths), max(first), n_noise))
+    # only a path past its first block reads its stream on; a failed step
+    # re-keys the path's stream
+    rngs = [None] * len(paths)
+    for p, rng in enumerate(_streams(seed, paths)):
+        if n_steps[p] > _BLOCK:
+            rng = rngs[p] = _rng(seed, paths[p])
+        rng.standard_normal(out=noise[p, :first[p]])
+    states, push, fail = walk(X0, noise, h)
+    one = [p for p in range(len(paths)) if first[p] == 1]
+    if one and len(one) < len(paths):
+        # numpy multiplies a one-row noise block by a vector-matrix product,
+        # which rounds apart from the rows of a longer block: walk those
+        # paths again as a block of their own, as each would walk alone
+        states[one, :2], push[one, :2], fail[one] = walk(
+            X0[one], noise[one, :1], h[one])
+    if max(n_steps) > _BLOCK:
+        extra = ((0, 0), (0, max(n_steps) - _BLOCK), (0, 0))
+        states, push = np.pad(states, extra), np.pad(push, extra)
+    events = []
+    for p, q in enumerate(paths):
+        # a step failing past a path's own first block is padding
+        failed = 0 <= fail[p] < first[p]
+        k = int(fail[p]) if failed else first[p]
+        events.append(_walk_on(walk, states[p], push[p], k, failed, rngs[p],
+                               n_steps[p], n_noise, h[p:p + 1], seed, q))
+    return states, push, events
+
+
+def _walk_on(walk, states, push, k, failed, rng, n_steps, n_noise, h, seed,
+             path_index):
+    """Walk one path on in place from step k, where states[k] and push[k]
+    hold it, to step n_steps; failed says step k's projection failed.
+    Returns the path's events."""
+    events = []
+    while True:
+        if failed:
+            # local refinement: retry the failed step at halved step sizes
+            x, push_inc = states[k], 0.0
+            for level in range(1, 9):
+                sub = 2 ** level
+                sub_noise = _rng(seed, path_index, block=k * 16 + level
+                                 ).standard_normal((1, sub, n_noise))
+                st, pu, f = walk(states[k][None], sub_noise, h / sub)
+                if f[0] < 0:
+                    x, push_inc = st[0, -1], pu[0, -1]
+                    break
+            else:
+                events.append({"step": k, "point": states[k].copy(),
+                               "kind": "NoConvergence"})
+            states[k + 1] = x
+            push[k + 1] = push[k] + push_inc
+            k += 1
+            rng = _rng(seed, path_index, block=k * 16 + 9)
+        if k >= n_steps:
+            return events
+        st, pu, f = walk(states[k][None], rng.standard_normal(
+            (1, min(_BLOCK, n_steps - k), n_noise)), h)
+        j = st.shape[1] - 1 if f[0] < 0 else int(f[0])
+        states[k + 1:k + j + 1] = st[0, 1:j + 1]
+        push[k + 1:k + j + 1] = push[k] + pu[0, 1:j + 1]
+        k += j
+        failed = f[0] >= 0
 
 
 def _euler_walk(domain, coef, x, noise, h):
     """Euler steps with state-dependent coefficients, each reflected into the
-    domain; the walk contract of _kernels.constrained_walk."""
+    domain; the walk contract of _kernels.constrained_walk for one path."""
     states = np.empty((len(noise) + 1, len(x)))
     push = np.zeros((len(noise) + 1, len(domain.pieces)))
     states[0] = x
@@ -186,52 +262,79 @@ def _euler_walk(domain, coef, x, noise, h):
     return states, push, -1
 
 
-def simulate_path(domain: dom.DomainSpec, coef: CoefficientField, x0, T: float,
-                  dt: float, seed: int = 0, path_index: int = 0) -> Trajectory:
-    """Euler walk from x0 to time T with reflection at the boundary.
-
-    Every proposed step is projected back along the reflection vectors
-    (pushing lands exactly on the active faces), by the kernel's
-    complementarity solve for constant coefficients and reflection on a
-    polyhedron and by `reflect` otherwise.  The projected chain carries an
-    O(sqrt(dt)) boundary bias, so on the 1D half-line with constant
-    coefficients the walk takes the exact bridge-minimum step instead,
-    whose pushing may leave the endpoint in the interior (as the true local
-    time does).
-    """
-    x0 = np.asarray(x0, dtype=float)
-    cls, _ = dom.contains(domain, x0)
-    if cls == dom.EXTERIOR:
-        raise ValueError(f"start point {x0} is outside the closed domain")
-    n_steps = int(round(T / dt))
+def _simulate_paths(domain, coef, X0, n_steps, h, seed, paths):
+    """Walk path paths[p] from X0[p] for n_steps[p] steps of size h[p], each
+    path on its own noise streams, so that a path is the same alone or in a
+    block.  Returns (states, push, events) as _walk_paths does."""
+    X0 = np.asarray(X0, dtype=float)
+    if not np.all(np.isfinite(X0)):
+        raise ValueError("point must be finite")
+    # dom.contains on every row: exterior below -tol
+    lowest = np.min(domain.piece_values(X0), axis=1)
+    outside = np.flatnonzero(lowest < -domain.tol_at(X0))
+    if outside.size:
+        raise ValueError(f"start point {X0[outside[0]]} is outside the "
+                         "closed domain")
+    h = np.asarray(h, dtype=float)
     if (domain.dimension == 1 and len(domain.pieces) == 1
             and domain.pieces[0].kind == "half-space" and coef.is_constant):
         piece = domain.pieces[0]
         nrm = float(piece.normal[0])
-        s0 = nrm * float(x0[0]) - piece.offset
-        drift = nrm * float(coef.b(x0)[0])
-        diff = abs(float(coef.sigma(x0)[0, 0]))
-        rng = _rng(seed, path_index)
-        noise = rng.standard_normal(n_steps)
-        logu = np.log(rng.uniform(size=n_steps))
-        s, push = _kernels.halfline_bridge_walk(s0, drift, diff, noise, logu, dt)
-        states = ((s + piece.offset) * nrm)[:, None]
-        return Trajectory(dt, states, push[:, None], seed, [])
-    sigma = coef.sigma(x0)
+        drift = nrm * float(coef.b(X0[0])[0])
+        diff = abs(float(coef.sigma(X0[0])[0, 0]))
+        noise = np.zeros((len(paths), max(n_steps)))
+        logu = np.zeros_like(noise)
+        for p, rng in enumerate(_streams(seed, paths)):
+            # random() draws what uniform() draws, and fills in place
+            rng.standard_normal(out=noise[p, :n_steps[p]])
+            np.log(rng.random(out=logu[p, :n_steps[p]]),
+                   out=logu[p, :n_steps[p]])
+        s, push = _kernels.halfline_bridge_walk(
+            nrm * X0[:, 0] - piece.offset, drift, diff, noise, logu, h[:, None])
+        return (((s + piece.offset) * nrm)[:, :, None], push[:, :, None],
+                [[] for _ in paths])
+    sigma = coef.sigma(X0[0])
     if domain.constant_reflection and coef.is_constant:
         normals, offsets, gammas = domain.face_arrays
-        b = coef.b(x0)
+        b = coef.b(X0[0])
 
-        def walk(x, noise, h):
-            return _kernels.constrained_walk(x, b, sigma, normals, offsets,
+        def walk(X, noise, h):
+            return _kernels.constrained_walk(X, b, sigma, normals, offsets,
                                              gammas, noise, h, _PTOL)
     else:
-        def walk(x, noise, h):
-            return _euler_walk(domain, coef, x, noise, h)
-    states, push, events = _walk_path(walk, x0, len(domain.pieces),
-                                      sigma.shape[1], n_steps, dt, seed,
-                                      path_index)
-    return Trajectory(dt, states, push, seed, events)
+        def walk(X, noise, h):
+            # the state-dependent walk takes one path at a time
+            states = np.empty((len(X), noise.shape[1] + 1, X.shape[1]))
+            push = np.zeros((len(X), noise.shape[1] + 1, len(domain.pieces)))
+            fail = np.full(len(X), -1)
+            for p in range(len(X)):
+                st, pu, fail[p] = _euler_walk(domain, coef, X[p], noise[p],
+                                              float(h[p]))
+                states[p, :len(st)], push[p, :len(pu)] = st, pu
+            return states, push, fail
+    return _walk_paths(walk, X0, sigma.shape[1], n_steps, h, seed, paths)
+
+
+def simulate_path(domain: dom.DomainSpec, coef: CoefficientField, x0, T: float,
+                  dt: float, seed: int = 0, path_index: int = 0) -> Trajectory:
+    """Euler walk from x0 to time T with reflection at the boundary.
+
+    Every proposed step that may leave the domain is projected back along
+    the reflection vectors (pushing lands exactly on the active faces), by
+    the kernel's complementarity solve for constant coefficients and
+    reflection on a polyhedron and by `reflect` otherwise.  The projected
+    chain carries an O(sqrt(dt)) boundary bias, so on the 1D half-line with
+    constant coefficients the walk takes the exact bridge-minimum step
+    instead, whose pushing may leave the endpoint in the interior (as the
+    true local time does).  The path is the one-path block of the
+    Monte-Carlo samplers.
+    """
+    _check_steps(T, dt)
+    x0 = np.asarray(x0, dtype=float)
+    states, push, events = _simulate_paths(domain, coef, x0[None],
+                                           [int(round(T / dt))], [dt], seed,
+                                           [path_index])
+    return Trajectory(dt, states[0], push[0], seed, events[0])
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +384,43 @@ def first_exit(traj: Trajectory, r: float) -> Optional[float]:
 # Resolvent sampling
 # ---------------------------------------------------------------------------
 
+def _resolvent(domain, coef, ys, t, dt, seed, draws) -> np.ndarray:
+    """Endpoints of resolvent draws draws[k] from ys[k] after times t[k]: the
+    whole steps of size dt on path 2 d + 1, then the fractional rest as one
+    step on path 2 d + 2.  Draws run in blocks sorted by step count, so a
+    block pads little."""
+    _check_steps(0.0, dt)
+    ys = np.asarray(ys, dtype=float)
+    t = np.asarray(t, dtype=float)
+    n_full = (t / dt).astype(int)
+    rem = t - n_full * dt
+    draws = np.asarray(draws)
+    out = ys.copy()
+    order = np.argsort(n_full, kind="stable")
+    for run in _runs(n_full[order].tolist()):
+        rows = order[run]
+        states, _, _ = _simulate_paths(domain, coef, ys[rows],
+                                       n_full[rows].tolist(),
+                                       np.full(len(rows), dt), seed,
+                                       (2 * draws[rows] + 1).tolist())
+        out[rows] = states[np.arange(len(rows)), n_full[rows]]
+    rest = np.flatnonzero(rem > 1e-15)
+    for run in _runs([1] * len(rest)):
+        rows = rest[run]
+        states, _, _ = _simulate_paths(domain, coef, out[rows],
+                                       [1] * len(rows), rem[rows], seed,
+                                       (2 * draws[rows] + 2).tolist())
+        out[rows] = states[:, 1]
+    return out
+
+
+def _resolvent_times(lam, seed, draws) -> list:
+    """Each draw's Exponential(mean lam) time, from its own stream."""
+    if lam <= 0:
+        raise ValueError("lam must be positive")
+    return [rng.exponential(lam) for rng in _streams(seed, draws, block=1)]
+
+
 def resolvent_sample(domain: dom.DomainSpec, coef: CoefficientField, y,
                      lam: float, dt: float, seed: int = 0,
                      draw_index: int = 0) -> np.ndarray:
@@ -289,27 +429,18 @@ def resolvent_sample(domain: dom.DomainSpec, coef: CoefficientField, y,
     Draws t ~ Exponential(mean lam), simulates from y to time t, and returns
     the endpoint: a single transition of the resolvent chain.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    rng = _rng(seed, draw_index, block=1)
-    t = float(rng.exponential(lam))
-    n_full = int(t / dt)
-    rem = t - n_full * dt
-    traj = simulate_path(domain, coef, y, n_full * dt, dt, seed=seed,
-                         path_index=2 * draw_index + 1)
-    x = traj.states[-1]
-    if rem > 1e-15:
-        tr2 = simulate_path(domain, coef, x, rem, rem, seed=seed,
-                            path_index=2 * draw_index + 2)
-        x = tr2.states[-1]
-    return x
+    y = np.asarray(y, dtype=float)
+    t = _resolvent_times(lam, seed, [draw_index])
+    return _resolvent(domain, coef, y[None], t, dt, seed, [draw_index])[0]
 
 
 def resolvent_sample_batch(domain, coef, ys, lam, dt, seed=0) -> np.ndarray:
+    """Draws 0, 1, ... of `resolvent_sample` from the rows of ys; row k
+    equals resolvent_sample(..., ys[k], ..., draw_index=k)."""
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    return np.stack([resolvent_sample(domain, coef, y, lam, dt, seed=seed,
-                                      draw_index=k)
-                     for k, y in enumerate(ys)])
+    draws = range(len(ys))
+    t = _resolvent_times(lam, seed, draws)
+    return _resolvent(domain, coef, ys, t, dt, seed, draws)
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +469,13 @@ def submartingale_estimate(domain: dom.DomainSpec, coef: CoefficientField, f,
     curve m must be nondecreasing; the verdict allows two standard errors of
     slack on every checkpoint pair (paired differences across common paths).
     """
+    if n_paths < 2:
+        raise ValueError(f"n_paths must be at least 2, got {n_paths}")
+    _check_steps(T, dt)
+    cps = np.asarray(sorted(checkpoints), dtype=float)
+    if len(cps) and not (cps[0] >= 0.0 and cps[-1] <= T):
+        raise ValueError(f"checkpoints must lie in [0, T={T}], got "
+                         f"{list(checkpoints)}")
     if check_membership:
         from .testfunctions import check_admissible
 
@@ -347,15 +485,21 @@ def submartingale_estimate(domain: dom.DomainSpec, coef: CoefficientField, f,
 
             raise NotInH(f"negated function fails admissibility: {rep}")
     n_steps = int(round(T / dt))
-    cps = np.asarray(sorted(checkpoints), dtype=float)
     idx = np.minimum((cps / dt).round().astype(int), n_steps)
+    x0 = np.asarray(x0, dtype=float)
     vals = np.empty((n_paths, len(cps)))
-    for p in range(n_paths):
-        traj = simulate_path(domain, coef, x0, T, dt, seed=seed, path_index=p)
-        v, G, H = f.jet(traj.states)
-        lf = coef.generator(traj.states[:-1], G[:-1], H[:-1])
-        comp = np.concatenate([[0.0], np.cumsum(lf) * dt])
-        vals[p] = v[idx] - comp[idx]
+    for run in _runs([n_steps] * n_paths):
+        paths = list(range(n_paths))[run]
+        states, _, _ = _simulate_paths(domain, coef,
+                                       np.repeat(x0[None], len(paths), axis=0),
+                                       [n_steps] * len(paths),
+                                       np.full(len(paths), dt), seed, paths)
+        X = states.reshape(-1, states.shape[2])
+        v, G, H = f.jet(X)
+        lf = coef.generator(X, G, H).reshape(len(paths), -1)[:, :-1]
+        comp = np.zeros((len(paths), n_steps + 1))
+        comp[:, 1:] = np.cumsum(lf, axis=1) * dt
+        vals[run] = v.reshape(len(paths), -1)[:, idx] - comp[:, idx]
     mean = vals.mean(axis=0)
     ci = 2.0 * vals.std(axis=0, ddof=1) / math.sqrt(n_paths)
     margins = []

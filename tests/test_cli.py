@@ -177,6 +177,21 @@ def test_simulate_failed_projections_exit_numeric(tmp_path):
     assert len(out.read_text().splitlines()) == 2 + 21
 
 
+@pytest.mark.parametrize("args, name", [
+    (["--preset", "halfline", "--dt", "0"], "dt"),
+    (["--preset", "halfline", "--dt", "-0.01"], "dt"),
+    (["--preset", "halfline", "--T", "-1"], "T"),
+    (["--preset", "orthant", "--J", "2", "--T", "-1"], "T")])
+def test_simulate_bad_step_or_horizon_exits_usage(tmp_path, capsys, args,
+                                                   name):
+    # a zero step used to escape as ZeroDivisionError (exit 1, the verdict
+    # code), and a negative horizon on the orthant wrote a 0-step path
+    out = tmp_path / "t.csv"
+    assert run(["simulate"] + args + ["--output", str(out)]) == cli.EXIT_USAGE
+    assert f"{name} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_system_file_with_ill_posed_reflection_exits_usage(tmp_path, capsys):
     # the same corner, undeclared: rejected before any simulation
     system = tmp_path / "trap.json"

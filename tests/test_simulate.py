@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import refdiff as rd
 from refdiff import _kernels
+from refdiff import simulate
 from refdiff.coefficients import CoefficientField
 from refdiff.simulate import _BLOCK, EmpiricalMeasure, _rng, occupation_measure
 
@@ -181,6 +182,62 @@ def test_resolvent_small_lambda_displacement(halfline):
     assert disp.mean() <= 3.0 * np.sqrt(lam)
 
 
+def _oblique3():
+    sigma = np.array([[1.0, 0.2, 0.0], [0.1, 0.9, 0.3], [0.0, -0.2, 1.1]])
+    D = np.array([[1.0, -0.3, 0.2], [-0.2, 1.0, -0.1], [0.1, -0.25, 1.0]])
+    return rd.make_example("orthant", J=3, b=[-1.0, -0.5, -0.7], sigma=sigma,
+                           D=D)
+
+
+_BLOCK_CASES = {
+    "halfline": lambda: (rd.make_example("halfline").domain,
+                         rd.make_example("halfline").coefficients),
+    "oblique2": lambda: (rd.make_example(
+        "orthant", J=2, b=[-1.0, -0.5],
+        D=np.array([[1.0, -0.4], [-0.3, 1.0]])).domain,
+        CoefficientField.constant([-1.0, -0.5], [[1.0, 0.3], [-0.2, 0.8]])),
+    "oblique3": lambda: (_oblique3().domain, _oblique3().coefficients),
+    "trap": lambda: (_corner_trap(),
+                     CoefficientField.constant([-1.0, -1.0], 0.1 * np.eye(2))),
+}
+
+
+def _resolvent_alone(domain, coef, y, t, dt, seed, d):
+    """Reference for one resolvent draw after time t: its whole steps as one
+    simulate_path, the fractional rest as a second one of a single step."""
+    n_full = int(t / dt)
+    rem = t - n_full * dt
+    x = rd.simulate_path(domain, coef, y, n_full * dt, dt, seed=seed,
+                         path_index=2 * d + 1).states[-1]
+    if rem > 1e-15:
+        x = rd.simulate_path(domain, coef, x, rem, rem, seed=seed,
+                             path_index=2 * d + 2).states[-1]
+    return x
+
+
+@pytest.mark.parametrize("case", ["halfline", "oblique2"])
+def test_resolvent_blocks_equal_the_draws_alone(case):
+    # ragged step counts, draws with no whole step (t < dt, t = 0) and draws
+    # with no remainder (t a multiple of the power-of-two dt)
+    domain, coef = _BLOCK_CASES[case]()
+    dt = 2.0 ** -6
+    times = [0.0, 0.3 * dt, 1.7, dt, 0.05, 40 * dt, 0.9, 3 * dt + 1e-3, 0.0,
+             2.0, 0.01]
+    ys = np.random.default_rng(3).exponential(0.5, (len(times),
+                                                    domain.dimension))
+    draws = [4 * k + 1 for k in range(len(times))]
+    out = simulate._resolvent(domain, coef, ys, times, dt, 9, draws)
+    for k, (t, d) in enumerate(zip(times, draws)):
+        ref = _resolvent_alone(domain, coef, ys[k], t, dt, 9, d)
+        assert np.array_equal(out[k], ref)
+    assert np.array_equal(out[0], ys[0]) and np.array_equal(out[8], ys[8])
+    batch = rd.resolvent_sample_batch(domain, coef, ys, lam=0.3, dt=dt, seed=4)
+    for k in range(len(ys)):
+        one = rd.resolvent_sample(domain, coef, ys[k], lam=0.3, dt=dt, seed=4,
+                                  draw_index=k)
+        assert np.array_equal(batch[k], one)
+
+
 def _halfline_bridge_loop(s0, drift, diff, noise, logu, dt):
     """Per-step reference for the half-line bridge walk: reflect each step's
     endpoint by the sampled minimum of its Brownian bridge."""
@@ -200,17 +257,22 @@ def _halfline_bridge_loop(s0, drift, diff, noise, logu, dt):
 
 @pytest.mark.parametrize("dt", [1e-3, 0.1])
 def test_halfline_bridge_walk_matches_loop(dt):
+    # a block of four paths, one per seed: each row is its own walk
+    noise, logu = np.empty((4, 20_000)), np.empty((4, 20_000))
     for seed in range(4):
         rng = np.random.default_rng(seed)
-        noise = rng.standard_normal(20_000)
-        logu = np.log(rng.uniform(size=20_000))
-        ref = _halfline_bridge_loop(0.5, -1.0, 1.0, noise, logu, dt)
-        states, push = _kernels.halfline_bridge_walk(0.5, -1.0, 1.0, noise,
-                                                     logu, dt)
-        assert np.max(np.abs(states - ref[0])) <= 1e-9
-        assert np.max(np.abs(push - ref[1])) <= 1e-9
-        assert states.min() >= 0.0
-        assert np.all(np.diff(push) >= 0.0)
+        noise[seed] = rng.standard_normal(20_000)
+        logu[seed] = np.log(rng.uniform(size=20_000))
+    s0 = np.array([0.5, 0.0, 1.5, 0.5])
+    states, push = _kernels.halfline_bridge_walk(s0, -1.0, 1.0, noise, logu, dt)
+    assert states.shape == push.shape == (4, 20_001)
+    for seed in range(4):
+        ref = _halfline_bridge_loop(s0[seed], -1.0, 1.0, noise[seed],
+                                    logu[seed], dt)
+        assert np.max(np.abs(states[seed] - ref[0])) <= 1e-9
+        assert np.max(np.abs(push[seed] - ref[1])) <= 1e-9
+        assert states[seed].min() >= 0.0
+        assert np.all(np.diff(push[seed]) >= 0.0)
 
 
 @st.composite
@@ -251,9 +313,10 @@ def test_constrained_walk_orthant_invariants():
     gammas = np.array([[1.0, -0.4], [-0.3, 1.0]])
     noise = np.random.default_rng(8).standard_normal((3000, 2))
     states, push, fail = _kernels.constrained_walk(
-        np.array([0.5, 0.5]), np.array([-1.0, -0.5]), np.eye(2), np.eye(2),
-        np.zeros(2), gammas, noise, 1e-2)
-    assert fail == -1 and len(states) == 3001
+        np.array([[0.5, 0.5]]), np.array([-1.0, -0.5]), np.eye(2), np.eye(2),
+        np.zeros(2), gammas, noise[None], 1e-2)
+    assert fail.tolist() == [-1] and states.shape == (1, 3001, 2)
+    states, push = states[0], push[0]
     assert states.min() >= -1e-12
     dpush = np.diff(push, axis=0)
     assert dpush.min() >= 0.0
@@ -266,6 +329,49 @@ def test_constrained_walk_orthant_invariants():
                        atol=1e-12)
 
 
+def _constrained_loop(x0, b, sigma, normals, offsets, gammas, noise, dt):
+    """Per-step reference for one path of the polyhedral walk: project every
+    Euler step, as the walk did before it screened steps in windows."""
+    inc = b * dt + noise @ (sigma.T * math.sqrt(dt))
+    states = np.empty((len(inc) + 1, len(x0)))
+    push = np.zeros((len(inc) + 1, len(offsets)))
+    x = states[0] = x0
+    for k in range(len(inc)):
+        x, eta, ok = _kernels.project_polyhedral(x + inc[k], normals, offsets,
+                                                 gammas, 1e-12)
+        if not ok:
+            return states[:k + 1], push[:k + 1], k
+        states[k + 1] = x
+        push[k + 1] = push[k] + eta
+    return states, push, -1
+
+
+@pytest.mark.parametrize("case", ["oblique2", "oblique3", "trap"])
+def test_constrained_walk_block_matches_the_step_loop(case):
+    # every row of a block, each with its own step size, equals the loop bit
+    # for bit, up to and including the step whose projection fails
+    domain, coef = _BLOCK_CASES[case]()
+    J = domain.dimension
+    b, sigma = coef.b(np.zeros(J)), coef.sigma(np.zeros(J))
+    rng = np.random.default_rng(31)
+    X0 = rng.uniform(0.0, 0.3, size=(5, J))
+    X0[0] = 0.0                                   # start in the corner
+    dts = np.array([1e-3, 1e-2, 0.05, 2e-3, 0.2])
+    noise = rng.standard_normal((5, 700, sigma.shape[1]))
+    args = (b, sigma) + domain.face_arrays
+    states, push, fail = _kernels.constrained_walk(X0, *args, noise, dts)
+    for p in range(5):
+        ref = _constrained_loop(X0[p], *args, noise[p], dts[p])
+        assert fail[p] == ref[2]
+        n = len(ref[0])
+        assert np.array_equal(states[p, :n], ref[0])
+        assert np.array_equal(push[p, :n], ref[1])
+    if case == "trap":
+        assert (fail >= 0).any()
+    else:
+        assert (fail == -1).all() and (np.diff(push, axis=1) > 0).any()
+
+
 def test_constant_walk_keeps_one_noise_stream():
     # paths longer than one kernel block follow the single (seed, path) stream
     o = rd.make_example("orthant", J=2, D=np.array([[1.0, -0.4], [-0.4, 1.0]]))
@@ -274,7 +380,7 @@ def test_constant_walk_keeps_one_noise_stream():
                             dt=1e-3, seed=13, path_index=2)
     normals, offsets, gammas = o.domain.face_arrays
     noise = _rng(13, 2).standard_normal((n, 2))
-    states, push, fail = _kernels.constrained_walk(
+    states, push, fail = _constrained_loop(
         np.array([0.5, 0.5]), o.coefficients.b(np.zeros(2)),
         o.coefficients.sigma(np.zeros(2)), normals, offsets, gammas, noise, 1e-3)
     assert fail == -1 and not traj.events
@@ -304,6 +410,61 @@ def test_failed_projections_are_events():
         # the path stays at the point where the step failed
         assert np.array_equal(e["point"], traj.states[e["step"]])
         assert np.array_equal(e["point"], traj.states[e["step"] + 1])
+
+
+def _assert_same_path(states, push, events, traj):
+    n = traj.n_steps
+    assert np.array_equal(states[:n + 1], traj.states)
+    assert np.array_equal(push[:n + 1], traj.pushing)
+    assert [(e["step"], e["kind"]) for e in events] == \
+        [(e["step"], e["kind"]) for e in traj.events]
+    for a, b in zip(events, traj.events):
+        assert np.array_equal(a["point"], b["point"])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=st.sampled_from(sorted(_BLOCK_CASES)),
+       seed=st.integers(0, 2 ** 63), first=st.integers(0, 2 ** 31),
+       data=st.data())
+def test_a_path_is_the_same_alone_or_in_a_block(case, seed, first, data):
+    domain, coef = _BLOCK_CASES[case]()
+    J = domain.dimension
+    # a failed step in the trap costs nine 96-pivot projections
+    longest = 12 if case == "trap" else 120
+    steps = data.draw(st.lists(st.integers(0, longest), min_size=1,
+                               max_size=5))
+    X0 = np.array(data.draw(st.lists(
+        st.lists(st.floats(0.0, 0.5), min_size=J, max_size=J),
+        min_size=len(steps), max_size=len(steps))))
+    paths = [first + 3 * p for p in range(len(steps))]
+    dt = 0.01
+    states, push, events = simulate._simulate_paths(
+        domain, coef, X0, steps, np.full(len(steps), dt), seed, paths)
+    for p, n in enumerate(steps):
+        traj = rd.simulate_path(domain, coef, X0[p], T=n * dt, dt=dt,
+                                seed=seed, path_index=paths[p])
+        assert traj.n_steps == n
+        _assert_same_path(states[p], push[p], events[p], traj)
+
+
+@pytest.mark.parametrize("case, steps", [
+    # past the first noise block, and one-step paths, whose one-row noise
+    # product rounds apart from a longer block's rows
+    ("oblique2", [_BLOCK + 70, 15, _BLOCK] + [1] * 8),
+    ("trap", [12, 1, 5, 0])])                     # failed steps, retried
+def test_blocks_of_long_failing_and_one_step_paths_equal_the_paths_alone(
+        case, steps):
+    domain, coef = _BLOCK_CASES[case]()
+    X0 = np.random.default_rng(2).uniform(0.0, 0.5, (len(steps), 2))
+    X0[:2] = [[0.05, 0.05], [0.0, 0.0]]
+    paths = list(range(5, 5 + len(steps)))
+    states, push, events = simulate._simulate_paths(
+        domain, coef, X0, steps, np.full(len(steps), 1e-2), 17, paths)
+    for p, n in enumerate(steps):
+        traj = rd.simulate_path(domain, coef, X0[p], T=n * 1e-2, dt=1e-2,
+                                seed=17, path_index=paths[p])
+        _assert_same_path(states[p], push[p], events[p], traj)
+    assert any(events) == (case == "trap")
 
 
 def _varying(b, s):
@@ -409,3 +570,73 @@ def test_trajectory_csv(tmp_path, halfline):
     assert lines[0].startswith("#")
     assert lines[1] == "t,x0,push0"
     assert len(lines) == 2 + len(traj.states)
+
+
+@pytest.mark.parametrize("T, dt, name", [(1.0, 0.0, "dt"), (1.0, -0.01, "dt"),
+                                         (1.0, float("nan"), "dt"),
+                                         (-1.0, 0.01, "T")])
+@pytest.mark.parametrize("preset", ["halfline", "orthant"])
+def test_bad_step_or_horizon_is_a_value_error(preset, T, dt, name):
+    system = rd.make_example(preset)
+    x0 = np.full(system.domain.dimension, 0.5)
+    with pytest.raises(ValueError, match=name):
+        rd.simulate_path(system.domain, system.coefficients, x0, T=T, dt=dt)
+    if name == "dt":
+        with pytest.raises(ValueError, match="dt"):
+            rd.resolvent_sample(system.domain, system.coefficients, x0,
+                                lam=0.5, dt=dt)
+
+
+@pytest.mark.parametrize("n_paths, checkpoints, name", [
+    (1, [0.0, 0.1], "n_paths"),              # one path: NaN margins passed
+    (10, [-0.05, 0.0, 0.1], "checkpoints"),  # wrapped to the path's end
+    (10, [0.0, 0.1, 0.15], "checkpoints")])  # clamped to T: margin exactly 0
+def test_submartingale_rejects_what_it_cannot_judge(halfline, n_paths,
+                                                    checkpoints, name):
+    f = rd.interior_bump(halfline.domain, [1.0], 0.25)
+    with pytest.raises(ValueError, match=name):
+        rd.submartingale_estimate(halfline.domain, halfline.coefficients, f,
+                                  [0.5], n_paths=n_paths, T=0.1, dt=0.01,
+                                  checkpoints=checkpoints)
+
+
+def test_block_start_points_are_classified_as_contains_does():
+    # every row of a block passes or fails the start check as dom.contains
+    # classifies it alone, at the domain's tolerance
+    from refdiff import domain as dom
+
+    o = rd.make_example("orthant", J=2)
+    tol = o.domain.tol_at(np.array([0.0, 1.0]))
+    rows = np.array([[0.5, 1.0], [0.0, 1.0], [-0.5 * tol, 1.0],
+                     [-2.0 * tol, 1.0]])
+    for k, x in enumerate(rows):
+        outside = dom.contains(o.domain, x)[0] == dom.EXTERIOR
+        block = np.vstack([rows[:1], x[None], rows[:1]])
+        if outside:
+            with pytest.raises(ValueError, match="outside the closed domain"):
+                rd.resolvent_sample_batch(o.domain, o.coefficients, block,
+                                          lam=0.1, dt=0.01)
+        else:
+            rd.resolvent_sample_batch(o.domain, o.coefficients, block,
+                                      lam=0.1, dt=0.01)
+        assert outside == (k == 3)
+    with pytest.raises(ValueError, match="outside the closed domain"):
+        rd.submartingale_estimate(o.domain, o.coefficients,
+                                  rd.interior_bump(o.domain, [1.0, 1.0], 0.25),
+                                  rows[3], n_paths=4, T=0.1, dt=0.01,
+                                  checkpoints=[0.0, 0.1])
+
+
+def test_submartingale_keeps_the_admissibility_check(halfline):
+    # f'(0) = -1: -f has <gamma, grad(-f)> = +1 > 0 on the face, so -f is not
+    # admissible and the submartingale check must refuse f
+    from refdiff.errors import NotInH
+
+    f = rd.TestFunction(1, lambda Y: -Y[:, 0] * np.exp(-Y[:, 0]),
+                        lambda Y: ((Y[:, 0] - 1.0) * np.exp(-Y[:, 0]))[:, None],
+                        lambda Y: ((2.0 - Y[:, 0]) * np.exp(-Y[:, 0]))[:, None, None])
+    with pytest.raises(NotInH):
+        rd.submartingale_estimate(halfline.domain, halfline.coefficients, f,
+                                  [0.5], n_paths=4, T=0.1, dt=0.01,
+                                  checkpoints=[0.0, 0.1],
+                                  check_membership=True)
