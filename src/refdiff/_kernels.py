@@ -7,7 +7,9 @@ face normals N and constant reflection vectors Gamma this has a unique
 solution when N Gamma^T is a P-matrix (Harrison & Reiman 1981);
 `project_polyhedral` solves it for one step, a linear complementarity
 problem, and `constrained_walk` applies it to every Euler step that may
-leave the domain.
+leave the domain.  Where the active faces' block of N Gamma^T is singular,
+as at a vertex where the reflection is not a P-matrix, the projection
+reports failure rather than a pushing of order 1e13.
 
 On the half-line {s >= 0} the Skorokhod map is explicit.  With the free path
 F_k = s0 + sum_{j<k} inc_j and the running minimum F_j + dmin_j of each
@@ -32,23 +34,31 @@ def project_polyhedral(y, normals, offsets, gammas, ptol=1e-12):
     whose eta is negative (active) or whose constraint is violated
     (inactive), then re-solve on the active block.  This ends for every
     P-matrix N Gamma^T (Murty 1974).  Returns (x, eta, ok); ok is False when
-    the pivots did not settle.
+    the pivots did not settle, when an active block is singular, or when a
+    block of two or more faces leaves x off a face it pushes from
+    (|eta_i slack_i| > 1e-9), as a nearly singular block does; x and eta
+    then mean nothing.  A one-face block is n . gamma = 1 and needs no check.
     """
     x = np.array(y, dtype=float)
     m = len(offsets)
     eta = np.zeros(m)
     active = np.zeros(m, dtype=bool)
+    idx = []
     resid = normals @ x - offsets        # eta on active faces, slack elsewhere
     for _ in range(16 * m + 64):
         # a list scan: numpy reductions cost more than the work on m <= 4 faces
         bad = [i for i, r in enumerate(resid.tolist()) if r < -ptol]
         if not bad:
-            return x, eta, True
+            return x, eta, (len(idx) < 2 or np.max(np.abs(
+                eta[idx] * (normals[idx] @ x - offsets[idx]))) <= 1e-9)
         active[bad[0]] = not active[bad[0]]
         idx = np.flatnonzero(active)
         eta = np.zeros(m)
-        eta[idx] = np.linalg.solve(normals[idx] @ gammas[idx].T,
-                                   offsets[idx] - normals[idx] @ y)
+        try:
+            eta[idx] = np.linalg.solve(normals[idx] @ gammas[idx].T,
+                                       offsets[idx] - normals[idx] @ y)
+        except np.linalg.LinAlgError:
+            return x, eta, False
         x = y + eta @ gammas
         resid = np.where(active, eta, normals @ x - offsets)
     return x, eta, False
@@ -77,7 +87,9 @@ def constrained_walk(x0, b, sigma, normals, offsets, gammas, noise, dt,
     Returns (states, cumulative pushing, fail), shaped (P, n + 1, J),
     (P, n + 1, m) and (P,); fail[p] is -1 when path p took every step, else
     its first step whose projection failed, and path p's rows stop at the
-    state before it.
+    state before it.  The pushing is one running sum per path, as a step
+    loop adds it.  Memory: the increments of all n steps are built at once,
+    (P, n + _WINDOW, J) floats beside the noise.
     """
     h = np.reshape(dt, (-1, 1, 1))
     P, n = noise.shape[:2]
@@ -140,7 +152,10 @@ def halfline_bridge_walk(s0, drift, diff, noise, logu, dt):
     noise holds one standard normal and of logu the log of one uniform per
     step of path p; dt is one step size or a column of one per path.
 
-    Returns (states, cumulative pushing), each (P, n + 1).
+    Returns (states, cumulative pushing), each (P, n + 1).  The walk never
+    fails; `simulate` wraps it in the (states, push, fail) contract of
+    `constrained_walk`, with a step's normal and log-uniform side by side in
+    its noise row.
     """
     h = np.reshape(dt, (-1, 1))
     inc = drift * h + diff * np.sqrt(h) * noise

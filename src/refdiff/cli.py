@@ -219,7 +219,13 @@ def cmd_simulate(cfg):
                                  burn_in=_num(cfg.get("burn_in", 0.1)))
     print(f"wrote {out}: {traj.n_steps} steps, boundary fraction {fb:.4f}, "
           f"singular fraction {fv:.4f}, events {len(traj.events)}")
-    return EXIT_OK if not traj.events else EXIT_NUMERIC
+    if not traj.events:
+        return EXIT_OK
+    first = traj.events[0]
+    print(f"numeric failure: step {first['step']} failed every projection "
+          f"retry, from the point {first['point'].tolist()} "
+          f"({len(traj.events)} failed steps)", file=sys.stderr)
+    return EXIT_NUMERIC
 
 
 def cmd_verify_bar(cfg):

@@ -37,10 +37,9 @@ class PiecewisePoly:
     (pieces x degree+1) coefficient table of the k-th derivative (degree: its
     highest over the pieces), evaluated by one Horner pass in numpy's polyval
     order, so a table value equals the piece's Polynomial value bit for bit.
-    params records how it was built.
     """
 
-    def __init__(self, breaks, pieces, params=None):
+    def __init__(self, breaks, pieces):
         self.breaks = np.asarray(breaks, dtype=float)
         pieces = [p if isinstance(p, Polynomial) else Polynomial(p) for p in pieces]
         assert len(pieces) == len(self.breaks) + 1
@@ -51,7 +50,6 @@ class PiecewisePoly:
             for i, c in enumerate(cs):
                 C[i, :len(c)] = c
             self.coef.append(C)
-        self.params = {} if params is None else params
 
     def _eval(self, k, s):
         s = np.asarray(s, dtype=float)
@@ -91,17 +89,17 @@ def _affine(lo: float, hi: float) -> Polynomial:
 _CUTOFF_CACHE: dict = {}
 
 
-def _step_profile(label: str, lo, hi, params: dict) -> PiecewisePoly:
-    """The cached C^2 step on [lo, hi]: rising from 0 to 1 for label
-    'rising', falling from 1 to 0 otherwise.  One instance per key."""
-    key = (label, float(lo), float(hi))
+def _step_profile(rising: bool, lo, hi) -> PiecewisePoly:
+    """The cached C^2 step on [lo, hi]: rising from 0 to 1, or falling from 1
+    to 0.  One instance per key."""
+    key = (rising, float(lo), float(hi))
     if key not in _CUTOFF_CACHE:
         step = _smoothstep()(_affine(lo, hi))
-        if label == "rising":
+        if rising:
             pieces = [Polynomial([0.0]), step, Polynomial([1.0])]
         else:
             pieces = [Polynomial([1.0]), 1.0 - step, Polynomial([0.0])]
-        _CUTOFF_CACHE[key] = PiecewisePoly([lo, hi], pieces, params)
+        _CUTOFF_CACHE[key] = PiecewisePoly([lo, hi], pieces)
     return _CUTOFF_CACHE[key]
 
 
@@ -109,23 +107,24 @@ def cutoff(kind: str, thresholds) -> PiecewisePoly:
     """C^2 monotone plateau profile.
 
     kind 'xi': 1 below thresholds[0], 0 above thresholds[1] (interior bumps).
-    kind 'zeta': same shape with the plateau labels of the boundary-bump
-    cutoff (1 up to 5 lam / 4, 0 beyond 23 lam / 12 when thresholds are built
-    from lam).  Raises BadThresholds unless thresholds are increasing.
+    kind 'zeta': the same step under the boundary-bump cutoff's name (1 up to
+    5 lam / 4, 0 beyond 23 lam / 12 when thresholds are built from lam); both
+    kinds return the one cached instance for the thresholds.  Raises
+    BadThresholds unless thresholds are increasing and kind is one of these.
     """
     lo, hi = float(thresholds[0]), float(thresholds[1])
     if not lo < hi:
         raise BadThresholds(f"thresholds must increase, got {thresholds}")
     if kind not in ("xi", "zeta"):
         raise BadThresholds(f"unknown cutoff kind {kind!r}")
-    return _step_profile(kind, lo, hi, {"kind": kind, "lo": lo, "hi": hi})
+    return _step_profile(False, lo, hi)
 
 
 def rising_cutoff(lo: float, hi: float) -> PiecewisePoly:
     """C^2 profile rising from 0 (below lo) to 1 (above hi)."""
     if not lo < hi:
         raise BadThresholds(f"thresholds must increase, got {(lo, hi)}")
-    return _step_profile("rising", lo, hi, {"lo": lo, "hi": hi})
+    return _step_profile(True, lo, hi)
 
 
 def zeta_for_band(lam: float) -> PiecewisePoly:
@@ -180,8 +179,6 @@ class RampProfile:
         self.plateau = float(self.exact.coef[0][-1, 0])
         # slope jump of the exact ramp at s = delta (nonnegative kink)
         self._kink_jump = 2.0 * (delta + np.sqrt(delta))
-        self.params = {"delta": delta, "eps": eps, "w": self.width,
-                       "kappa": self.kappa, "plateau": self.plateau}
 
     # -- kernel -----------------------------------------------------------------
     def _kernel(self, t):

@@ -3,9 +3,10 @@
 Paths live on a uniform time grid; each step proposes an unconstrained Euler
 move and projects it back into the domain along the active faces' reflection
 vectors, recording the per-face pushing coefficients (the discrete local-time
-proxy).  Gaussian increments come from counter-based Philox streams keyed by
-(seed, path, step-block), so parallel paths are reproducible independently
-of scheduling.
+proxy).  Each path draws its whole noise from its own counter-based Philox
+stream, keyed by (seed, path), so parallel paths are reproducible
+independently of scheduling; a failed step's retries draw from streams keyed
+by the step as well.
 """
 
 from __future__ import annotations
@@ -135,8 +136,9 @@ class EmpiricalMeasure:
     error_kind: str = "empirical"
 
 
-# Steps drawn per walk call: a failed projection discards at most this many
-# pre-drawn increments, so the cost of retries stays linear in the path length.
+# Steps of one walk call that resumes a path after a failed step: the
+# kernel builds increments for all the noise it is given, so this bounds the
+# work a later failure throws away, and retries stay linear in the path length.
 _BLOCK = 4096
 
 # State rows of one block of Monte-Carlo paths (their steps plus one): the
@@ -162,110 +164,83 @@ def _runs(lengths):
             start = end
 
 
-def _walk_paths(walk, X0, n_noise, n_steps, h, seed, paths):
-    """Drive walk(X, noise, h) -> (states, cumulative push, fail), the block
-    contract of _kernels.constrained_walk, over one path per row of X0: path
-    paths[p] takes n_steps[p] steps of size h[p], with n_noise normals per
-    step.
+def _retry(walk, draw, states, push, k, noise, h, seed, path_index):
+    """Finish one path in place from its failed step k: states[:k + 1] and
+    push[:k + 1] hold the path, noise its own rows.
 
-    Noise comes in blocks of _BLOCK rows from each path's (seed, path)
-    stream, and the first blocks of all paths are walked together.  A failed
-    step is retried at 2^1 ... 2^8 sub-steps, each level on its own stream;
-    if every level fails the path stays put and the step is recorded as an
-    event.  After a failure the path continues alone, on a stream keyed by
-    the failed step; so does a path past its first block.
+    The failed step is retried at 2^1 ... 2^8 sub-steps, each level on its
+    own stream; if every level fails, the path stays put and the step is
+    recorded as an event.  The path then walks on from step k + 1 on its own
+    noise, at most _BLOCK rows per call, to its next failed step or its end.
+    Returns the path's events.
+    """
+    events = []
+    failed = True
+    while failed:
+        x, push_inc = states[k], 0.0
+        for level in range(1, 9):
+            sub = np.empty((1, 2 ** level, noise.shape[1]))
+            draw(_rng(seed, path_index, block=k * 16 + level), sub[0])
+            st, pu, f = walk(states[k][None], sub, h / 2 ** level)
+            if f[0] < 0:
+                x, push_inc = st[0, -1], pu[0, -1]
+                break
+        else:
+            events.append({"step": k, "point": states[k].copy(),
+                           "kind": "NoConvergence"})
+        states[k + 1] = x
+        push[k + 1] = push[k] + push_inc
+        k += 1
+        failed = False
+        while k < len(noise) and not failed:
+            st, pu, f = walk(states[k][None], noise[None, k:k + _BLOCK], h)
+            failed = f[0] >= 0
+            j = int(f[0]) if failed else st.shape[1] - 1
+            states[k + 1:k + j + 1] = st[0, 1:j + 1]
+            push[k + 1:k + j + 1] = push[k] + pu[0, 1:j + 1]
+            k += j
+    return events
+
+
+def _euler_walk(domain, coef, X, noise, h):
+    """Euler steps with state-dependent coefficients, each reflected into the
+    domain: the walk contract of _kernels.constrained_walk, one path at a
+    time."""
+    states = np.empty((len(X), noise.shape[1] + 1, X.shape[1]))
+    push = np.zeros((len(X), noise.shape[1] + 1, len(domain.pieces)))
+    states[:, 0] = X
+    fail = np.full(len(X), -1)
+    for p, x in enumerate(X):
+        sqh = math.sqrt(h[p])
+        for k, z in enumerate(noise[p]):
+            try:
+                x, eta = reflect(domain, x + coef.b(x) * h[p]
+                                 + coef.sigma(x) @ z * sqh)
+            except NoConvergence:
+                fail[p] = k
+                break
+            states[p, k + 1] = x
+            push[p, k + 1] = push[p, k] + eta
+    return states, push, fail
+
+
+def _normals(rng, rows):
+    rng.standard_normal(out=rows)
+
+
+def _simulate_paths(domain, coef, X0, n_steps, h, seed, paths):
+    """Walk path paths[p] from X0[p] for n_steps[p] steps of size h[p].
+
+    Each path draws its whole noise at once from its own (seed, path)
+    stream, draw(rng, rows) filling its (steps, width) rows, so a path is
+    the same alone or in a block.  One call of walk(X, noise, h) -> (states,
+    cumulative push, fail), the block contract of _kernels.constrained_walk,
+    walks every path; _retry finishes a path whose step failed.
 
     Returns (states, push, events): (P, N + 1, J) and (P, N + 1, m) arrays,
     N the most steps, whose rows past a path's own steps are undefined, and
     one event list per path.
     """
-    first = [min(_BLOCK, n) for n in n_steps]
-    noise = np.zeros((len(paths), max(first), n_noise))
-    # only a path past its first block reads its stream on; a failed step
-    # re-keys the path's stream
-    rngs = [None] * len(paths)
-    for p, rng in enumerate(_streams(seed, paths)):
-        if n_steps[p] > _BLOCK:
-            rng = rngs[p] = _rng(seed, paths[p])
-        rng.standard_normal(out=noise[p, :first[p]])
-    states, push, fail = walk(X0, noise, h)
-    one = [p for p in range(len(paths)) if first[p] == 1]
-    if one and len(one) < len(paths):
-        # numpy multiplies a one-row noise block by a vector-matrix product,
-        # which rounds apart from the rows of a longer block: walk those
-        # paths again as a block of their own, as each would walk alone
-        states[one, :2], push[one, :2], fail[one] = walk(
-            X0[one], noise[one, :1], h[one])
-    if max(n_steps) > _BLOCK:
-        extra = ((0, 0), (0, max(n_steps) - _BLOCK), (0, 0))
-        states, push = np.pad(states, extra), np.pad(push, extra)
-    events = []
-    for p, q in enumerate(paths):
-        # a step failing past a path's own first block is padding
-        failed = 0 <= fail[p] < first[p]
-        k = int(fail[p]) if failed else first[p]
-        events.append(_walk_on(walk, states[p], push[p], k, failed, rngs[p],
-                               n_steps[p], n_noise, h[p:p + 1], seed, q))
-    return states, push, events
-
-
-def _walk_on(walk, states, push, k, failed, rng, n_steps, n_noise, h, seed,
-             path_index):
-    """Walk one path on in place from step k, where states[k] and push[k]
-    hold it, to step n_steps; failed says step k's projection failed.
-    Returns the path's events."""
-    events = []
-    while True:
-        if failed:
-            # local refinement: retry the failed step at halved step sizes
-            x, push_inc = states[k], 0.0
-            for level in range(1, 9):
-                sub = 2 ** level
-                sub_noise = _rng(seed, path_index, block=k * 16 + level
-                                 ).standard_normal((1, sub, n_noise))
-                st, pu, f = walk(states[k][None], sub_noise, h / sub)
-                if f[0] < 0:
-                    x, push_inc = st[0, -1], pu[0, -1]
-                    break
-            else:
-                events.append({"step": k, "point": states[k].copy(),
-                               "kind": "NoConvergence"})
-            states[k + 1] = x
-            push[k + 1] = push[k] + push_inc
-            k += 1
-            rng = _rng(seed, path_index, block=k * 16 + 9)
-        if k >= n_steps:
-            return events
-        st, pu, f = walk(states[k][None], rng.standard_normal(
-            (1, min(_BLOCK, n_steps - k), n_noise)), h)
-        j = st.shape[1] - 1 if f[0] < 0 else int(f[0])
-        states[k + 1:k + j + 1] = st[0, 1:j + 1]
-        push[k + 1:k + j + 1] = push[k] + pu[0, 1:j + 1]
-        k += j
-        failed = f[0] >= 0
-
-
-def _euler_walk(domain, coef, x, noise, h):
-    """Euler steps with state-dependent coefficients, each reflected into the
-    domain; the walk contract of _kernels.constrained_walk for one path."""
-    states = np.empty((len(noise) + 1, len(x)))
-    push = np.zeros((len(noise) + 1, len(domain.pieces)))
-    states[0] = x
-    sqh = math.sqrt(h)
-    for k, z in enumerate(noise):
-        try:
-            x, eta = reflect(domain, x + coef.b(x) * h + coef.sigma(x) @ z * sqh)
-        except NoConvergence:
-            return states[:k + 1], push[:k + 1], k
-        states[k + 1] = x
-        push[k + 1] = push[k] + eta
-    return states, push, -1
-
-
-def _simulate_paths(domain, coef, X0, n_steps, h, seed, paths):
-    """Walk path paths[p] from X0[p] for n_steps[p] steps of size h[p], each
-    path on its own noise streams, so that a path is the same alone or in a
-    block.  Returns (states, push, events) as _walk_paths does."""
     X0 = np.asarray(X0, dtype=float)
     if not np.all(np.isfinite(X0)):
         raise ValueError("point must be finite")
@@ -276,25 +251,29 @@ def _simulate_paths(domain, coef, X0, n_steps, h, seed, paths):
         raise ValueError(f"start point {X0[outside[0]]} is outside the "
                          "closed domain")
     h = np.asarray(h, dtype=float)
+    sigma = coef.sigma(X0[0])
+    draw, width = _normals, sigma.shape[1]
     if (domain.dimension == 1 and len(domain.pieces) == 1
             and domain.pieces[0].kind == "half-space" and coef.is_constant):
         piece = domain.pieces[0]
         nrm = float(piece.normal[0])
         drift = nrm * float(coef.b(X0[0])[0])
-        diff = abs(float(coef.sigma(X0[0])[0, 0]))
-        noise = np.zeros((len(paths), max(n_steps)))
-        logu = np.zeros_like(noise)
-        for p, rng in enumerate(_streams(seed, paths)):
-            # random() draws what uniform() draws, and fills in place
-            rng.standard_normal(out=noise[p, :n_steps[p]])
-            np.log(rng.random(out=logu[p, :n_steps[p]]),
-                   out=logu[p, :n_steps[p]])
-        s, push = _kernels.halfline_bridge_walk(
-            nrm * X0[:, 0] - piece.offset, drift, diff, noise, logu, h[:, None])
-        return (((s + piece.offset) * nrm)[:, :, None], push[:, :, None],
-                [[] for _ in paths])
-    sigma = coef.sigma(X0[0])
-    if domain.constant_reflection and coef.is_constant:
+        diff = abs(float(sigma[0, 0]))
+        width = 2
+
+        def draw(rng, rows):
+            # a step's normal, then the log of its uniform (random() draws
+            # what uniform() draws)
+            rows[:, 0] = rng.standard_normal(len(rows))
+            rows[:, 1] = np.log(rng.random(len(rows)))
+
+        def walk(X, noise, h):
+            s, push = _kernels.halfline_bridge_walk(
+                nrm * X[:, 0] - piece.offset, drift, diff, noise[:, :, 0],
+                noise[:, :, 1], h)
+            return (((s + piece.offset) * nrm)[:, :, None], push[:, :, None],
+                    np.full(len(X), -1))
+    elif domain.constant_reflection and coef.is_constant:
         normals, offsets, gammas = domain.face_arrays
         b = coef.b(X0[0])
 
@@ -303,16 +282,25 @@ def _simulate_paths(domain, coef, X0, n_steps, h, seed, paths):
                                              gammas, noise, h, _PTOL)
     else:
         def walk(X, noise, h):
-            # the state-dependent walk takes one path at a time
-            states = np.empty((len(X), noise.shape[1] + 1, X.shape[1]))
-            push = np.zeros((len(X), noise.shape[1] + 1, len(domain.pieces)))
-            fail = np.full(len(X), -1)
-            for p in range(len(X)):
-                st, pu, fail[p] = _euler_walk(domain, coef, X[p], noise[p],
-                                              float(h[p]))
-                states[p, :len(st)], push[p, :len(pu)] = st, pu
-            return states, push, fail
-    return _walk_paths(walk, X0, sigma.shape[1], n_steps, h, seed, paths)
+            return _euler_walk(domain, coef, X, noise, h)
+    noise = np.zeros((len(paths), max(n_steps), width))
+    for p, rng in enumerate(_streams(seed, paths)):
+        draw(rng, noise[p, :n_steps[p]])
+    states, push, fail = walk(X0, noise, h)
+    one = [p for p in range(len(paths)) if n_steps[p] == 1]
+    if one and len(one) < len(paths):
+        # numpy multiplies a one-row noise block by a vector-matrix product,
+        # which rounds apart from the rows of a longer block: walk those
+        # paths again as a block of their own, as each would walk alone
+        states[one, :2], push[one, :2], fail[one] = walk(
+            X0[one], noise[one, :1], h[one])
+    events = []
+    for p, q in enumerate(paths):
+        # a step failing past a path's own steps is padding
+        events.append(_retry(walk, draw, states[p], push[p], int(fail[p]),
+                             noise[p, :n_steps[p]], h[p:p + 1], seed, q)
+                      if 0 <= fail[p] < n_steps[p] else [])
+    return states, push, events
 
 
 def simulate_path(domain: dom.DomainSpec, coef: CoefficientField, x0, T: float,

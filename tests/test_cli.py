@@ -161,7 +161,7 @@ _CORNER_TRAP = {"dimension": 2, "pieces": [
      "gamma": [-2.0, 1.0]}]}
 
 
-def test_simulate_failed_projections_exit_numeric(tmp_path):
+def test_simulate_failed_projections_exit_numeric(tmp_path, capsys):
     # N Gamma^T = [[1, -2], [-2, 1]] is not a P-matrix, and the drift runs
     # into the corner, where the projection fails; the corner is declared
     # singular, so the system passes the well-posedness check at load
@@ -175,6 +175,29 @@ def test_simulate_failed_projections_exit_numeric(tmp_path):
                 "--dt", "0.01", "--output", str(out)])
     assert code == cli.EXIT_NUMERIC
     assert len(out.read_text().splitlines()) == 2 + 21
+    # stderr names the first failed step and the point it started from
+    rows = np.loadtxt(out, delimiter=",", skiprows=2)
+    err = capsys.readouterr().err
+    step = int(err.split("numeric failure: step ")[1].split()[0])
+    assert f"from the point {rows[step, 1:3].tolist()}" in err
+    assert np.array_equal(rows[step, 1:3], rows[step + 1, 1:3])
+
+
+@pytest.mark.parametrize("preset", ["gps3", "wedge_alpha1"])
+def test_simulate_through_a_singular_vertex_exits_numeric(tmp_path, capsys,
+                                                          preset):
+    # both presets reach faces whose N Gamma^T block is singular, where the
+    # projection must fail: not escape as "Singular matrix" (exit 2) on the
+    # wedge, nor write pushing of order 1e13 on gps3
+    out = tmp_path / "t.csv"
+    code = run(["simulate", "--config", str(PRESETS / f"{preset}.json"),
+                "--T", "1", "--output", str(out)])
+    assert code == cli.EXIT_NUMERIC
+    assert "failed every projection retry" in capsys.readouterr().err
+    cols = out.read_text().splitlines()[1].split(",")
+    rows = np.loadtxt(out, delimiter=",", skiprows=2)
+    push = rows[:, [k for k, c in enumerate(cols) if c.startswith("push")]]
+    assert 0.0 < push.max() < 10.0
 
 
 @pytest.mark.parametrize("args, name", [

@@ -309,6 +309,33 @@ def test_project_polyhedral_solves_skorokhod_problem(problem):
     assert np.allclose(x - y, eta @ gammas, atol=1e-9)
 
 
+_SINGULAR_BLOCKS = {
+    # the alpha = 1 wedge: N Gamma^T = [[1, -1], [-1, 1]] at the vertex
+    "wedge_alpha1": (np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros(2),
+                     np.array([[-1.0, 1.0], [1.0, -1.0]])),
+    # gps3: the block of the three coordinate faces has (1, 1, 1) in its
+    # null space
+    "gps3": (np.vstack([np.eye(3), np.full(3, 3 ** -0.5)]), np.zeros(4),
+             np.vstack([1.5 * np.eye(3) - 0.5, np.full(3, 3 ** -0.5)])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SINGULAR_BLOCKS))
+def test_project_polyhedral_fails_on_a_singular_block(case):
+    normals, offsets, gammas = _SINGULAR_BLOCKS[case]
+    J = normals.shape[1]
+    # pushed from every face of the block: the wedge's solve raises, gps3's
+    # returns eta of order 1e13, which leaves x off its faces
+    assert not _kernels.project_polyhedral(np.full(J, -0.01), normals,
+                                           offsets, gammas)[2]
+    # pushed from one face of it, the projection still succeeds
+    y = 0.5 - 0.51 * normals[0]
+    x, eta, ok = _kernels.project_polyhedral(y, normals, offsets, gammas)
+    assert ok and np.isclose(eta[0], 0.01) and not eta[1:].any()
+    assert np.array_equal(x, y + eta[0] * gammas[0])
+    assert abs(normals[0] @ x) <= 1e-15
+
+
 def test_constrained_walk_orthant_invariants():
     gammas = np.array([[1.0, -0.4], [-0.3, 1.0]])
     noise = np.random.default_rng(8).standard_normal((3000, 2))
@@ -373,7 +400,8 @@ def test_constrained_walk_block_matches_the_step_loop(case):
 
 
 def test_constant_walk_keeps_one_noise_stream():
-    # paths longer than one kernel block follow the single (seed, path) stream
+    # a path longer than _BLOCK steps walks its single (seed, path) stream
+    # whole: states and pushing are the step loop's bit for bit
     o = rd.make_example("orthant", J=2, D=np.array([[1.0, -0.4], [-0.4, 1.0]]))
     n = 10_000
     traj = rd.simulate_path(o.domain, o.coefficients, [0.5, 0.5], T=n * 1e-3,
@@ -385,7 +413,7 @@ def test_constant_walk_keeps_one_noise_stream():
         o.coefficients.sigma(np.zeros(2)), normals, offsets, gammas, noise, 1e-3)
     assert fail == -1 and not traj.events
     assert np.array_equal(traj.states, states)
-    assert np.allclose(traj.pushing, push, rtol=0.0, atol=1e-12)
+    assert np.array_equal(traj.pushing, push)
 
 
 def _corner_trap():
@@ -410,6 +438,31 @@ def test_failed_projections_are_events():
         # the path stays at the point where the step failed
         assert np.array_equal(e["point"], traj.states[e["step"]])
         assert np.array_equal(e["point"], traj.states[e["step"] + 1])
+
+
+def test_a_path_resumes_on_its_own_noise_after_a_failed_step():
+    # from the corner of the trap, drifting away: after each event at step k
+    # the path walks rows k + 1 ... of its own (seed, path) stream, so its
+    # states equal a fresh walk on those rows up to that walk's failed step
+    domain = _corner_trap()
+    coef = CoefficientField.constant([0.3, 0.3], 0.3 * np.eye(2))
+    n = 50
+    traj = rd.simulate_path(domain, coef, [0.0, 0.0], T=n * 0.01, dt=0.01,
+                            seed=1, path_index=3)
+    noise = _rng(1, 3).standard_normal((n, 2))
+    steps = [e["step"] for e in traj.events]
+    assert len(steps) >= 2
+    walked = 0
+    for k in steps:
+        states, _, fail = _kernels.constrained_walk(
+            traj.states[k + 1][None], coef.b(np.zeros(2)),
+            coef.sigma(np.zeros(2)), *domain.face_arrays, noise[None, k + 1:],
+            0.01)
+        rows = n - k if fail[0] < 0 else fail[0] + 1
+        assert np.array_equal(traj.states[k + 1:k + 1 + rows],
+                              states[0, :rows])
+        walked += rows - 1
+    assert walked >= 20
 
 
 def _assert_same_path(states, push, events, traj):
@@ -448,7 +501,7 @@ def test_a_path_is_the_same_alone_or_in_a_block(case, seed, first, data):
 
 
 @pytest.mark.parametrize("case, steps", [
-    # past the first noise block, and one-step paths, whose one-row noise
+    # longer than _BLOCK steps, and one-step paths, whose one-row noise
     # product rounds apart from a longer block's rows
     ("oblique2", [_BLOCK + 70, 15, _BLOCK] + [1] * 8),
     ("trap", [12, 1, 5, 0])])                     # failed steps, retried
@@ -508,8 +561,7 @@ def test_general_walk_on_disk_spans_blocks():
     states, push = _general_loop_reference(disk.domain, coef,
                                            np.array([0.2, 0.1]), n, 1e-3, 5, 1)
     assert np.array_equal(traj.states, states)
-    # blocks add their own running sums onto the total: rounding-level gaps
-    assert np.allclose(traj.pushing, push, rtol=1e-12, atol=1e-12)
+    assert np.array_equal(traj.pushing, push)
 
 
 def test_general_walk_failed_projections_are_events(monkeypatch):
