@@ -73,30 +73,37 @@ _SCREEN = 1e-9
 
 
 def constrained_walk(x0, b, sigma, normals, offsets, gammas, noise, dt,
-                     ptol=1e-12):
-    """Projected Euler walks from the rows of x0: noise[p] holds one standard
-    normal row per step of path p, and dt is one step size or one per path.
+                     steps, ptol=1e-12):
+    """Projected Euler walks from the rows of x0: path p takes steps[p]
+    steps on the standard normal rows noise[p, :steps[p]], and dt is one
+    step size or one per path.  No path steps past its own count.
 
-    Each path moves ahead by a window of free steps at once, a running sum
-    from its current state with the additions of a step-by-step loop.  The
-    steps whose face residuals all stay above _SCREEN are kept as they are;
-    the first step at or below it goes to `project_polyhedral`, and so does
-    each next step whose free point is at or below it too.  The next window
-    starts from the first step above it.
+    A step's increment b dt + z sigma^T sqrt(dt) is rounded from its noise
+    row z alone, as `domain.row_dot` rounds a row, so a path's bits do not
+    depend on the rows or paths beside it.  Each path moves ahead by a
+    window of free steps at once, a running sum from its current state with
+    the additions of a step-by-step loop.  The steps whose face residuals all
+    stay above _SCREEN are kept as they are; the first step at or below it
+    goes to `project_polyhedral`, and so does each next step whose free point
+    is at or below it too.  The next window starts from the first step above
+    it.
 
     Returns (states, cumulative pushing, fail), shaped (P, n + 1, J),
-    (P, n + 1, m) and (P,); fail[p] is -1 when path p took every step, else
-    its first step whose projection failed, and path p's rows stop at the
-    state before it.  The pushing is one running sum per path, as a step
-    loop adds it.  Memory: the increments of all n steps are built at once,
+    (P, n + 1, m) and (P,) for n noise rows; fail[p] is -1 when path p took
+    every step, else its first step whose projection failed, and path p's
+    rows stop at the state before it.  Rows past a path's steps are
+    undefined.  The pushing is one running sum per path, as a step loop adds
+    it.  Memory: the increments of all n rows are built at once,
     (P, n + _WINDOW, J) floats beside the noise.
     """
     h = np.reshape(dt, (-1, 1, 1))
+    steps = np.asarray(steps)
     P, n = noise.shape[:2]
     J = len(b)
     # zero rows past the last step let every window read _WINDOW rows
     inc = np.zeros((P, n + _WINDOW, J))
-    inc[:, :n] = noise @ (sigma.T * np.sqrt(h))
+    np.matmul(noise[:, :, None, :], (sigma.T * np.sqrt(h))[:, None],
+              out=inc[:, :n, None, :])
     inc[:, :n] += b * h
     states = np.empty((P, n + 1, J))
     push = np.zeros((P, n + 1, len(offsets)))
@@ -105,9 +112,9 @@ def constrained_walk(x0, b, sigma, normals, offsets, gammas, noise, dt,
     k = np.zeros(P, dtype=int)          # steps each path has taken
     ahead = np.arange(_WINDOW)
     free = np.empty((P, _WINDOW + 1, J))
-    live = np.arange(P if n else 0)
+    live = np.flatnonzero(steps > 0)
     while live.size:
-        at = k[live]
+        at, end = k[live], steps[live]
         rows = at[:, None] + ahead
         win = free[:len(live)]
         win[:, 0] = states[live, at]
@@ -116,7 +123,7 @@ def constrained_walk(x0, b, sigma, normals, offsets, gammas, noise, dt,
         resid = win[:, 1:] @ normals.T
         resid -= offsets
         stop = (resid <= _SCREEN).any(axis=2)
-        stop |= rows >= n
+        stop |= rows >= end[:, None]
         kept = np.where(stop.any(axis=1), stop.argmax(axis=1), _WINDOW)
         taken = ahead < kept[:, None]
         to = (np.repeat(live, kept), rows[taken] + 1)
@@ -124,7 +131,7 @@ def constrained_walk(x0, b, sigma, normals, offsets, gammas, noise, dt,
         push[to] = np.repeat(push[live, at], kept, axis=0)
         at += kept
         k[live] = at
-        for i in np.flatnonzero((kept < _WINDOW) & (at < n)).tolist():
+        for i in np.flatnonzero((kept < _WINDOW) & (at < end)).tolist():
             p, s, y = live[i], at[i], win[i, kept[i] + 1]
             # project, and go on projecting while the next free step also
             # reaches the margin, as it does on a face pushed against
@@ -137,13 +144,13 @@ def constrained_walk(x0, b, sigma, normals, offsets, gammas, noise, dt,
                 states[p, s + 1] = x
                 push[p, s + 1] = push[p, s] + eta
                 s += 1
-                if s == n:
+                if s == end[i]:
                     break
                 y = x + inc[p, s]
                 if min((normals @ y - offsets).tolist()) > _SCREEN:
                     break
             k[p] = s
-        live = live[(k[live] < n) & (fail[live] < 0)]
+        live = live[(k[live] < steps[live]) & (fail[live] < 0)]
     return states, push, fail
 
 

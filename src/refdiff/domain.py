@@ -255,7 +255,8 @@ class DomainSpec:
     @property
     def constant_reflection(self) -> bool:
         """Polyhedral with a constant reflection vector on every face."""
-        return all(p.constant_reflection for p in self.pieces)
+        return self.cached("constant-reflection", lambda: all(
+            p.constant_reflection for p in self.pieces))
 
     def tol_at(self, x):
         """Active-set tolerance active_tol (1 + |x|): a float at a point, an

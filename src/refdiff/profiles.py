@@ -18,8 +18,6 @@ s >= eps - w/2 (reported as kappa = w/2).
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 from numpy.polynomial import Polynomial
 
@@ -91,7 +89,9 @@ _CUTOFF_CACHE: dict = {}
 
 def _step_profile(rising: bool, lo, hi) -> PiecewisePoly:
     """The cached C^2 step on [lo, hi]: rising from 0 to 1, or falling from 1
-    to 0.  One instance per key."""
+    to 0.  One instance per key.  Raises BadThresholds unless lo < hi."""
+    if not lo < hi:
+        raise BadThresholds(f"thresholds must increase, got {(lo, hi)}")
     key = (rising, float(lo), float(hi))
     if key not in _CUTOFF_CACHE:
         step = _smoothstep()(_affine(lo, hi))
@@ -103,33 +103,19 @@ def _step_profile(rising: bool, lo, hi) -> PiecewisePoly:
     return _CUTOFF_CACHE[key]
 
 
-def cutoff(kind: str, thresholds) -> PiecewisePoly:
-    """C^2 monotone plateau profile.
-
-    kind 'xi': 1 below thresholds[0], 0 above thresholds[1] (interior bumps).
-    kind 'zeta': the same step under the boundary-bump cutoff's name (1 up to
-    5 lam / 4, 0 beyond 23 lam / 12 when thresholds are built from lam); both
-    kinds return the one cached instance for the thresholds.  Raises
-    BadThresholds unless thresholds are increasing and kind is one of these.
-    """
-    lo, hi = float(thresholds[0]), float(thresholds[1])
-    if not lo < hi:
-        raise BadThresholds(f"thresholds must increase, got {thresholds}")
-    if kind not in ("xi", "zeta"):
-        raise BadThresholds(f"unknown cutoff kind {kind!r}")
+def cutoff(lo: float, hi: float) -> PiecewisePoly:
+    """C^2 profile falling from 1 (below lo) to 0 (above hi)."""
     return _step_profile(False, lo, hi)
 
 
 def rising_cutoff(lo: float, hi: float) -> PiecewisePoly:
     """C^2 profile rising from 0 (below lo) to 1 (above hi)."""
-    if not lo < hi:
-        raise BadThresholds(f"thresholds must increase, got {(lo, hi)}")
     return _step_profile(True, lo, hi)
 
 
 def zeta_for_band(lam: float) -> PiecewisePoly:
     """The decreasing boundary-bump cutoff: 1 on (-inf, 5 lam/4], 0 beyond 23 lam/12."""
-    return cutoff("zeta", (1.25 * lam, 23.0 * lam / 12.0))
+    return cutoff(1.25 * lam, 23.0 * lam / 12.0)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +145,7 @@ class RampProfile:
     [delta + 2 sqrt(delta), eps/2].
     """
 
-    def __init__(self, delta: float, eps: float, width: Optional[float] = None):
+    def __init__(self, delta: float, eps: float):
         if not (0.0 < delta < eps):
             raise BadParameters(f"need 0 < delta < eps, got {delta}, {eps}")
         if delta + np.sqrt(delta) >= eps:
@@ -169,11 +155,7 @@ class RampProfile:
             raise BadParameters("ramp bounds require eps < 0.4")
         self.delta = float(delta)
         self.eps = float(eps)
-        if width is None:
-            width = min(delta / 2.0, np.sqrt(delta) / 4.0, eps / 8.0)
-        if not (0.0 < width < delta):
-            raise BadParameters(f"mollification width must lie in (0, delta), got {width}")
-        self.width = float(width)
+        self.width = float(min(delta / 2.0, np.sqrt(delta) / 4.0, eps / 8.0))
         self.kappa = self.width / 2.0
         self.exact = PiecewisePoly(*_exact_ramp(delta, eps))
         self.plateau = float(self.exact.coef[0][-1, 0])

@@ -155,7 +155,8 @@ def _check_steps(T: float, dt: float):
 
 def _runs(lengths):
     """Consecutive runs of positions of nondecreasing step counts, each as
-    many as fit in _ROWS padded state rows (at least one)."""
+    many as fit in _ROWS state rows (at least one): a block's arrays hold
+    every path to its longest one's steps."""
     start = 0
     for end in range(1, len(lengths) + 1):
         if (end == len(lengths)
@@ -181,7 +182,8 @@ def _retry(walk, draw, states, push, k, noise, h, seed, path_index):
         for level in range(1, 9):
             sub = np.empty((1, 2 ** level, noise.shape[1]))
             draw(_rng(seed, path_index, block=k * 16 + level), sub[0])
-            st, pu, f = walk(states[k][None], sub, h / 2 ** level)
+            st, pu, f = walk(states[k][None], sub, h / 2 ** level,
+                             [2 ** level])
             if f[0] < 0:
                 x, push_inc = st[0, -1], pu[0, -1]
                 break
@@ -193,7 +195,8 @@ def _retry(walk, draw, states, push, k, noise, h, seed, path_index):
         k += 1
         failed = False
         while k < len(noise) and not failed:
-            st, pu, f = walk(states[k][None], noise[None, k:k + _BLOCK], h)
+            rows = noise[None, k:k + _BLOCK]
+            st, pu, f = walk(states[k][None], rows, h, [rows.shape[1]])
             failed = f[0] >= 0
             j = int(f[0]) if failed else st.shape[1] - 1
             states[k + 1:k + j + 1] = st[0, 1:j + 1]
@@ -202,7 +205,7 @@ def _retry(walk, draw, states, push, k, noise, h, seed, path_index):
     return events
 
 
-def _euler_walk(domain, coef, X, noise, h):
+def _euler_walk(domain, coef, X, noise, h, steps):
     """Euler steps with state-dependent coefficients, each reflected into the
     domain: the walk contract of _kernels.constrained_walk, one path at a
     time."""
@@ -212,7 +215,7 @@ def _euler_walk(domain, coef, X, noise, h):
     fail = np.full(len(X), -1)
     for p, x in enumerate(X):
         sqh = math.sqrt(h[p])
-        for k, z in enumerate(noise[p]):
+        for k, z in enumerate(noise[p, :steps[p]]):
             try:
                 x, eta = reflect(domain, x + coef.b(x) * h[p]
                                  + coef.sigma(x) @ z * sqh)
@@ -232,10 +235,12 @@ def _simulate_paths(domain, coef, X0, n_steps, h, seed, paths):
     """Walk path paths[p] from X0[p] for n_steps[p] steps of size h[p].
 
     Each path draws its whole noise at once from its own (seed, path)
-    stream, draw(rng, rows) filling its (steps, width) rows, so a path is
-    the same alone or in a block.  One call of walk(X, noise, h) -> (states,
-    cumulative push, fail), the block contract of _kernels.constrained_walk,
-    walks every path; _retry finishes a path whose step failed.
+    stream, draw(rng, rows) filling its (steps, width) rows.  One call of
+    walk(X, noise, h, steps) -> (states, cumulative push, fail), the block
+    contract of _kernels.constrained_walk, walks every path: no walk steps
+    past a path's own count, and a step's increment is rounded from its own
+    noise row, so a path is the same alone or in a block.  _retry finishes a
+    path whose step failed.
 
     Returns (states, push, events): (P, N + 1, J) and (P, N + 1, m) arrays,
     N the most steps, whose rows past a path's own steps are undefined, and
@@ -267,7 +272,9 @@ def _simulate_paths(domain, coef, X0, n_steps, h, seed, paths):
             rows[:, 0] = rng.standard_normal(len(rows))
             rows[:, 1] = np.log(rng.random(len(rows)))
 
-        def walk(X, noise, h):
+        def walk(X, noise, h, steps):
+            # the bridge never projects: it sums every row of the block, and
+            # rows past a path's steps stay undefined
             s, push = _kernels.halfline_bridge_walk(
                 nrm * X[:, 0] - piece.offset, drift, diff, noise[:, :, 0],
                 noise[:, :, 1], h)
@@ -277,29 +284,19 @@ def _simulate_paths(domain, coef, X0, n_steps, h, seed, paths):
         normals, offsets, gammas = domain.face_arrays
         b = coef.b(X0[0])
 
-        def walk(X, noise, h):
+        def walk(X, noise, h, steps):
             return _kernels.constrained_walk(X, b, sigma, normals, offsets,
-                                             gammas, noise, h, _PTOL)
+                                             gammas, noise, h, steps, _PTOL)
     else:
-        def walk(X, noise, h):
-            return _euler_walk(domain, coef, X, noise, h)
+        def walk(X, noise, h, steps):
+            return _euler_walk(domain, coef, X, noise, h, steps)
     noise = np.zeros((len(paths), max(n_steps), width))
     for p, rng in enumerate(_streams(seed, paths)):
         draw(rng, noise[p, :n_steps[p]])
-    states, push, fail = walk(X0, noise, h)
-    one = [p for p in range(len(paths)) if n_steps[p] == 1]
-    if one and len(one) < len(paths):
-        # numpy multiplies a one-row noise block by a vector-matrix product,
-        # which rounds apart from the rows of a longer block: walk those
-        # paths again as a block of their own, as each would walk alone
-        states[one, :2], push[one, :2], fail[one] = walk(
-            X0[one], noise[one, :1], h[one])
-    events = []
-    for p, q in enumerate(paths):
-        # a step failing past a path's own steps is padding
-        events.append(_retry(walk, draw, states[p], push[p], int(fail[p]),
-                             noise[p, :n_steps[p]], h[p:p + 1], seed, q)
-                      if 0 <= fail[p] < n_steps[p] else [])
+    states, push, fail = walk(X0, noise, h, n_steps)
+    events = [_retry(walk, draw, states[p], push[p], int(fail[p]),
+                     noise[p, :n_steps[p]], h[p:p + 1], seed, q)
+              if fail[p] >= 0 else [] for p, q in enumerate(paths)]
     return states, push, events
 
 
@@ -376,7 +373,7 @@ def _resolvent(domain, coef, ys, t, dt, seed, draws) -> np.ndarray:
     """Endpoints of resolvent draws draws[k] from ys[k] after times t[k]: the
     whole steps of size dt on path 2 d + 1, then the fractional rest as one
     step on path 2 d + 2.  Draws run in blocks sorted by step count, so a
-    block pads little."""
+    block's arrays hold few rows past its paths' steps."""
     _check_steps(0.0, dt)
     ys = np.asarray(ys, dtype=float)
     t = np.asarray(t, dtype=float)

@@ -39,7 +39,7 @@ def _sup_abs_d1_d2(prof, grid):
 
 # The interior and singular bumps' cutoffs and their sup |d1|, |d2| on grids
 # that cover each transition, computed once for every bump's bound_triple.
-_XI = cutoff("xi", (0.5, 1.0))
+_XI = cutoff(0.5, 1.0)
 _XI_SUP = _sup_abs_d1_d2(_XI, np.linspace(0.4, 1.1, 201))
 _ZETA = rising_cutoff(0.5, 1.0)
 _ZETA_SUP = _sup_abs_d1_d2(_ZETA, np.linspace(-0.1, 2.2, 301))

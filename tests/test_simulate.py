@@ -341,7 +341,7 @@ def test_constrained_walk_orthant_invariants():
     noise = np.random.default_rng(8).standard_normal((3000, 2))
     states, push, fail = _kernels.constrained_walk(
         np.array([[0.5, 0.5]]), np.array([-1.0, -0.5]), np.eye(2), np.eye(2),
-        np.zeros(2), gammas, noise[None], 1e-2)
+        np.zeros(2), gammas, noise[None], 1e-2, [3000])
     assert fail.tolist() == [-1] and states.shape == (1, 3001, 2)
     states, push = states[0], push[0]
     assert states.min() >= -1e-12
@@ -357,15 +357,16 @@ def test_constrained_walk_orthant_invariants():
 
 
 def _constrained_loop(x0, b, sigma, normals, offsets, gammas, noise, dt):
-    """Per-step reference for one path of the polyhedral walk: project every
-    Euler step, as the walk did before it screened steps in windows."""
-    inc = b * dt + noise @ (sigma.T * math.sqrt(dt))
-    states = np.empty((len(inc) + 1, len(x0)))
-    push = np.zeros((len(inc) + 1, len(offsets)))
+    """Per-step reference for one path of the polyhedral walk: form each
+    Euler increment from its own noise row and project every step, as the
+    walk did before it screened steps in windows."""
+    M = sigma.T * math.sqrt(dt)
+    states = np.empty((len(noise) + 1, len(x0)))
+    push = np.zeros((len(noise) + 1, len(offsets)))
     x = states[0] = x0
-    for k in range(len(inc)):
-        x, eta, ok = _kernels.project_polyhedral(x + inc[k], normals, offsets,
-                                                 gammas, 1e-12)
+    for k, z in enumerate(noise):
+        x, eta, ok = _kernels.project_polyhedral(x + (b * dt + z @ M), normals,
+                                                 offsets, gammas, 1e-12)
         if not ok:
             return states[:k + 1], push[:k + 1], k
         states[k + 1] = x
@@ -386,7 +387,8 @@ def test_constrained_walk_block_matches_the_step_loop(case):
     dts = np.array([1e-3, 1e-2, 0.05, 2e-3, 0.2])
     noise = rng.standard_normal((5, 700, sigma.shape[1]))
     args = (b, sigma) + domain.face_arrays
-    states, push, fail = _kernels.constrained_walk(X0, *args, noise, dts)
+    states, push, fail = _kernels.constrained_walk(X0, *args, noise, dts,
+                                                   [700] * 5)
     for p in range(5):
         ref = _constrained_loop(X0[p], *args, noise[p], dts[p])
         assert fail[p] == ref[2]
@@ -457,7 +459,7 @@ def test_a_path_resumes_on_its_own_noise_after_a_failed_step():
         states, _, fail = _kernels.constrained_walk(
             traj.states[k + 1][None], coef.b(np.zeros(2)),
             coef.sigma(np.zeros(2)), *domain.face_arrays, noise[None, k + 1:],
-            0.01)
+            0.01, [n - k - 1])
         rows = n - k if fail[0] < 0 else fail[0] + 1
         assert np.array_equal(traj.states[k + 1:k + 1 + rows],
                               states[0, :rows])
@@ -501,8 +503,7 @@ def test_a_path_is_the_same_alone_or_in_a_block(case, seed, first, data):
 
 
 @pytest.mark.parametrize("case, steps", [
-    # longer than _BLOCK steps, and one-step paths, whose one-row noise
-    # product rounds apart from a longer block's rows
+    # longer than _BLOCK steps, and one-step paths
     ("oblique2", [_BLOCK + 70, 15, _BLOCK] + [1] * 8),
     ("trap", [12, 1, 5, 0])])                     # failed steps, retried
 def test_blocks_of_long_failing_and_one_step_paths_equal_the_paths_alone(
@@ -518,6 +519,27 @@ def test_blocks_of_long_failing_and_one_step_paths_equal_the_paths_alone(
                                 seed=17, path_index=paths[p])
         _assert_same_path(states[p], push[p], events[p], traj)
     assert any(events) == (case == "trap")
+
+
+def test_a_block_makes_the_projections_of_its_paths_alone(monkeypatch):
+    # no path of a block steps past its own steps: the oblique2 block of the
+    # test above projects as often as its paths walked one at a time (2,109
+    # calls; walking every path to the longest one's steps made 39,392)
+    calls = []
+    project = _kernels.project_polyhedral
+    monkeypatch.setattr(_kernels, "project_polyhedral",
+                        lambda *a: calls.append(1) or project(*a))
+    domain, coef = _BLOCK_CASES["oblique2"]()
+    steps = [_BLOCK + 70, 15, _BLOCK] + [1] * 8
+    X0 = np.random.default_rng(2).uniform(0.0, 0.5, (len(steps), 2))
+    X0[:2] = [[0.05, 0.05], [0.0, 0.0]]
+    simulate._simulate_paths(domain, coef, X0, steps, np.full(len(steps), 1e-2),
+                             17, range(5, 5 + len(steps)))
+    block = len(calls)
+    for p, n in enumerate(steps):
+        rd.simulate_path(domain, coef, X0[p], T=n * 1e-2, dt=1e-2, seed=17,
+                         path_index=5 + p)
+    assert block == len(calls) - block > 0
 
 
 def _varying(b, s):

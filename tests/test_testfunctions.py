@@ -206,7 +206,7 @@ def _resampled_sups(prof, grid):
 
 def test_bump_bound_triples_match_resampled_cutoff_sups(orthant2, gps2):
     # the sup constants are computed once; each bump used to resample them
-    s1, s2 = _resampled_sups(rd.cutoff("xi", (0.5, 1.0)), np.linspace(0.4, 1.1, 201))
+    s1, s2 = _resampled_sups(rd.cutoff(0.5, 1.0), np.linspace(0.4, 1.1, 201))
     for x, r in (([1.0, 1.0], 0.25), ([1.0, 1.2], 0.36), ([2.0, 1.5], 0.5)):
         rho = math.sqrt(r)
         f = rd.interior_bump(orthant2.domain, x, r)
