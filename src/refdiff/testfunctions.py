@@ -423,11 +423,17 @@ class StratumModel:
         """
         J = self.domain.dimension
         dirs = _unit_rows(np.random.default_rng(3), 40, J)
+        top = self.zeta.breaks[0]          # 5 lam/4, where zeta stops being 1
         lo_d, hi_d = 0.0, 0.6
         for _ in range(30):
             mid = 0.5 * (lo_d + hi_d)
-            k = self.mol.value(mid * dirs + self.anchor)
-            if np.all(k <= 1.25 * self.lam):
+            # all(value(U) <= top), with the stencil run only on the rows
+            # whose bracket holds top
+            U = mid * dirs + self.anchor
+            lower, upper = self.mol.bracket(U)
+            near = upper > top
+            if not np.any(lower > top) and (
+                    not near.any() or np.all(self.mol.value(U[near]) <= top)):
                 lo_d = mid
             else:
                 hi_d = mid
@@ -479,13 +485,28 @@ def boundary_bump(domain: dom.DomainSpec, x, r: float,
 
 def _boundary_jet(model: StratumModel, x, r: float, Y):
     """Jet of the model's boundary bump of radius r at x: zeta(l((y - x)/r +
-    anchor)) by the chain rule, computed on the rows in its support only."""
+    anchor)) by the chain rule, computed on the rows in its support only.
+
+    zeta is exactly 1 up to its first break and exactly 0 beyond its second,
+    with zero derivatives there, so a row whose bracket of l (one projection
+    of the row, l within reach of the exact distance) lies below the first
+    break gets (1, 0, 0) and one above the second (0, 0, 0), the constant
+    pieces' own values; only the other rows project their stencils."""
     J = model.domain.dimension
     v, G, H = np.zeros(len(Y)), np.zeros_like(Y), np.zeros((len(Y), J, J))
     rows = np.flatnonzero(np.linalg.norm(Y - x, axis=1) < r)
     if not len(rows):
         return v, G, H
-    k, Gk, Hk = model.mol.jet((Y[rows] - x) / r + model.anchor)
+    U = (Y[rows] - x) / r + model.anchor
+    lower, upper = model.mol.bracket(U)
+    one_to, zero_from = model.zeta.breaks
+    flat_one = upper <= one_to
+    v[rows[flat_one]] = 1.0
+    ramp = ~flat_one & (lower <= zero_from)
+    rows, U = rows[ramp], U[ramp]
+    if not len(rows):
+        return v, G, H
+    k, Gk, Hk = model.mol.jet(U)
     s1, s2 = model.zeta.d1(k), model.zeta.d2(k)
     v[rows] = model.zeta.value(k)
     act = s1 != 0.0
@@ -650,38 +671,50 @@ class FamilyEvaluation:
         self.full_value = np.zeros(n)
         self.full_grad = np.zeros((n, J))
         self.full_lf = np.zeros(n)
-        self._idx, self._vals, self._grads, self._lfs = [], [], [], []
-        for bump in family.bumps:
-            mask = np.linalg.norm(self.Y - bump.x, axis=1) \
-                <= bump.func.support_radius * (1 + 1e-12)
-            idx = np.flatnonzero(mask)
-            if len(idx) == 0:
-                self._idx.append(idx)
-                self._vals.append(np.empty(0))
-                self._grads.append(np.empty((0, J)))
-                self._lfs.append(np.empty(0))
+        # one flat table of every bump's support rows and their entries, in
+        # bump order; _owner[e] is the bump of entry e, and _idx[k], _vals[k],
+        # _grads[k], _lfs[k] are views of bump k's entries
+        idx = [np.flatnonzero(np.linalg.norm(self.Y - bump.x, axis=1)
+                              <= bump.func.support_radius * (1 + 1e-12))
+               for bump in family.bumps]
+        sizes = [len(i) for i in idx]
+        self._flat_idx = np.concatenate(idx)
+        self._owner = np.repeat(np.arange(len(idx)), sizes)
+        m = len(self._flat_idx)
+        self._flat_vals = np.empty(m)
+        self._flat_grads = np.empty((m, J))
+        self._flat_lfs = np.empty(m)
+        cuts = np.cumsum(sizes)[:-1]
+        self._idx = np.split(self._flat_idx, cuts)
+        self._vals = np.split(self._flat_vals, cuts)
+        self._grads = np.split(self._flat_grads, cuts)
+        self._lfs = np.split(self._flat_lfs, cuts)
+        for k, bump in enumerate(family.bumps):
+            rows = self._idx[k]
+            if not len(rows):
                 continue
-            pts = self.Y[idx]
+            pts = self.Y[rows]
             v, g, H = bump.func._jet(pts)
             lf = coefficients.generator(pts, g, H)
-            self._idx.append(idx)
-            self._vals.append(v)
-            self._grads.append(g)
-            self._lfs.append(lf)
-            self.full_value[idx] += v
-            self.full_grad[idx] += g
-            self.full_lf[idx] += lf
+            self._vals[k][:], self._grads[k][:], self._lfs[k][:] = v, g, lf
+            self.full_value[rows] += v
+            self.full_grad[rows] += g
+            self.full_lf[rows] += lf
 
     def member_arrays(self, x):
-        """(value, gradient, generator value) arrays of the member at x."""
+        """(value, gradient, generator value) arrays of the member at x: the
+        full sums minus the near bumps' entries, one unbuffered subtraction
+        per array over the entries in bump order, so each row subtracts its
+        bumps in the per-bump loop's order."""
         z = self.family.centers[self.family.center_index(x)]
+        sel = self.family.near(z)[self._owner]
+        rows = self._flat_idx[sel]
         v = self.full_value.copy()
         g = self.full_grad.copy()
         lf = self.full_lf.copy()
-        for k in np.flatnonzero(self.family.near(z)):
-            v[self._idx[k]] -= self._vals[k]
-            g[self._idx[k]] -= self._grads[k]
-            lf[self._idx[k]] -= self._lfs[k]
+        np.subtract.at(v, rows, self._flat_vals[sel])
+        np.subtract.at(g, rows, self._flat_grads[sel])
+        np.subtract.at(lf, rows, self._flat_lfs[sel])
         return v, g, lf
 
 

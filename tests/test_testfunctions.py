@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -447,6 +447,82 @@ def test_bump_constants_are_the_chain_rule_sups(system, x, request):
     assert model.bump_constants[1] == A
 
 
+# ---------------------------------------------------------------------------
+# the flat-cutoff screen
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def screen_cases(orthant2, gps2):
+    """(domain, x, r): two face strata of gps2, an orthant2 face, an edge
+    stratum of gps3 and a wedge face."""
+    gps3 = rd.make_example("gps", J=3).domain
+    wedge = rd.make_example("wedge").domain
+    return {"orthant2-face": (orthant2.domain, [1.0, 0.0], 0.5),
+            "gps2-face": (gps2.domain, [1.0, 0.0], 0.4),
+            "gps2-face1": (gps2.domain, [0.0, 1.5], 0.3),
+            "gps3-edge": (gps3, [0.0, 0.0, 1.0], 0.3),
+            "wedge-face": (wedge, [1.0, 0.0], 0.3)}
+
+
+SCREEN_CASES = ["orthant2-face", "gps2-face", "gps2-face1", "gps3-edge", "wedge-face"]
+
+
+def _same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("name", SCREEN_CASES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_screened_boundary_jet_is_bit_equal_to_the_stencil_jet(screen_cases, name, data):
+    domain, x, r = screen_cases[name]
+    x = np.asarray(x)
+    J = len(x)
+    model = _stratum_model(domain, x)
+    s = model.mol.reach * (1.0 + 1e-9) + 1e-12
+    n = data.draw(st.integers(1, 40))
+    W = data.draw(arrays(float, (n, J), elements=st.floats(-1.0, 1.0)))
+    side = data.draw(arrays(np.int64, n, elements=st.integers(0, 1)))
+    c = data.draw(arrays(float, n, elements=st.one_of(st.sampled_from([-1.0, 1.0]),
+                                                      st.floats(-1.5, 1.5))))
+    # rows whose exact cone distance is within 1.5 s of either break of
+    # zeta, on both sides of each screen threshold (break -+ s): the distance
+    # is convex and 0 at the anchor, so it rises along each ray from it
+    nrm = np.linalg.norm(W, axis=1)
+    keep = nrm > 0.1
+    W = W[keep] / nrm[keep, None]
+    target = model.zeta.breaks[side[keep]] + c[keep] * s
+    reach_out = model.cone.distance(model.anchor + 0.999 * W) > target
+    W, target = W[reach_out], target[reach_out]
+    assume(len(W))
+    lo, hi = np.zeros(len(W)), np.full(len(W), 0.999)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        up = model.cone.distance(model.anchor + mid[:, None] * W) > target
+        hi, lo = np.where(up, mid, hi), np.where(up, lo, mid)
+    Y = x + r * hi[:, None] * W
+    for got, want in zip(tf._boundary_jet(model, x, r, Y),
+                         _boundary_bump_reference(model, x, r, Y)):
+        assert _same_bits(got, want)
+
+
+@pytest.mark.parametrize("name", SCREEN_CASES)
+def test_plateau_bisection_equals_the_unscreened_bisection(screen_cases, name):
+    domain, x, _ = screen_cases[name]
+    x = np.asarray(x)
+    model = _stratum_model(domain, x)
+    dirs = tf._unit_rows(np.random.default_rng(3), 40, len(x))
+    lo, hi = 0.0, 0.6
+    for _ in range(30):
+        mid = 0.5 * (lo + hi)
+        if np.all(model.mol.value(mid * dirs + model.anchor) <= 1.25 * model.lam):
+            lo = mid
+        else:
+            hi = mid
+    assert model.bump_constants[0] == lo
+
+
 def test_check_admissible_detects_violation(orthant2):
     gam = orthant2.domain.pieces[0].gamma([0.0, 1.0])
 
@@ -512,7 +588,8 @@ def test_jet_is_bit_equal_to_the_separate_calls(jet_cases, name, U):
 def test_gps3_precompute_projects_each_stencil_once(monkeypatch):
     # criterion 05's gps3 point set: each boundary bump's jet projects its
     # stencil nodes once, not once for the value and again for each
-    # derivative
+    # derivative, and only on the rows that the one projection of the rows
+    # themselves (the screen) leaves in zeta's ramp
     gps = rd.make_example("gps", J=3)
     N, eps = 0.5, 0.3
     fam = rd.assemble_cover_family(gps.domain, gps.coefficients, N=N, eps=eps, seed=0)
@@ -520,19 +597,28 @@ def test_gps3_precompute_projects_each_stencil_once(monkeypatch):
     V = dom.sample_closure(gps.domain, 3000, seed=2)
     pts = np.vstack([B[np.linalg.norm(B, axis=1) <= N + 2 * eps],
                      V[np.linalg.norm(V, axis=1) <= N + 2 * eps]])
-    calls, rows = [0], [0]
+    count = collections.Counter()
     project_info = PolyCone.project_info
+    node_data = MollifiedConeDistance._node_data
 
     def counted(self, Z):
-        calls[0] += 1
-        rows[0] += len(Z)
+        count["calls"] += 1
+        count["rows"] += len(Z)
         return project_info(self, Z)
 
+    def counted_stencil(self, Z):
+        count["stencil"] += 1
+        return node_data(self, Z)
+
     monkeypatch.setattr(PolyCone, "project_info", counted)
+    monkeypatch.setattr(MollifiedConeDistance, "_node_data", counted_stencil)
     fam.precompute(pts, gps.coefficients)
     # 1,752 calls on 1,217,190 rows when the value, gradient and Hessian
-    # each projected the stencil
-    assert calls[0] <= 584 and rows[0] <= 405_730
+    # each projected the stencil; 584 stencil calls on 405,730 rows when
+    # every support row projected its stencil
+    assert count["stencil"] <= 584
+    assert count["calls"] - count["stencil"] <= 584
+    assert count["rows"] <= 60_000
 
 
 # ---------------------------------------------------------------------------
