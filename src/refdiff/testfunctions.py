@@ -11,6 +11,7 @@ inner product), not just numerically.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -195,21 +196,32 @@ def _radial_bump(J: int, x, r: float) -> TestFunction:
 
     def jet(Y):
         D = Y - x
-        z = np.einsum("ij,ij->i", D, D) / r
+        z = _radial_arg(D, r)
         d1 = xi.d1(z)
         t1 = d1[:, None, None] * (2.0 / r) * eye[None, :, :]
         t2 = xi.d2(z)[:, None, None] * (4.0 / r ** 2) * np.einsum("ni,nj->nij", D, D)
         return xi.value(z), d1[:, None] * (2.0 / r) * D, t1 + t2
 
-    rho = math.sqrt(r)
-    sup_d1, sup_d2 = _XI_SUP
-    # |grad| <= 2 ||xi'|| / rho and sum |d2| <= (4 J^2 ||xi''|| + 2 J ||xi'||) / rho^2
+    rho, bounds = _radial_constants(J, r)
     return TestFunction.from_jet(
         J, jet, center=x, support_radius=rho,
         constant_outside=0.0, claims_in_class=True, claims_negated_in_class=True,
-        bound_triple=(1.0, 2.0 * sup_d1 / rho,
-                      (4.0 * J * J * sup_d2 + 2.0 * J * sup_d1) / rho ** 2),
-        info={"kind": "interior", "r": r})
+        bound_triple=bounds, info={"kind": "interior", "r": r})
+
+
+def _radial_arg(D, r):
+    """xi's argument |D|^2 / r of the radial bump, per row of the offsets D."""
+    return np.einsum("ij,ij->i", D, D) / r
+
+
+def _radial_constants(J: int, r: float):
+    """Support radius sqrt(r) and bound triple of the radial bump
+    xi(|y - x|^2 / r) in dimension J."""
+    rho = math.sqrt(r)
+    sup_d1, sup_d2 = _XI_SUP
+    # |grad| <= 2 ||xi'|| / rho and sum |d2| <= (4 J^2 ||xi''|| + 2 J ||xi'||) / rho^2
+    return rho, (1.0, 2.0 * sup_d1 / rho,
+                 (4.0 * J * J * sup_d2 + 2.0 * J * sup_d1) / rho ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -592,13 +604,35 @@ def check_admissible(f: TestFunction, domain: dom.DomainSpec, samples: int = 200
 # Cover family (separation test functions)
 # ---------------------------------------------------------------------------
 
-@dataclass
 class _LatticeBump:
-    x: np.ndarray
-    kind: str
-    r: float
-    plateau: float
-    func: TestFunction
+    """A placed bump: centre x, kind, radius parameter r (an interior bump's
+    is its squared radius) and plateau radius.  An interior bump builds its
+    function on first use of func; its support radius and bound triple come
+    from r alone."""
+
+    __slots__ = ("x", "kind", "r", "plateau", "_func")
+
+    def __init__(self, x, kind, r, plateau, func=None):
+        self.x, self.kind, self.r, self.plateau = x, kind, r, plateau
+        self._func = func
+
+    @property
+    def func(self) -> TestFunction:
+        if self._func is None:
+            self._func = _radial_bump(len(self.x), self.x, self.r)
+        return self._func
+
+    @property
+    def support_radius(self) -> float:
+        if self.kind == "interior":
+            return _radial_constants(len(self.x), self.r)[0]
+        return self._func.support_radius
+
+    @property
+    def bound_triple(self):
+        if self.kind == "interior":
+            return _radial_constants(len(self.x), self.r)[1]
+        return self._func.bound_triple
 
 
 class CoverFamily:
@@ -672,31 +706,25 @@ class FamilyEvaluation:
         self.full_grad = np.zeros((n, J))
         self.full_lf = np.zeros(n)
         # one flat table of every bump's support rows and their entries, in
-        # bump order; _owner[e] is the bump of entry e, and _idx[k], _vals[k],
-        # _grads[k], _lfs[k] are views of bump k's entries
-        idx = [np.flatnonzero(np.linalg.norm(self.Y - bump.x, axis=1)
-                              <= bump.func.support_radius * (1 + 1e-12))
-               for bump in family.bumps]
-        sizes = [len(i) for i in idx]
-        self._flat_idx = np.concatenate(idx)
-        self._owner = np.repeat(np.arange(len(idx)), sizes)
+        # bump order and ascending rows; _owner[e] is the bump of entry e, and
+        # bump k's entries are _starts[k]:_starts[k + 1]
+        bumps = family.bumps
+        radii = np.array([b.support_radius for b in bumps])
+        self._owner, self._flat_idx = _ball_pairs(family._bump_x, radii * (1 + 1e-12),
+                                                  self.Y)
+        self._starts = np.searchsorted(self._owner, np.arange(len(bumps) + 1))
         m = len(self._flat_idx)
         self._flat_vals = np.empty(m)
         self._flat_grads = np.empty((m, J))
         self._flat_lfs = np.empty(m)
-        cuts = np.cumsum(sizes)[:-1]
-        self._idx = np.split(self._flat_idx, cuts)
-        self._vals = np.split(self._flat_vals, cuts)
-        self._grads = np.split(self._flat_grads, cuts)
-        self._lfs = np.split(self._flat_lfs, cuts)
-        for k, bump in enumerate(family.bumps):
-            rows = self._idx[k]
-            if not len(rows):
-                continue
+        # only a bump with a support row builds its function
+        for k in np.unique(self._owner):
+            e = slice(self._starts[k], self._starts[k + 1])
+            rows = self._flat_idx[e]
             pts = self.Y[rows]
-            v, g, H = bump.func._jet(pts)
+            v, g, H = bumps[k].func._jet(pts)
             lf = coefficients.generator(pts, g, H)
-            self._vals[k][:], self._grads[k][:], self._lfs[k][:] = v, g, lf
+            self._flat_vals[e], self._flat_grads[e], self._flat_lfs[e] = v, g, lf
             self.full_value[rows] += v
             self.full_grad[rows] += g
             self.full_lf[rows] += lf
@@ -724,15 +752,20 @@ def _lattice_points(lo, hi, spacing):
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def _interior_at(J, x, eps, d):
-    """The interior bump of radius 0.95 min(eps, d) at x, whose depth is d,
-    or None when that radius is below eps / 1000."""
-    rho = 0.95 * min(eps, d)
-    if rho <= eps * 1e-3:
-        return None
-    # the radius-rho ball fits: rho < d
-    return _LatticeBump(np.asarray(x, float), "interior", rho ** 2, rho / 2.0,
-                        _radial_bump(J, x, rho ** 2))
+def _interior_bumps(X, d, eps) -> list:
+    """The interior bumps of radius rho = 0.95 min(eps, d) at the rows of X,
+    whose depths are d, skipping each row whose rho is below eps / 1000; each
+    radius-rho ball fits, since rho < d."""
+    rho = 0.95 * np.minimum(eps, d)
+    keep = rho > eps * 1e-3
+    return [_LatticeBump(x, "interior", p ** 2, p / 2.0)
+            for x, p in zip(X[keep], rho[keep].tolist())]
+
+
+def _interior_at(x, eps, d):
+    """The interior bump at one point x of depth d, or None."""
+    bumps = _interior_bumps(np.asarray(x, float)[None], np.array([d]), eps)
+    return bumps[0] if bumps else None
 
 
 def _boundary_at(domain, x, eps):
@@ -750,13 +783,75 @@ def _boundary_at(domain, x, eps):
                         f.info["plateau_radius"], f)
 
 
-def _covers(bump: _LatticeBump, P) -> np.ndarray:
-    """Mask of the rows of P inside the bump's plateau: within plateau
-    (1 - 1e-12) of its centre, where its value is at least 1 - 1e-12."""
-    cov = np.linalg.norm(P - bump.x, axis=1) <= bump.plateau * (1 - 1e-12)
-    if cov.any():
-        cov[cov] = bump.func._value(P[cov]) >= 1.0 - 1e-12
-    return cov
+# candidate pairs that _ball_pairs decides at a time
+_PAIR_CHUNK = 1 << 15
+
+
+def _ball_pairs(X, bound, P):
+    """The pairs (b, p) with |P[p] - X[b]| <= bound[b], the distance
+    rounded as np.linalg.norm rounds a row: index arrays, b ascending and
+    each ball's p ascending.
+
+    A k-d tree over P proposes the candidates, with each bound inflated by
+    1e-9 bound + 1e-12 so that no pair is missed however the distances are
+    rounded, and the exact expression decides them, about _PAIR_CHUNK
+    candidates at a time (a ball's candidates are never split)."""
+    from scipy.spatial import cKDTree
+
+    bs, ps = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+    if len(X) and len(P):
+        tree = cKDTree(P)
+        reach = bound * (1 + 1e-9) + 1e-12
+        counts = tree.query_ball_point(X, reach, return_length=True)
+        ends = np.cumsum(counts)
+        k0 = 0
+        while k0 < len(X):
+            k1 = max(k0 + 1, int(np.searchsorted(ends, ends[k0] - counts[k0] + _PAIR_CHUNK,
+                                                  side="right")))
+            n = counts[k0:k1]
+            b = np.repeat(np.arange(k0, k1), n)
+            near = tree.query_ball_point(X[k0:k1], reach[k0:k1], return_sorted=True)
+            p = np.fromiter(itertools.chain.from_iterable(near), np.intp, int(n.sum()))
+            keep = np.linalg.norm(P[p] - X[b], axis=1) <= bound[b]
+            bs.append(b[keep])
+            ps.append(p[keep])
+            k0 = k1
+    return np.concatenate(bs), np.concatenate(ps)
+
+
+def _covers(bumps, P) -> np.ndarray:
+    """Mask of the rows of P inside some bump's plateau: within plateau
+    (1 - 1e-12) of its centre, where its value is at least 1 - 1e-12.  An
+    interior bump's value is xi on the pairs' z, as its jet computes it;
+    another bump's is its function's, called once on its rows."""
+    covered = np.zeros(len(P), dtype=bool)
+    if not bumps:
+        return covered
+    X = np.stack([b.x for b in bumps])
+    plateau = np.array([b.plateau for b in bumps])
+    b, p = _ball_pairs(X, plateau * (1 - 1e-12), P)
+    one = np.zeros(len(b), dtype=bool)
+    interior = np.array([bumps[k].kind == "interior" for k in b], dtype=bool)
+    r = np.array([bumps[k].r for k in b[interior]], dtype=float)
+    one[interior] = _XI.value(_radial_arg(P[p[interior]] - X[b[interior]], r)) >= 1.0 - 1e-12
+    rest = np.flatnonzero(~interior)
+    for e in np.split(rest, np.flatnonzero(np.diff(b[rest])) + 1):
+        if len(e):
+            one[e] = bumps[b[e[0]]].func._value(P[p[e]]) >= 1.0 - 1e-12
+    covered[p[one]] = True
+    return covered
+
+
+def _coverage_probes(domain, reach, seed):
+    """The coverage obligations: 3000 volume and 1000 boundary samples, those
+    inside the reach ball."""
+    vol = dom.sample_closure(domain, 3000, seed=seed + 5)
+    try:
+        bnd = dom.sample_boundary(domain, 1000, seed=seed + 6)
+        probes = np.vstack([vol, bnd])
+    except SamplingFailure:
+        probes = vol
+    return probes[np.linalg.norm(probes, axis=1) <= reach]
 
 
 def assemble_cover_family(domain: dom.DomainSpec, coefficients, N: float,
@@ -817,8 +912,7 @@ def assemble_cover_family(domain: dom.DomainSpec, coefficients, N: float,
     deep = _lattice_points(lo, hi, spacing)
     deep = deep[np.linalg.norm(deep, axis=1) <= reach]
     dd = depths_of(deep)
-    bumps += [b for b in (_interior_at(J, x, eps, d)
-                          for x, d in zip(deep[dd >= eps], dd[dd >= eps])) if b]
+    bumps += _interior_bumps(deep[dd >= eps], dd[dd >= eps], eps)
 
     face_plateau = max([b.plateau for b in bumps if b.kind == "boundary"],
                        default=0.27 * eps)
@@ -833,21 +927,10 @@ def assemble_cover_family(domain: dom.DomainSpec, coefficients, N: float,
         P = P[np.linalg.norm(P, axis=1) <= reach]
         dP = depths_of(P)
         keep = (dP >= 0.7 * t_lo_band) & (dP < 1.3 * t_hi_band)
-        bumps += [b for b in (_interior_at(J, x, eps, d)
-                              for x, d in zip(P[keep], dP[keep])) if b]
+        bumps += _interior_bumps(P[keep], dP[keep], eps)
 
-    # coverage obligations: volume and boundary samples inside the reach ball
-    vol = dom.sample_closure(domain, 3000, seed=seed + 5)
-    try:
-        bnd = dom.sample_boundary(domain, 1000, seed=seed + 6)
-        probes = np.vstack([vol, bnd])
-    except SamplingFailure:
-        probes = vol
-    probes = probes[np.linalg.norm(probes, axis=1) <= reach]
-
-    covered = np.zeros(len(probes), dtype=bool)
-    for b in bumps:
-        covered |= _covers(b, probes)
+    probes = _coverage_probes(domain, reach, seed)
+    covered = _covers(bumps, probes)
     # a probe that no bump can cover is given up for good: an attempt's
     # outcome depends on the probe alone
     blocked = np.zeros(len(probes), dtype=bool)
@@ -862,7 +945,7 @@ def assemble_cover_family(domain: dom.DomainSpec, coefficients, N: float,
                 continue
             y = probes[i]
             d = dom.distance_to_boundary(domain, y)
-            added = _interior_at(J, y, eps, d) if d > 0.25 * eps else None
+            added = _interior_at(y, eps, d) if d > 0.25 * eps else None
             if added is None:
                 # bump the nearby strata, keeping only a bump whose plateau
                 # actually contains the gap point
@@ -872,16 +955,16 @@ def assemble_cover_family(domain: dom.DomainSpec, coefficients, N: float,
                         [(k,) for k in near]:
                     xq = _project_to_stratum(domain, sub, y)
                     b = None if xq is None else _boundary_at(domain, xq, eps)
-                    if b is not None and _covers(b, y[None])[0]:
+                    if b is not None and _covers([b], y[None])[0]:
                         added = b
                         break
             if added is None and d > 0.02 * eps:
-                added = _interior_at(J, y, eps, d)
+                added = _interior_at(y, eps, d)
             if added is None:
                 blocked[i] = True
                 continue
             bumps.append(added)
-            covered |= _covers(added, probes)
+            covered |= _covers([added], probes)
     if not covered.all():
         missing = probes[~covered][:5]
         raise SamplingFailure(
@@ -911,13 +994,15 @@ def assemble_cover_family(domain: dom.DomainSpec, coefficients, N: float,
     sup_b = float(np.max(np.sqrt(dom.row_dot(Bv, Bv))))
     sup_a = float(np.max(np.abs(coefficients.a(B_pts))))
     lb = np.array([sup_b * A1 + 0.5 * sup_a * A2
-                   for _, A1, A2 in (b.func.bound_triple for b in bumps)])
-    centers_arr = np.stack([b.x for b in bumps])
-    radii = np.array([b.func.support_radius for b in bumps])
-    overlap = 0.0
-    for y in np.vstack([B_pts, probes[:400]]):
-        mask = np.linalg.norm(centers_arr - y, axis=1) <= radii
-        overlap = max(overlap, float(np.sum(lb[mask])))
+                   for _, A1, A2 in (b.bound_triple for b in bumps)])
+    radii = np.array([b.support_radius for b in bumps])
+    owner, row = _ball_pairs(np.stack([b.x for b in bumps]), radii,
+                             np.vstack([B_pts, probes[:400]]))
+    # one np.sum per point over its bumps in bump order: the sums of a dense
+    # scan, bit for bit
+    order = np.argsort(row, kind="stable")
+    cuts = np.flatnonzero(np.diff(row[order])) + 1
+    overlap = max([0.0] + [float(np.sum(s)) for s in np.split(lb[owner[order]], cuts)])
     C_bound = 1.5 * overlap + 1.0
     return CoverFamily(domain, coefficients, N, eps, bumps, centers, 0.5, C_bound)
 

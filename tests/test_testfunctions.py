@@ -1,5 +1,7 @@
 import collections
 import math
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import refdiff as rd
+from refdiff import cli
 from refdiff import domain as dom
 from refdiff import testfunctions as tf
 from refdiff.cones import MollifiedConeDistance, PolyCone, fattened_generators
@@ -25,6 +28,26 @@ def orthant2():
 @pytest.fixture(scope="module")
 def gps2():
     return rd.make_example("gps", J=2)
+
+
+WEDGE, GPS3, DISK = ("wedge", {}), ("gps", {"J": 3}), ("disk", {})
+
+
+@pytest.fixture(scope="module")
+def cover_families():
+    """get(system, N, eps) -> (system, its seed-0 cover family), each
+    assembled once per module; system is (example name, parameters)."""
+    cache = {}
+
+    def get(system, N, eps):
+        key = (system[0], tuple(sorted(system[1].items())), N, eps)
+        if key not in cache:
+            s = rd.make_example(system[0], **system[1])
+            cache[key] = s, rd.assemble_cover_family(s.domain, s.coefficients,
+                                                     N=N, eps=eps, seed=0)
+        return cache[key]
+
+    return get
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +173,9 @@ def test_assembled_interior_bumps_are_interior_bumps():
     U = np.random.default_rng(15).uniform(-1.1, 1.1, size=(40, 2))
     for b in inner[::4]:
         f = rd.interior_bump(w.domain, b.x, b.r)
+        # read off r before the bump builds its function
+        assert b.support_radius == f.support_radius
+        assert b.bound_triple == f.bound_triple
         Y = b.x + math.sqrt(b.r) * U
         assert np.array_equal(b.func._value(Y), f._value(Y))
         for got, want in zip(b.func.jet(Y), f.jet(Y)):
@@ -585,14 +611,13 @@ def test_jet_is_bit_equal_to_the_separate_calls(jet_cases, name, U):
         assert np.array_equal(Gk, G[k]) and np.array_equal(Hk, H[k])
 
 
-def test_gps3_precompute_projects_each_stencil_once(monkeypatch):
+def test_gps3_precompute_projects_each_stencil_once(monkeypatch, cover_families):
     # criterion 05's gps3 point set: each boundary bump's jet projects its
     # stencil nodes once, not once for the value and again for each
     # derivative, and only on the rows that the one projection of the rows
     # themselves (the screen) leaves in zeta's ramp
-    gps = rd.make_example("gps", J=3)
     N, eps = 0.5, 0.3
-    fam = rd.assemble_cover_family(gps.domain, gps.coefficients, N=N, eps=eps, seed=0)
+    gps, fam = cover_families(GPS3, N, eps)
     B = dom.sample_boundary(gps.domain, 10000, seed=1)
     V = dom.sample_closure(gps.domain, 3000, seed=2)
     pts = np.vstack([B[np.linalg.norm(B, axis=1) <= N + 2 * eps],
@@ -685,17 +710,17 @@ def _member_arrays_loop(ev, near):
     bumps: the full sums minus each near bump, in bump order."""
     v, g, lf = ev.full_value.copy(), ev.full_grad.copy(), ev.full_lf.copy()
     for k in near:
-        v[ev._idx[k]] -= ev._vals[k]
-        g[ev._idx[k]] -= ev._grads[k]
-        lf[ev._idx[k]] -= ev._lfs[k]
+        e = slice(ev._starts[k], ev._starts[k + 1])
+        v[ev._flat_idx[e]] -= ev._flat_vals[e]
+        g[ev._flat_idx[e]] -= ev._flat_grads[e]
+        lf[ev._flat_idx[e]] -= ev._flat_lfs[e]
     return v, g, lf
 
 
 @pytest.mark.parametrize("system, N, eps, stride", [
-    (("wedge", {}), 1.0, 0.25, 1), (("gps", {"J": 3}), 0.5, 0.3, 10)])
-def test_member_arrays_match_the_per_bump_loop(system, N, eps, stride):
-    s = rd.make_example(system[0], **system[1])
-    fam = rd.assemble_cover_family(s.domain, s.coefficients, N=N, eps=eps, seed=0)
+    (WEDGE, 1.0, 0.25, 1), (GPS3, 0.5, 0.3, 10)])
+def test_member_arrays_match_the_per_bump_loop(cover_families, system, N, eps, stride):
+    s, fam = cover_families(system, N, eps)
     ev = fam.precompute(rd.domain.sample_closure(s.domain, 200, seed=1))
     refs = {}
 
@@ -716,6 +741,140 @@ def test_member_arrays_match_the_per_bump_loop(system, N, eps, stride):
         # a query's member is that of the first centre within eps/2 of it
         for got, ref in zip(ev.member_arrays(z), reference(fam.center_index(z))):
             assert np.array_equal(got, ref)
+
+
+# the per-bump scans that the pair search replaced, kept as references
+
+def _covers_loop(bumps, P):
+    """Mask of the rows of P inside some bump's plateau, one bump at a time."""
+    covered = np.zeros(len(P), dtype=bool)
+    for b in bumps:
+        cov = np.linalg.norm(P - b.x, axis=1) <= b.plateau * (1 - 1e-12)
+        if cov.any():
+            cov[cov] = b.func._value(P[cov]) >= 1.0 - 1e-12
+        covered |= cov
+    return covered
+
+
+def _generator_bound_loop(s, fam, seed=0):
+    """C from each bump's own function, with a dense overlap scan per point."""
+    probes = tf._coverage_probes(s.domain, fam.N + 3.5 * fam.eps, seed)
+    B_pts = dom.sample_closure(s.domain, 400, seed=seed + 9)
+    Bv = s.coefficients.b(B_pts)
+    sup_b = float(np.max(np.sqrt(dom.row_dot(Bv, Bv))))
+    sup_a = float(np.max(np.abs(s.coefficients.a(B_pts))))
+    lb = np.array([sup_b * A1 + 0.5 * sup_a * A2
+                   for _, A1, A2 in (b.func.bound_triple for b in fam.bumps)])
+    X = np.stack([b.x for b in fam.bumps])
+    radii = np.array([b.func.support_radius for b in fam.bumps])
+    overlap = 0.0
+    for y in np.vstack([B_pts, probes[:400]]):
+        mask = np.linalg.norm(X - y, axis=1) <= radii
+        overlap = max(overlap, float(np.sum(lb[mask])))
+    return 1.5 * overlap + 1.0
+
+
+def _flat_table_loop(fam, Y, coefficients):
+    """FamilyEvaluation's table from a dense support-row scan per bump: rows,
+    owners, values, gradients, generator values and the three full sums."""
+    n, J = Y.shape
+    idx, vals, grads, lfs = [], [], [], []
+    full = [np.zeros(n), np.zeros((n, J)), np.zeros(n)]
+    for b in fam.bumps:
+        rows = np.flatnonzero(np.linalg.norm(Y - b.x, axis=1)
+                              <= b.func.support_radius * (1 + 1e-12))
+        idx.append(rows)
+        if not len(rows):
+            continue
+        v, g, H = b.func._jet(Y[rows])
+        lf = coefficients.generator(Y[rows], g, H)
+        vals.append(v)
+        grads.append(g)
+        lfs.append(lf)
+        for total, part in zip(full, (v, g, lf)):
+            total[rows] += part
+    owner = np.repeat(np.arange(len(idx)), [len(i) for i in idx])
+    return (np.concatenate(idx), owner, np.concatenate(vals), np.concatenate(grads),
+            np.concatenate(lfs), *full)
+
+
+@pytest.mark.parametrize("system, N, eps", [(WEDGE, 1.0, 0.25), (GPS3, 0.5, 0.3),
+                                            (DISK, 0.5, 0.3)],
+                         ids=["wedge", "gps3", "disk"])
+def test_pair_search_equals_the_per_bump_scans(cover_families, system, N, eps):
+    # the coverage mask, C and precompute's flat table are each bit-equal to
+    # the dense per-bump scan that they replaced
+    s, fam = cover_families(system, N, eps)
+    J = s.domain.dimension
+    reach = N + 3.5 * eps
+    P = np.vstack([tf._coverage_probes(s.domain, reach, 0),
+                   dom.sample_closure(s.domain, 500, seed=3, center=np.zeros(J),
+                                      radius=reach + eps)])
+    covered = tf._covers(fam.bumps, P)
+    assert covered.any()
+    assert np.array_equal(covered, _covers_loop(fam.bumps, P))
+
+    assert fam.C == _generator_bound_loop(s, fam)
+
+    B = dom.sample_boundary(s.domain, 2000, seed=1)
+    Y = np.vstack([B[np.linalg.norm(B, axis=1) <= N + 2 * eps],
+                   dom.sample_closure(s.domain, 300, seed=2, center=np.zeros(J),
+                                      radius=N + 2 * eps)])
+    ev = fam.precompute(Y, s.coefficients)
+    got = (ev._flat_idx, ev._owner, ev._flat_vals, ev._flat_grads, ev._flat_lfs,
+           ev.full_value, ev.full_grad, ev.full_lf)
+    for g, want in zip(got, _flat_table_loop(fam, Y, s.coefficients)):
+        assert np.array_equal(g, want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_ball_pairs_are_the_dense_scan(data):
+    # centres and points on a lattice of step h, so that many lie on the
+    # tree's splitting planes and at exactly their ball's radius; radii span
+    # several steps; chunks as small as one ball
+    J = data.draw(st.integers(1, 3))
+    h = data.draw(st.sampled_from([0.1, 0.3, 1.0]))
+    node = st.lists(st.integers(-5, 5), min_size=J, max_size=J)
+    P = h * np.array(data.draw(st.lists(node, min_size=1, max_size=60)), dtype=float)
+    X = h * np.array(data.draw(st.lists(node, min_size=1, max_size=30)), dtype=float)
+    steps = st.sampled_from([0.0, 0.5, 1.0, math.sqrt(2.0), 2.0, math.sqrt(3.0), 3.0, 4.5])
+    R = h * np.array(data.draw(st.lists(steps | st.floats(0.0, 6.0),
+                                        min_size=len(X), max_size=len(X))))
+    chunk = data.draw(st.sampled_from([1, 7, tf._PAIR_CHUNK]))
+    with mock.patch.object(tf, "_PAIR_CHUNK", chunk):
+        b, p = tf._ball_pairs(X, R, P)
+    dense = [(k, i) for k in range(len(X))
+             for i in np.flatnonzero(np.linalg.norm(P - X[k], axis=1) <= R[k])]
+    assert list(zip(b.tolist(), p.tolist())) == dense
+
+
+def test_make_tests_and_precompute_build_interior_functions_lazily(
+        monkeypatch, tmp_path, cover_families):
+    # gps3's make-tests builds none of its 19,230 interior bumps' functions,
+    # and precompute builds those of the interior bumps with a support row
+    built = []
+    radial = tf._radial_bump
+
+    def counted(J, x, r):
+        built.append(tuple(x))
+        return radial(J, x, r)
+
+    monkeypatch.setattr(tf, "_radial_bump", counted)
+    presets = Path(__file__).resolve().parents[1] / "presets"
+    assert cli.main(["make-tests", "--config", str(presets / "gps3.json"),
+                     "--output", str(tmp_path / "family.json")]) == cli.EXIT_OK
+    assert built == []
+
+    gps, _ = cover_families(GPS3, 0.5, 0.3)
+    fam = rd.assemble_cover_family(gps.domain, gps.coefficients, N=0.5, eps=0.3, seed=0)
+    assert built == []
+    ev = fam.precompute(dom.sample_closure(gps.domain, 100, seed=4, center=np.zeros(3),
+                                           radius=1.1), gps.coefficients)
+    supported = [tuple(fam.bumps[k].x) for k in np.unique(ev._owner)
+                 if fam.bumps[k].kind == "interior"]
+    assert 0 < len(supported) < sum(b.kind == "interior" for b in fam.bumps)
+    assert built == supported
 
 
 def test_repair_gives_up_an_uncoverable_probe(monkeypatch):
