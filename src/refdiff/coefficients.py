@@ -130,7 +130,8 @@ class CoefficientField:
         """(L f)(x) = <b, grad f> + 1/2 a : hess f at the rows of X, given f's
         (n, J) gradients G and (n, J, J) Hessians H there."""
         if self.is_constant:
-            return G @ self._const_b + 0.5 * np.einsum("nij,ij->n", H, self._const_a)
+            return (dom.row_dot(G, self._const_b)
+                    + 0.5 * np.einsum("nij,ij->n", H, self._const_a))
         return dom.row_dot(self.b(X), G) + 0.5 * np.sum(self.a(X) * H, axis=(1, 2))
 
     def adjoint(self, X, P, G, H) -> np.ndarray:

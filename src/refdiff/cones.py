@@ -93,6 +93,12 @@ class PolyCone:
                 self.facets.append((pos[i], pos[j]))
                 normals.append(nu)
             self._facet_normals = np.array(normals)
+            # each facet's projector B B^T onto its span, B an orthonormal
+            # basis of its two rays
+            self._facet_proj = []
+            for ki, kj in self.facets:
+                B = np.linalg.qr(np.stack([self.rays[ki], self.rays[kj]], axis=1))[0]
+                self._facet_proj.append(B @ B.T)
             return
         # J >= 4, or J = 3 generators in a plane: exact structure not
         # enumerated; NNLS at evaluation
@@ -136,7 +142,7 @@ class PolyCone:
 
         if J == 3:
             # facet candidates (2D subcones spanned by adjacent rays)
-            for (ki, kj) in self.facets:
+            for (ki, kj), proj in zip(self.facets, self._facet_proj):
                 ri, rj = self.rays[ki], self.rays[kj]
                 g11, g12, g22 = ri @ ri, ri @ rj, rj @ rj
                 det = g11 * g22 - g12 * g12
@@ -152,10 +158,9 @@ class PolyCone:
                 d2 = np.einsum("ij,ij->i", Z - cand, Z - cand)
                 upd = feas & (d2 < best_d2)
                 if upd.any():
-                    B = np.linalg.qr(np.stack([ri, rj], axis=1))[0]
                     best[upd] = cand[upd]
                     best_d2[upd] = d2[upd]
-                    best_A[upd] = (B @ B.T)[None, :, :]
+                    best_A[upd] = proj[None, :, :]
 
         # interior of the full cone
         if self._facet_normals is not None and len(self._facet_normals):

@@ -36,9 +36,17 @@ def apply_generator(coef: CoefficientField, f, x) -> float:
 
 
 def apply_generator_batch(coef: CoefficientField, f, X) -> np.ndarray:
+    """(L f) at the rows of X.  The jet and the generator run only on the
+    rows where f may move (f.moving_rows); every other row lies where f is
+    locally constant and is +0.0, whatever the coefficients are there."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    _, G, H = f.jet(X)
-    return coef.generator(X, G, H)
+    rows = f.moving_rows(X)
+    out = np.zeros(len(X))
+    if len(rows):
+        Xm = X[rows]
+        _, G, H = f.jet(Xm)
+        out[rows] = coef.generator(Xm, G, H)
+    return out
 
 
 def apply_adjoint(coef: CoefficientField, p: Density, x):

@@ -48,18 +48,43 @@ class PiecewisePoly:
             for i, c in enumerate(cs):
                 C[i, :len(c)] = c
             self.coef.append(C)
+        # the rows of each table with only a constant term, not -0.0: at a
+        # finite s, Horner's partial sums there are zeros of either sign
+        # until the last one adds the term, so it returns the term bit for bit
+        self._constant = [np.all(C[:, 1:] == 0.0, axis=1)
+                          & ~((C[:, 0] == 0.0) & np.signbit(C[:, 0])) for C in self.coef]
+
+    def _piece(self, s):
+        """Piece index of each s: the number of breaks below it, as
+        searchsorted(side="left") counts it for every s but NaN (which falls
+        in piece 0 and evaluates to NaN in any)."""
+        idx = np.zeros(s.shape, dtype=np.intp)
+        for b in self.breaks:
+            idx += s > b
+        return idx
+
+    def constant_at(self, s):
+        """Mask of the finite s on a piece whose value is a constant: there
+        the value is that constant and both derivatives are exactly 0."""
+        s = np.asarray(s, dtype=float)
+        return self._constant[0][self._piece(s)] & np.isfinite(s)
 
     def _eval(self, k, s):
         s = np.asarray(s, dtype=float)
         scalar = s.ndim == 0
         s = np.atleast_1d(s)
         C = self.coef[k]
-        idx = np.searchsorted(self.breaks, s, side="left")
+        idx = self._piece(s)
+        # a finite s on a constant row takes its term; the others run Horner
+        out = C[idx, 0]
+        move = ~(self._constant[k][idx] & np.isfinite(s))
+        s, idx = s[move], idx[move]
         # polyval's c0 = C[idx, j] + c0 * s, in place (the sum commutes exactly)
-        out = C[idx, -1] + s * 0
+        part = C[idx, -1] + s * 0
         for j in range(C.shape[1] - 2, -1, -1):
-            out *= s
-            out += C[idx, j]
+            part *= s
+            part += C[idx, j]
+        out[move] = part
         return float(out[0]) if scalar else out
 
     def value(self, s):

@@ -140,9 +140,12 @@ def coordinate_step(domain: dom.DomainSpec, axis: int, center: float,
         return (prof.value(t), prof.d1(t)[:, None] * e[None, :],
                 prof.d2(t)[:, None, None] * ee[None, :, :])
 
+    def flat(Y):
+        return prof.constant_at(Y[:, axis])
+
     ctr = np.zeros(J)
     ctr[axis] = center
-    return TestFunction.from_jet(J, jet, center=ctr,
+    return TestFunction.from_jet(J, jet, flat=flat, center=ctr,
                                  support_radius=np.inf, constant_outside=1.0,
                                  info={"kind": "step", "axis": axis, "center": center,
                                        "width": width})
@@ -167,7 +170,12 @@ def radial_step(domain: dom.DomainSpec, center, c: float, width: float) -> TestF
         return (prof.value(dist), slope[:, None] * D,
                 prof.d2(rr)[:, None, None] * uu + slope[:, None, None] * (eye - uu))
 
-    return TestFunction.from_jet(J, jet, center=center,
+    def flat(Y):
+        # the value reads its piece at dist, the derivatives theirs at rr
+        dist = np.linalg.norm(Y - center, axis=1)
+        return prof.constant_at(dist) & prof.constant_at(np.maximum(dist, 1e-300))
+
+    return TestFunction.from_jet(J, jet, flat=flat, center=center,
                                  support_radius=np.inf, constant_outside=1.0,
                                  info={"kind": "radial-step", "c": c, "width": width})
 

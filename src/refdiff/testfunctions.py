@@ -46,6 +46,10 @@ _ZETA = rising_cutoff(0.5, 1.0)
 _ZETA_SUP = _sup_abs_d1_d2(_ZETA, np.linspace(-0.1, 2.2, 301))
 
 
+def _nowhere_flat(Y):
+    return np.zeros(len(Y), dtype=bool)
+
+
 class TestFunction:
     """C^2 function with value/gradient/Hessian access and class metadata.
 
@@ -53,7 +57,10 @@ class TestFunction:
     (n, J), Hessian (n, J, J)) from one pass; every value is the jet's first
     part.  The constructor composes three separate callables value,
     gradient, hessian (a user's function) into the jet; from_jet takes the
-    jet itself.
+    jet itself and, from a library constructor, its flat predicate: flat(Y)
+    marks the rows that lie on a constant piece of the function's profile,
+    by the comparison that picks the piece, where the jet is exactly
+    (constant, 0, 0).  A function without one is flat nowhere.
     """
 
     __test__ = False          # not a pytest collection target
@@ -64,6 +71,7 @@ class TestFunction:
                  bound_triple=None, info=None):
         self.dim = dim
         self._jet = lambda Y: (value(Y), gradient(Y), hessian(Y))
+        self._flat = _nowhere_flat
         self.center = None if center is None else np.asarray(center, dtype=float)
         self.support_radius = float(support_radius)
         self.constant_outside = float(constant_outside)
@@ -73,10 +81,20 @@ class TestFunction:
         self.info = info or {}
 
     @classmethod
-    def from_jet(cls, dim, jet, **meta) -> "TestFunction":
+    def from_jet(cls, dim, jet, flat=_nowhere_flat, **meta) -> "TestFunction":
         out = cls(dim, None, None, None, **meta)
         out._jet = jet
+        out._flat = flat
         return out
+
+    def moving_rows(self, Y):
+        """Indices of the rows of the (n, J) batch Y where f may move: all
+        but the finite rows that its flat predicate puts on a constant
+        piece.  A NaN or infinite row always moves."""
+        still = self._flat(Y)
+        for y in Y.T:
+            still &= np.isfinite(y)
+        return np.flatnonzero(~still)
 
     def _value(self, Y):
         return self._jet(Y)[0]
@@ -108,7 +126,7 @@ class TestFunction:
             return c * v, c * G, c * H
 
         return TestFunction.from_jet(
-            self.dim, jet,
+            self.dim, jet, flat=self._flat,
             center=self.center, support_radius=self.support_radius,
             constant_outside=c * self.constant_outside,
             claims_in_class=(self.claims_in_class if c >= 0 else self.claims_negated_in_class),
@@ -156,6 +174,9 @@ def combine(funcs: Sequence[TestFunction], coeffs=None) -> TestFunction:
             H += c * fH
         return v, G, H
 
+    def flat(Y):
+        return np.logical_and.reduce([f._flat(Y) for f in funcs])
+
     centers = [f.center for f in funcs if f.center is not None]
     if centers and all(np.isfinite(f.support_radius) for f in funcs):
         center = np.mean(centers, axis=0)
@@ -166,7 +187,7 @@ def combine(funcs: Sequence[TestFunction], coeffs=None) -> TestFunction:
     pos = bool(np.all(coeffs >= 0))
     neg = bool(np.all(coeffs <= 0))
     return TestFunction.from_jet(
-        J, jet, center=center, support_radius=rad,
+        J, jet, flat=flat, center=center, support_radius=rad,
         constant_outside=float(np.dot(coeffs, [f.constant_outside for f in funcs])),
         claims_in_class=pos and all(f.claims_in_class for f in funcs),
         claims_negated_in_class=(neg and all(f.claims_in_class for f in funcs))
@@ -191,22 +212,30 @@ def interior_bump(domain: dom.DomainSpec, x, r: float) -> TestFunction:
 def _radial_bump(J: int, x, r: float) -> TestFunction:
     """interior_bump's function, for a caller that knows the ball fits."""
     x = np.asarray(x, dtype=float)
-    xi = _XI
-    eye = np.eye(J)
+    c2, c4 = 2.0 / r, 4.0 / r ** 2
 
     def jet(Y):
-        D = Y - x
-        z = _radial_arg(D, r)
-        d1 = xi.d1(z)
-        t1 = d1[:, None, None] * (2.0 / r) * eye[None, :, :]
-        t2 = xi.d2(z)[:, None, None] * (4.0 / r ** 2) * np.einsum("ni,nj->nij", D, D)
-        return xi.value(z), d1[:, None] * (2.0 / r) * D, t1 + t2
+        return _radial_jet(Y - x, r, c2, c4)
+
+    def flat(Y):
+        return _XI.constant_at(_radial_arg(Y - x, r))
 
     rho, bounds = _radial_constants(J, r)
     return TestFunction.from_jet(
-        J, jet, center=x, support_radius=rho,
+        J, jet, flat=flat, center=x, support_radius=rho,
         constant_outside=0.0, claims_in_class=True, claims_negated_in_class=True,
         bound_triple=bounds, info={"kind": "interior", "r": r})
+
+
+def _radial_jet(D, r, c2, c4):
+    """Jet of xi(|D|^2 / r) at the offsets D, given c2 = 2 / r and c4 = 4 /
+    r^2: scalars for one bump, or one entry per row of D."""
+    z = _radial_arg(D, r)
+    d1 = _XI.d1(z)
+    c2, c4 = np.reshape(c2, (-1, 1)), np.reshape(c4, (-1, 1, 1))
+    t1 = d1[:, None, None] * c2[:, :, None] * np.eye(D.shape[1])[None, :, :]
+    t2 = _XI.d2(z)[:, None, None] * c4 * np.einsum("ni,nj->nij", D, D)
+    return _XI.value(z), d1[:, None] * c2 * D, t1 + t2
 
 
 def _radial_arg(D, r):
@@ -481,7 +510,12 @@ def boundary_bump(domain: dom.DomainSpec, x, r: float,
     cap = model.r_cap(x)
     if not 0.0 < r <= cap:
         raise RadiusTooLarge(f"need r in (0, {cap:.3g}] at {x}, got {r}")
-    J = domain.dimension
+    return _boundary_function(model, x, r)
+
+
+def _boundary_function(model: StratumModel, x, r: float) -> TestFunction:
+    """boundary_bump's function, for a caller that knows 0 < r <= r_cap(x)."""
+    J = model.domain.dimension
     plateau_unit, A = model.bump_constants
     d_plateau = plateau_unit * r
     return TestFunction.from_jet(
@@ -717,17 +751,33 @@ class FamilyEvaluation:
         self._flat_vals = np.empty(m)
         self._flat_grads = np.empty((m, J))
         self._flat_lfs = np.empty(m)
-        # only a bump with a support row builds its function
-        for k in np.unique(self._owner):
+        # the interior bumps' entries from one radial jet over their offsets,
+        # with each bump's constants computed as its own jet computes them
+        interior = np.array([b.kind == "interior" for b in bumps], dtype=bool)
+        radial = np.flatnonzero(interior[self._owner])
+        if len(radial):
+            ks, inv = np.unique(self._owner[radial], return_inverse=True)
+            r = [bumps[k].r for k in ks]
+            c2 = np.array([2.0 / q for q in r])[inv]
+            c4 = np.array([4.0 / q ** 2 for q in r])[inv]
+            pts = self.Y[self._flat_idx[radial]]
+            D = pts - family._bump_x[self._owner[radial]]
+            v, g, H = _radial_jet(D, np.array(r)[inv], c2, c4)
+            self._flat_vals[radial], self._flat_grads[radial] = v, g
+            self._flat_lfs[radial] = coefficients.generator(pts, g, H)
+        # the other bumps' entries from their own jets; only a bump with a
+        # support row builds its function
+        for k in np.unique(self._owner[~interior[self._owner]]):
             e = slice(self._starts[k], self._starts[k + 1])
-            rows = self._flat_idx[e]
-            pts = self.Y[rows]
+            pts = self.Y[self._flat_idx[e]]
             v, g, H = bumps[k].func._jet(pts)
-            lf = coefficients.generator(pts, g, H)
-            self._flat_vals[e], self._flat_grads[e], self._flat_lfs[e] = v, g, lf
-            self.full_value[rows] += v
-            self.full_grad[rows] += g
-            self.full_lf[rows] += lf
+            self._flat_vals[e], self._flat_grads[e] = v, g
+            self._flat_lfs[e] = coefficients.generator(pts, g, H)
+        # one unbuffered addition per array over the entries in bump order,
+        # so each row adds its bumps in the per-bump loop's order
+        np.add.at(self.full_value, self._flat_idx, self._flat_vals)
+        np.add.at(self.full_grad, self._flat_idx, self._flat_grads)
+        np.add.at(self.full_lf, self._flat_idx, self._flat_lfs)
 
     def member_arrays(self, x):
         """(value, gradient, generator value) arrays of the member at x: the
@@ -775,11 +825,12 @@ def _boundary_at(domain, x, eps):
         model = _stratum_model(domain, x)
     except (NotInU, QPFailure):
         return None
+    x = np.asarray(x, dtype=float)
     r = min(eps, model.r_cap(x))
     if r <= eps * 1e-3:
         return None
-    f = boundary_bump(domain, x, r, model=model)
-    return _LatticeBump(np.asarray(x, float), "boundary", r,
+    f = _boundary_function(model, x, r)
+    return _LatticeBump(x, "boundary", r,
                         f.info["plateau_radius"], f)
 
 

@@ -81,6 +81,20 @@ def test_coefficient_batch_rows_equal_points(X):
             _rows_match(getattr(coef, name), X)
 
 
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(X=_points(3))
+def test_generator_batch_rows_equal_points(X):
+    # the constant field's drift (0.3, -0.2, 0.1) has inexact products, where
+    # a plain G @ b rounds some rows of a longer batch unlike a one-row call
+    G = np.array([_grad(x) for x in X])
+    H = np.array([_hess(x) for x in X])
+    for coef in FIELDS.values():
+        lf = coef.generator(X, G, H)
+        for k in range(len(X)):
+            assert np.array_equal(lf[k:k + 1], coef.generator(X[k:k + 1], G[k:k + 1],
+                                                              H[k:k + 1])), k
+
+
 def _adjoint_loop(coef, p, x):
     """The per-point adjoint formula that the batched one replaces."""
     x = np.asarray(x, dtype=float)

@@ -1,15 +1,20 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import refdiff as rd
 from refdiff.coefficients import CoefficientField, Density
 from refdiff.errors import DivergentMass, NotInH, OffEdge, OffFace
-from refdiff.operators import (apply_adjoint, apply_generator, edge_residual,
+from refdiff.operators import (apply_adjoint, apply_generator,
+                               apply_generator_batch, edge_residual,
                                face_residual, integrate_density,
                                normal_diffusion_divergence, normalize_density,
                                verify_bar, weak_residual)
-from refdiff.solver import density_grid_measure
-from refdiff.testfunctions import TestFunction, interior_bump
+from refdiff.solver import coordinate_step, density_grid_measure, radial_step
+from refdiff.testfunctions import TestFunction, combine, interior_bump
 
 
 def quad_function(J=1, c=None):
@@ -85,6 +90,72 @@ def test_generator_linearity():
         lhs = apply_generator(coef, h, x)
         rhs = a * apply_generator(coef, f, x) + b_ * apply_generator(coef, g, x)
         assert abs(lhs - rhs) <= 1e-10 * (1 + abs(rhs))
+
+
+@pytest.fixture(scope="module")
+def screen_cases():
+    """Library functions with flat predicates, each with its plateau levels,
+    and three drifts: one whose products are exact, a generic one and a
+    state-dependent one."""
+    o = rd.make_example("orthant", J=2, b=[-1.0, -0.5])
+    step = coordinate_step(o.domain, 0, 1.0, 0.3)
+    radial = radial_step(o.domain, [1.0, 1.0], 0.8, 0.2)
+    bump = interior_bump(o.domain, [1.0, 1.2], 0.25)
+    funcs = {"step": (step, [0.0, 1.0]), "radial": (radial, [0.0, 1.0]),
+             "bump": (bump, [0.0, 1.0]), "scaled": (bump.scaled(2.5), [0.0, 2.5]),
+             "negated": (-step, [-0.0, -1.0]),
+             "combine": (combine([step, bump.scaled(-0.5), radial]),
+                         [a + b + c for a, b, c in itertools.product(
+                             [0.0, 1.0], [0.0, -0.5], [0.0, 1.0])])}
+    fields = [o.coefficients, CoefficientField.constant([0.7, -0.3], [1.3, 0.9]),
+              CoefficientField(lambda x: np.array([0.3 - x[0], -0.7 * x[1]]),
+                               lambda x: np.array([1.0 + 0.1 * x[1] ** 2, 0.9]))]
+    return funcs, fields
+
+
+_SPECIAL = [0.7, 1.3, 1.0, 1.2, 0.5, 1.5, 0.0, np.nan, np.inf, -np.inf, 1e300]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_screened_generator_is_the_full_generator(screen_cases, data):
+    # apply_generator_batch runs the jet and the generator only on the rows
+    # where f may move: those equal the generator on the whole batch bit for
+    # bit, zeros' signs included, and every other row is +0.0, also where
+    # the coefficients overflow (the state-dependent field's do at 1e300,
+    # where the whole-batch generator reads NaN).  A flat row is finite, with
+    # the jet (plateau level, 0, 0); NaN and infinite rows are never flat
+    funcs, fields = screen_cases
+    f, levels = funcs[data.draw(st.sampled_from(sorted(funcs)))]
+    coef = fields[data.draw(st.integers(0, len(fields) - 1))]
+    coord = st.one_of(st.floats(-0.5, 3.0), st.sampled_from(_SPECIAL))
+    X = np.array(data.draw(st.lists(st.lists(coord, min_size=2, max_size=2),
+                                    min_size=1, max_size=40)))
+    with np.errstate(all="ignore"):
+        got = apply_generator_batch(coef, f, X)
+        v, G, H = f.jet(X)
+        want = coef.generator(X, G, H)
+    move = np.zeros(len(X), dtype=bool)
+    move[f.moving_rows(X)] = True
+    assert np.array_equal(got[move], want[move], equal_nan=True)
+    num = move & ~np.isnan(want)        # a NaN's sign bit carries nothing
+    assert np.array_equal(np.signbit(got[num]), np.signbit(want[num]))
+    still = ~move
+    assert ((got[still] == 0.0) & ~np.signbit(got[still])).all()
+    finite = np.isfinite(want[still])
+    assert np.array_equal(np.signbit(want[still][finite]), np.zeros(finite.sum(), dtype=bool))
+    assert np.isfinite(X[still]).all()
+    assert np.isin(v[still], levels).all()
+    assert (G[still] == 0.0).all() and (H[still] == 0.0).all()
+
+
+def test_screened_generator_gives_nan_on_nonfinite_rows(screen_cases):
+    funcs, fields = screen_cases
+    X = np.array([[np.nan, np.nan], [np.inf, np.inf], [-np.inf, -np.inf], [0.2, 0.2]])
+    for f, _ in funcs.values():
+        with np.errstate(invalid="ignore"):
+            out = apply_generator_batch(fields[0], f, X)
+        assert np.isnan(out[:3]).all() and np.isfinite(out[3])
 
 
 def test_adjoint_constant_zero():

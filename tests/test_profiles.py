@@ -166,7 +166,8 @@ def _profiles_and_points(draw):
         prof = rising_cutoff(lo, hi) if kind == "rising" else cutoff(lo, hi)
         breaks, pieces = _cutoff_pieces(kind, lo, hi)
     b = np.asarray(breaks, dtype=float)
-    exact = np.concatenate([b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf)])
+    exact = np.concatenate([b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf),
+                            [0.0, np.nan, np.inf, -np.inf]])
     s = draw(st.lists(st.one_of(st.sampled_from(exact.tolist()),
                                 st.floats(b[0] - 1.0, b[-1] + 1.0)),
                       min_size=1, max_size=40))
@@ -176,11 +177,17 @@ def _profiles_and_points(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_profiles_and_points())
 def test_table_matches_per_piece_polynomials(case):
+    # bit for bit, the sign of a zero included; NaN and +-inf give NaN
     prof, breaks, pieces, s = case
     for k, name in enumerate(("value", "d1", "d2")):
-        ref = _per_piece(np.asarray(breaks, dtype=float), pieces, k, s)
-        assert np.array_equal(getattr(prof, name)(s), ref)
-        assert getattr(prof, name)(float(s[0])) == ref[0]
+        with np.errstate(invalid="ignore"):
+            ref = _per_piece(np.asarray(breaks, dtype=float), pieces, k, s)
+            got = getattr(prof, name)(s)
+            one = getattr(prof, name)(float(s[0]))
+        assert np.array_equal(got, ref, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+        assert np.isnan(got[~np.isfinite(s)]).all()
+        assert np.array_equal([one], ref[:1], equal_nan=True)
 
 
 _GX, _GW = np.polynomial.legendre.leggauss(10)

@@ -774,12 +774,15 @@ def _generator_bound_loop(s, fam, seed=0):
     return 1.5 * overlap + 1.0
 
 
-def _flat_table_loop(fam, Y, coefficients):
-    """FamilyEvaluation's table from a dense support-row scan per bump: rows,
-    owners, values, gradients, generator values and the three full sums."""
+def _flat_table_loop(fam, Y, *fields):
+    """FamilyEvaluation's table from a dense support-row scan per bump, one
+    per coefficient field: rows, owners, values, gradients, generator values
+    and the three full sums."""
     n, J = Y.shape
-    idx, vals, grads, lfs = [], [], [], []
-    full = [np.zeros(n), np.zeros((n, J)), np.zeros(n)]
+    idx, vals, grads = [], [], []
+    lfs = [[] for _ in fields]
+    full = [np.zeros(n), np.zeros((n, J))]
+    full_lfs = [np.zeros(n) for _ in fields]
     for b in fam.bumps:
         rows = np.flatnonzero(np.linalg.norm(Y - b.x, axis=1)
                               <= b.func.support_radius * (1 + 1e-12))
@@ -787,15 +790,16 @@ def _flat_table_loop(fam, Y, coefficients):
         if not len(rows):
             continue
         v, g, H = b.func._jet(Y[rows])
-        lf = coefficients.generator(Y[rows], g, H)
         vals.append(v)
         grads.append(g)
-        lfs.append(lf)
-        for total, part in zip(full, (v, g, lf)):
+        for total, part in zip(full, (v, g)):
             total[rows] += part
+        for lf, full_lf, coefficients in zip(lfs, full_lfs, fields):
+            lf.append(coefficients.generator(Y[rows], g, H))
+            full_lf[rows] += lf[-1]
     owner = np.repeat(np.arange(len(idx)), [len(i) for i in idx])
-    return (np.concatenate(idx), owner, np.concatenate(vals), np.concatenate(grads),
-            np.concatenate(lfs), *full)
+    return [(np.concatenate(idx), owner, np.concatenate(vals), np.concatenate(grads),
+             np.concatenate(lf), *full, full_lf) for lf, full_lf in zip(lfs, full_lfs)]
 
 
 @pytest.mark.parametrize("system, N, eps", [(WEDGE, 1.0, 0.25), (GPS3, 0.5, 0.3),
@@ -820,11 +824,16 @@ def test_pair_search_equals_the_per_bump_scans(cover_families, system, N, eps):
     Y = np.vstack([B[np.linalg.norm(B, axis=1) <= N + 2 * eps],
                    dom.sample_closure(s.domain, 300, seed=2, center=np.zeros(J),
                                       radius=N + 2 * eps)])
-    ev = fam.precompute(Y, s.coefficients)
-    got = (ev._flat_idx, ev._owner, ev._flat_vals, ev._flat_grads, ev._flat_lfs,
-           ev.full_value, ev.full_grad, ev.full_lf)
-    for g, want in zip(got, _flat_table_loop(fam, Y, s.coefficients)):
-        assert np.array_equal(g, want)
+    # also under a generic constant drift, whose products round: the fused
+    # interior call must round each entry as its bump's own call does
+    fields = (s.coefficients,
+              rd.CoefficientField.constant(0.7 - 0.5 * np.arange(J), 1.3 - 0.2 * np.arange(J)))
+    for coef, table in zip(fields, _flat_table_loop(fam, Y, *fields)):
+        ev = fam.precompute(Y, coef)
+        got = (ev._flat_idx, ev._owner, ev._flat_vals, ev._flat_grads, ev._flat_lfs,
+               ev.full_value, ev.full_grad, ev.full_lf)
+        for g, want in zip(got, table):
+            assert np.array_equal(g, want)
 
 
 @settings(max_examples=80, deadline=None)
@@ -852,7 +861,8 @@ def test_ball_pairs_are_the_dense_scan(data):
 def test_make_tests_and_precompute_build_interior_functions_lazily(
         monkeypatch, tmp_path, cover_families):
     # gps3's make-tests builds none of its 19,230 interior bumps' functions,
-    # and precompute builds those of the interior bumps with a support row
+    # and neither does precompute, which evaluates every interior bump with
+    # a support row by one radial jet over their entries
     built = []
     radial = tf._radial_bump
 
@@ -871,10 +881,9 @@ def test_make_tests_and_precompute_build_interior_functions_lazily(
     assert built == []
     ev = fam.precompute(dom.sample_closure(gps.domain, 100, seed=4, center=np.zeros(3),
                                            radius=1.1), gps.coefficients)
-    supported = [tuple(fam.bumps[k].x) for k in np.unique(ev._owner)
-                 if fam.bumps[k].kind == "interior"]
+    supported = [k for k in np.unique(ev._owner) if fam.bumps[k].kind == "interior"]
     assert 0 < len(supported) < sum(b.kind == "interior" for b in fam.bumps)
-    assert built == supported
+    assert built == []
 
 
 def test_repair_gives_up_an_uncoverable_probe(monkeypatch):
