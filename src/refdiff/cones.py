@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import row_dot, tangent_basis
-from .errors import BandEmpty, QPFailure
+from .domain import row_dot, tangent_basis, vertex_lp
+from .errors import BandEmpty, LPFailure, QPFailure
 
 
 class PolyCone:
@@ -36,16 +36,21 @@ class PolyCone:
 
     # -- structure -----------------------------------------------------------
     def _build(self):
-        from scipy.optimize import linprog
         G = self.generators
         J = self.dim
-        # pointedness certificate: c with <c, g> >= |g| for all generators
-        res = linprog(np.zeros(J),
-                      A_ub=-G, b_ub=-np.linalg.norm(G, axis=1),
-                      bounds=[(None, None)] * J, method="highs")
-        if not res.success:
-            raise QPFailure("cone is not pointed (no strictly positive functional)")
-        self.axis = res.x / np.linalg.norm(res.x)
+        # pointedness certificate: the c in the generators' span with
+        # <c, g> >= |g| for every generator that minimizes sum <c, g>/|g|
+        # (vertex_lp's lexicographically largest such c); the span's
+        # orthogonal complement (null rows of the SVD) enters as equalities
+        _, sv, Vt = np.linalg.svd(G)
+        null = Vt[int(np.sum(sv > 1e-12 * sv[0])):]
+        norms = np.linalg.norm(G, axis=1)
+        try:
+            c = vertex_lp(-np.sum(G / norms[:, None], axis=0), -G, -norms,
+                          null, np.zeros(len(null)))
+        except LPFailure:
+            raise QPFailure("cone is not pointed (no strictly positive functional)") from None
+        self.axis = c / np.linalg.norm(c)
 
         if J == 1:
             self.rays = np.array([[1.0 if G[0, 0] > 0 else -1.0]])
@@ -57,7 +62,7 @@ class PolyCone:
         P = (Q - self.axis[None, :]) @ T.T          # (m, J-1)
         if J == 2:
             order = np.argsort(P[:, 0])
-            ray_idx = [order[0], order[-1]]
+            ray_idx = sorted([order[0], order[-1]])
             if abs(P[order[0], 0] - P[order[-1], 0]) < 1e-13:
                 ray_idx = [order[0]]
             self.rays = np.array([G[i] / np.linalg.norm(G[i]) for i in ray_idx])
@@ -76,13 +81,14 @@ class PolyCone:
         if J == 3 and len(P) >= 3 and np.linalg.matrix_rank(P - P[0]) == 2:
             from scipy.spatial import ConvexHull
             hull = ConvexHull(P)
-            vidx = hull.vertices
+            # rays and facets in generator order, whatever the axis did to
+            # the hull's vertex order
+            vidx = np.sort(hull.vertices)
             self.rays = np.array([G[i] / np.linalg.norm(G[i]) for i in vidx])
             pos = {v: k for k, v in enumerate(vidx)}
             self.facets = []
             normals = []
-            for simplex in hull.simplices:
-                i, j = simplex
+            for i, j in sorted(tuple(sorted(s)) for s in hull.simplices):
                 ri, rj = G[i], G[j]
                 nu = np.cross(ri, rj)
                 if np.linalg.norm(nu) < 1e-14:

@@ -440,32 +440,167 @@ def face_vectors(domain: DomainSpec, faces, x):
             np.stack([domain.pieces[i].gamma(x) for i in faces]))
 
 
+def _row_basis(R, candidates) -> list:
+    """The candidate rows of R, in order, that are linearly independent of
+    the ones taken before them (residual above 1e-9 of the row's norm after
+    projecting out their span)."""
+    chosen, Q = [], np.empty((0, R.shape[1]))
+    for i in candidates:
+        v = R[i]
+        for _ in range(2):                      # Gram-Schmidt, twice
+            v = v - Q.T @ (Q @ v)
+        nv = np.linalg.norm(v)
+        if nv > 1e-9 * np.linalg.norm(R[i]):
+            chosen.append(i)
+            Q = np.vstack([Q, v / nv])
+    return chosen
+
+
+def _pivot(R, h, neq, W, objs, size):
+    """Active-set simplex on R x <= h, the first neq rows equalities: from
+    the vertex of the working set W (n rows, the equalities among them),
+    pivot to a vertex that maximizes the rows of objs lexicographically.
+
+    At each vertex the multipliers y of every objective solve M^T y = obj,
+    M = R[W]; a multiplier within 16 eps cond(M) |y| of zero counts as zero.
+    Bland's rule: the lowest working inequality whose multipliers are
+    lexicographically negative leaves, and the lowest of the rows that block
+    the edge first enters, so no working set repeats.  Returns (W, x);
+    raises LPFailure when the first objective is unbounded, or after
+    64 pivots per row (a guard against cycling on rounding ties).  An edge
+    that is unbounded for a later objective alone ends the pivoting there.
+    """
+    eps = np.finfo(float).eps
+    n = R.shape[1]
+    norms = np.linalg.norm(R, axis=1)
+    for _ in range(64 * len(R)):
+        W = sorted(W)
+        M = R[W]
+        x = np.linalg.solve(M, h[W])
+        sv = np.linalg.svd(M, compute_uv=False)
+        Y = np.linalg.solve(M.T, objs.T)                          # (n, p)
+        tol = 16 * eps * sv[0] / sv[-1] * np.linalg.norm(Y, axis=0)
+        sign = np.where(np.abs(Y) > tol, np.sign(Y), 0.0)
+        lead = sign[np.arange(n), np.argmax(sign != 0, axis=1)]
+        leaving = np.flatnonzero(lead[neq:] < 0)
+        if not len(leaving):
+            return W, x
+        k = neq + int(leaving[0])
+        d = np.linalg.solve(M, -np.eye(n)[k])                     # R[W[k]] d = -1
+        Rd = R @ d
+        block = Rd > 1e-12 * norms * np.linalg.norm(d)
+        block[:neq] = False
+        block[W] = False
+        if not block.any():
+            if sign[k, 0] < 0:
+                raise LPFailure(f"{size} is unbounded")
+            return W, x
+        rows = np.flatnonzero(block)
+        step = np.maximum(h[rows] - R[rows] @ x, 0.0) / Rd[rows]
+        W[k] = int(rows[np.argmax(step <= step.min() * (1 + 1e-12))])
+    raise LPFailure(f"{size}: no optimal vertex after {64 * len(R)} pivots")
+
+
+def vertex_lp(c, A_ub, b_ub, A_eq=None, b_eq=None) -> np.ndarray:
+    """An optimal vertex x of
+
+        max <c, x>  over  A_ub x <= b_ub,  A_eq x = b_eq,
+
+    by a dense active-set simplex (_pivot) in numpy.  The equalities are
+    reduced to a row basis; a vertex is the solution of that basis and
+    n - r inequalities, solved as one square system, with its rows in index
+    order.  Phase 1 starts from the first n independent rows: if their
+    solution x0 misses a constraint by more than 16 eps (|x| |row| + |rhs|),
+    it minimizes s >= 0 over A_ub x - s <= b_ub (the starting rows without
+    s), from x0 and the most violated row, and the LP is infeasible when
+    s* > 16 eps (|x| max |row| + max |rhs|).  (Where the feasible set is
+    about one point, with more than n rows tight, the vertex returned may
+    miss a constraint by several times that rounding bound.)  Each pivot costs
+    O(m n + n^3) for m rows; no C(m, n) enumeration of subsystems is made.
+
+    Tie-break: from an optimal vertex the pivoting goes on to maximize
+    (<c, x>, x_1, x_2, ...) lexicographically, so when the optimal face is
+    bounded its lexicographically largest vertex is returned, whatever the
+    order of the rows (when it is not, an optimal vertex is).
+
+    Raises LPFailure, naming the problem size, when there is no feasible
+    vertex (the problem is infeasible, or its feasible set contains a line)
+    or when it is unbounded.
+    """
+    c = np.asarray(c, dtype=float)
+    n = len(c)
+    A = np.asarray(A_ub, dtype=float).reshape(-1, n)
+    b = np.asarray(b_ub, dtype=float).reshape(-1)
+    E = np.asarray([] if A_eq is None else A_eq, dtype=float).reshape(-1, n)
+    f = np.asarray([] if b_eq is None else b_eq, dtype=float).reshape(-1)
+    size = (f"LP with {n} variables, {len(A)} inequalities and "
+            f"{len(E)} equalities")
+    no_vertex = LPFailure(f"{size} has no feasible vertex (infeasible, or "
+                          "its feasible set contains a line)")
+    eq = _row_basis(E, range(len(E)))
+    r = len(eq)
+    # every row as R x <= h, the equality basis first
+    R, h = np.vstack([E[eq], A]), np.concatenate([f[eq], b])
+
+    def violation(x):
+        """Each constraint's excess over its feasibility tolerance, every
+        equality included (one outside the basis may contradict it)."""
+        rows, rhs = np.vstack([E, A]), np.concatenate([f, b])
+        gap = rows @ x - rhs
+        gap[:len(E)] = np.abs(gap[:len(E)])
+        return gap - 16 * np.finfo(float).eps * (
+            np.linalg.norm(x) * np.linalg.norm(rows, axis=1) + np.abs(rhs))
+
+    W = _row_basis(R, range(len(R)))
+    if len(W) < n:
+        raise no_vertex
+    x = np.linalg.solve(R[W], h[W])
+    gap = violation(x)
+    if np.any(gap[:len(E)] > 0):
+        raise no_vertex
+    if np.any(gap > 0):
+        # phase 1 in (x, s): rows off W relaxed by s, and -s <= 0 last
+        worst = r + int(np.argmax((R @ x - h)[r:]))
+        s_col = -np.ones(len(R))
+        s_col[:r] = 0.0
+        s_col[W] = 0.0
+        R1 = np.vstack([np.column_stack([R, s_col]), -np.eye(n + 1)[n]])
+        W1, x1 = _pivot(R1, np.append(h, 0.0), r, W + [worst], -np.eye(n + 1)[n:], size)
+        scale = np.linalg.norm(x1[:n]) * np.max(np.linalg.norm(R, axis=1)) + np.max(np.abs(h))
+        if x1[n] > 16 * np.finfo(float).eps * scale or np.any(violation(x1[:n])[:len(E)] > 0):
+            raise no_vertex
+        # W1's rows of R: n of them if s = 0 is active, else n + 1 that meet
+        # at s* ~ 0 (a feasible set that is about one point); then the n
+        # whose vertex violates the constraints least
+        rows = [i for i in W1 if i < len(R)]
+        subsets = [[i for i in rows if i != d] for d in rows[r:]] if len(rows) > n else [rows]
+        W = min((Wd for Wd in subsets if len(_row_basis(R, Wd)) == n),
+                key=lambda Wd: np.max(violation(np.linalg.solve(R[Wd], h[Wd]))))
+    # phase 2: an optimal vertex, then the tie-break from it, along edges
+    # on which <c, x> stays optimal
+    W = _pivot(R, h, r, W, c[None], size)[0]
+    return _pivot(R, h, r, W, np.vstack([c, np.eye(n)]), size)[1]
+
+
 def positive_normal_lp(normals, gammas, x):
     """The completely-S LP on the (k, J) normals and reflection vectors of the
     pieces active at x:
 
-        max t  over  s >= 0, sum s = 1,  <sum_i s_i n_i, gamma_j> >= t.
+        max t  over  s >= 0, sum s = 1,  <sum_i s_i n_i, gamma_j> >= t,
 
-    Returns (ok, weights s, t*), ok meaning t* > 1e-9.
+    solved by vertex_lp.  Returns (ok, weights s, t*), ok meaning t* > 1e-9.
     """
-    from scipy.optimize import linprog
     k = len(normals)
-    # variables: s_1..s_k, t;  minimize -t
-    # constraints: -(N s) . gamma_j + t <= 0  for each j;  sum s = 1;  s >= 0
     G = gammas @ normals.T          # G[j, i] = <gamma_j, n_i>
-    A_ub = np.hstack([-G, np.ones((k, 1))])
-    b_ub = np.zeros(k)
-    A_eq = np.hstack([np.ones((1, k)), np.zeros((1, 1))])
-    b_eq = np.ones(1)
-    c = np.zeros(k + 1)
-    c[-1] = -1.0
-    bounds = [(0, None)] * k + [(None, None)]
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                  bounds=bounds, method="highs")
-    if not res.success:
-        raise LPFailure(f"certificate LP failed at {x}: {res.message}")
-    t_star = -res.fun
-    return t_star > 1e-9, res.x[:k], t_star
+    # variables s_1..s_k, t:  -(G s)_j + t <= 0,  -s_i <= 0,  sum s = 1
+    A_ub = np.block([[-G, np.ones((k, 1))], [-np.eye(k), np.zeros((k, 1))]])
+    A_eq = np.concatenate([np.ones(k), [0.0]])[None, :]
+    try:
+        sol = vertex_lp(np.eye(k + 1)[k], A_ub, np.zeros(2 * k), A_eq, [1.0])
+    except LPFailure as e:
+        raise LPFailure(f"certificate LP failed at {x}: {e}") from None
+    t_star = sol[k]
+    return t_star > 1e-9, sol[:k], t_star
 
 
 @dataclass
@@ -489,33 +624,27 @@ def _stratum_representative(domain: DomainSpec, faces):
     """A point of a polyhedron with exactly the given active faces, or None
     if the stratum is empty.
 
-    Maximizes the slack t of the other faces subject to the given faces
-    holding with equality, inside the bounding box.
+    Maximizes the slack t <= 0.999 of the other faces subject to the given
+    faces holding with equality, inside the bounding box; vertex_lp's
+    tie-break picks the point among the maximizers.
     """
-    from scipy.optimize import linprog
     J = domain.dimension
     lo, hi = domain.bbox
-    # variables: x (J), t
-    c = np.zeros(J + 1)
-    c[-1] = -1.0
-    A_eq, b_eq, A_ub, b_ub = [], [], [], []
-    for i, p in enumerate(domain.pieces):
-        if i in faces:
-            A_eq.append(np.concatenate([p.normal, [0.0]]))
-            b_eq.append(p.offset)
-        else:
-            # <n, x> - c >= t   ->  -<n, x> + t <= -c
-            A_ub.append(np.concatenate([-p.normal, [1.0]]))
-            b_ub.append(-p.offset)
-    bounds = [(float(l), float(h)) for l, h in zip(lo, hi)] + [(None, 0.999)]
-    res = linprog(c, A_ub=np.array(A_ub) if A_ub else None,
-                  b_ub=np.array(b_ub) if b_ub else None,
-                  A_eq=np.array(A_eq) if A_eq else None,
-                  b_eq=np.array(b_eq) if b_eq else None,
-                  bounds=bounds, method="highs")
-    if not res.success or -res.fun <= 1e-9:
+    normals = np.array([p.normal for p in domain.pieces])
+    offsets = np.array([p.offset for p in domain.pieces])
+    on = np.array([i in faces for i in range(len(normals))])
+    eye = np.eye(J + 1)
+    # variables x (J), t:  -<n, x> + t <= -c off the faces,  lo <= x <= hi,
+    # t <= 0.999;  <n, x> = c on the faces
+    A_ub = np.vstack([np.hstack([-normals[~on], np.ones((int((~on).sum()), 1))]),
+                      eye[:J], -eye[:J], eye[J:]])
+    b_ub = np.concatenate([-offsets[~on], hi, -lo, [0.999]])
+    A_eq = np.hstack([normals[on], np.zeros((int(on.sum()), 1))])
+    try:
+        sol = vertex_lp(eye[J], A_ub, b_ub, A_eq, offsets[on])
+    except LPFailure:
         return None
-    return res.x[:J]
+    return sol[:J] if sol[J] > 1e-9 else None
 
 
 def _strata_table(domain: DomainSpec) -> dict:

@@ -300,16 +300,28 @@ def test_missing_closed_form_is_a_usage_error(tmp_path, capsys):
             "error: no closed-form stationary density for 'cusp'\n"
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # linprog and nnls are imported where they are used: start-up skips them
+def test_import_leaves_scipy_optimize_unloaded(tmp_path):
+    # the certificate LPs are solved without scipy, and nnls is imported
+    # where it is used: start-up, every gallery preset, its completely-S
+    # sweep and a 2D orthant simulation never load scipy.optimize
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, refdiff, refdiff.cli; print('scipy.optimize' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    script = f"""
+import sys, refdiff, refdiff.cli
+assert 'scipy.optimize' not in sys.modules, 'import'
+for name, params in [("halfline", {{}}), ("orthant", {{"J": 2}}), ("orthant", {{"J": 3}}),
+                     ("gps", {{"J": 2}}), ("gps", {{"J": 3}}), ("wedge", {{}}),
+                     ("disk", {{}}), ("cusp", {{}})]:
+    d = refdiff.make_example(name, **params).domain
+    refdiff.check_completely_s(d)
+    assert 'scipy.optimize' not in sys.modules, name
+assert refdiff.cli.main(["simulate", "--preset", "orthant", "--J", "2", "--x0", "0.5,0.5",
+                         "--T", "0.5", "--dt", "0.01", "--output", {str(tmp_path / "t.csv")!r}]) == 0
+assert 'scipy.optimize' not in sys.modules, 'simulate'
+"""
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
 
 
 def _ladder_params(cfg):

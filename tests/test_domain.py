@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import refdiff as rd
 from refdiff import domain as dom
-from refdiff.errors import EmptyActiveSet, ParallelNormals
+from refdiff.errors import EmptyActiveSet, LPFailure, ParallelNormals
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +91,8 @@ def test_completely_s_report_matches_bruteforce(orthant2, gps2):
         for size in range(1, m + 1):
             for subset in itertools.combinations(range(m), size):
                 rep = dom._stratum_representative(d, set(subset))
+                # and it is the exact lexicographically largest one
+                _assert_close_or_both_none(rep, _exact_representative(d, subset))
                 if rep is None:
                     continue
                 nonempty.append((subset, rep))
@@ -411,3 +413,274 @@ def test_constant_face_rejects_tangent_reflection_at_construction():
     assert np.array_equal(face.gamma(X), [[0.25, 1.0], [0.25, 1.0]])
     assert np.array_equal(face.gamma(X[1]), [0.25, 1.0])
     assert np.array_equal(face.unit_normal(X), [[0.0, 1.0], [0.0, 1.0]])
+
+
+# ---------------------------------------------------------------------------
+# vertex_lp against an exact rational vertex enumeration; HiGHS, kept here as
+# an independent solver, only has to give the same verdicts
+# ---------------------------------------------------------------------------
+
+def _exact_solve(M, rhs):
+    """The solution of a square Fraction system, or None if it is singular."""
+    n = len(M)
+    T = [list(row) + [v] for row, v in zip(M, rhs)]
+    for i in range(n):
+        p = next((k for k in range(i, n) if T[k][i] != 0), None)
+        if p is None:
+            return None
+        T[i], T[p] = T[p], T[i]
+        for k in range(n):
+            if k != i and T[k][i] != 0:
+                m = T[k][i] / T[i][i]
+                T[k] = [a - m * b for a, b in zip(T[k], T[i])]
+    return [T[i][n] / T[i][i] for i in range(n)]
+
+
+def _exact_rank(rows):
+    """The rank of a list of Fraction rows, by elimination."""
+    T, rank = [list(r) for r in rows], 0
+    for j in range(len(T[0]) if T else 0):
+        p = next((k for k in range(rank, len(T)) if T[k][j] != 0), None)
+        if p is None:
+            continue
+        T[rank], T[p] = T[p], T[rank]
+        for k in range(rank + 1, len(T)):
+            m = T[k][j] / T[rank][j]
+            T[k] = [a - m * b for a, b in zip(T[k], T[rank])]
+        rank += 1
+    return rank
+
+
+def _exact_vertex_lp(c, A, b, E=(), f=()):
+    """vertex_lp's contract in exact rationals: every vertex of
+    {A x <= b, E x = f} by enumeration (E reduced to a row basis), and the
+    lexicographically largest of those maximizing <c, x>; None if there is
+    no vertex."""
+    from fractions import Fraction
+
+    def q(v):
+        return [Fraction(float(a)) for a in v]
+
+    c, A, b, E, f = q(c), [q(a) for a in A], q(b), [q(e) for e in E], q(f)
+
+    def dot(u, v):
+        return sum(x * y for x, y in zip(u, v))
+
+    basis = []
+    for i in range(len(E)):
+        if _exact_rank([E[j] for j in basis + [i]]) > len(basis):
+            basis.append(i)
+    verts = []
+    for rows in itertools.combinations(range(len(A)), len(c) - len(basis)):
+        x = _exact_solve([E[i] for i in basis] + [A[i] for i in rows],
+                         [f[i] for i in basis] + [b[i] for i in rows])
+        if (x is not None and all(dot(a, x) <= v for a, v in zip(A, b))
+                and all(dot(e, x) == v for e, v in zip(E, f))):
+            verts.append(x)
+    if not verts:
+        return None
+    best = max(dot(c, x) for x in verts)
+    return max(x for x in verts if dot(c, x) == best)
+
+
+def _exact_margin(game):
+    """t* of the completely-S LP, in exact rationals, from its game matrix
+    G = Gamma N^T (G[j, i] = <gamma_j, n_i>)."""
+    k = len(game)
+    G = np.asarray(game, dtype=float)
+    A = np.block([[-G, np.ones((k, 1))], [-np.eye(k), np.zeros((k, 1))]])
+    return _exact_vertex_lp(np.eye(k + 1)[k], A, np.zeros(2 * k),
+                            [np.append(np.ones(k), 0.0)], [1.0])[k]
+
+
+def _exact_representative(d, faces):
+    """The stratum representative LP of a polyhedron in exact rationals."""
+    J = d.dimension
+    lo, hi = d.bbox
+    on = np.array([i in faces for i in range(len(d.pieces))])
+    N = np.array([p.normal for p in d.pieces])
+    c = np.array([p.offset for p in d.pieces])
+    eye = np.eye(J + 1)
+    A = np.vstack([np.hstack([-N[~on], np.ones(((~on).sum(), 1))]), eye[:J], -eye[:J], eye[J:]])
+    x = _exact_vertex_lp(eye[J], A, np.concatenate([-c[~on], hi, -lo, [0.999]]),
+                         np.hstack([N[on], np.zeros((on.sum(), 1))]), c[on])
+    if x is None or x[J] <= 1e-9:
+        return None
+    return np.array([float(v) for v in x[:J]])
+
+
+def _highs_margin(normals, gammas):
+    """t* of the completely-S LP from scipy's HiGHS."""
+    from scipy.optimize import linprog
+    k = len(normals)
+    res = linprog(np.concatenate([np.zeros(k), [-1.0]]),
+                  A_ub=np.hstack([-(gammas @ normals.T), np.ones((k, 1))]),
+                  b_ub=np.zeros(k), A_eq=np.concatenate([np.ones(k), [0.0]])[None, :],
+                  b_eq=[1.0], bounds=[(0, None)] * k + [(None, None)], method="highs")
+    assert res.success
+    return -res.fun
+
+
+def _close(got, exact):
+    """Within 4 ulps of the exact value, relative to max(1, |value|)."""
+    return abs(got - float(exact)) <= 4 * np.finfo(float).eps * max(1.0, abs(float(exact)))
+
+
+def _assert_close_or_both_none(got, ref):
+    assert (got is None) == (ref is None)
+    if ref is not None:
+        assert all(_close(g, r) for g, r in zip(got, ref))
+
+
+def _orthant_domain(R):
+    J = len(R)
+    pieces = [dom.BoundaryPiece("half-space", normal=np.eye(J)[i], offset=0.0, gamma=R[:, i])
+              for i in range(J)]
+    return dom.DomainSpec(J, pieces, bbox=(np.zeros(J), 10.0 * np.ones(J)), bounded=False)
+
+
+def _is_p_matrix(R):
+    J = len(R)
+    return all(np.linalg.det(R[np.ix_(s, s)]) > 0
+               for k in range(1, J + 1) for s in itertools.combinations(range(J), k))
+
+
+def _entries(bound, size):
+    """Matrix entries in [-bound, bound], those below 1e-6 in size drawn as 0:
+    HiGHS drops matrix entries below 1e-9, so its verdict on a smaller entry
+    would answer another problem."""
+    return st.lists(st.floats(-bound, bound).map(lambda v: 0.0 if abs(v) < 1e-6 else v),
+                    min_size=size, max_size=size)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(2, 3), _entries(1.5, 6))
+def test_completely_s_matches_exact_lps_on_orthant_reflections(J, off):
+    # unit-diagonal reflection matrices, P-matrices among them: margins
+    # within 4 ulps of the exact ones, the exact (and HiGHS's) verdicts, and
+    # the exact representatives: 0 on the stratum's faces and the box's 10
+    # off them, the lexicographically largest points of slack 0.999
+    R = np.eye(J)
+    R[~np.eye(J, dtype=bool)] = off[:J * J - J]
+    d = _orthant_domain(R)
+    report = rd.check_completely_s(d)
+    for r in report.strata:
+        normals, gammas = dom.face_vectors(d, r.indices, r.representative)
+        exact = _exact_margin(gammas @ normals.T)
+        assert _close(r.margin, exact)
+        assert r.passed == (exact > 1e-9) == (_highs_margin(normals, gammas) > 1e-9)
+    if _is_p_matrix(R):
+        assert report.boundary_is_certified
+    for k in range(1, J + 1):
+        for faces in itertools.combinations(range(J), k):
+            off_faces = [i not in faces for i in range(J)]
+            assert np.array_equal(d.strata.get(faces), np.where(off_faces, 10.0, 0.0))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 4).flatmap(lambda k: _entries(1.0, k * k)))
+def test_positive_normal_lp_matches_exact_games(entries):
+    # the completely-S LP is the value of the matrix game G = Gamma N^T
+    k = int(round(len(entries) ** 0.5))
+    gammas = np.array(entries).reshape(k, k)
+    ok, s, t = dom.positive_normal_lp(np.eye(k), gammas, np.zeros(k))
+    exact = _exact_margin(gammas)
+    assert _close(t, exact)
+    assert ok == (exact > 1e-9) == (_highs_margin(np.eye(k), gammas) > 1e-9)
+    assert np.all(s >= -1e-15) and abs(s.sum() - 1.0) <= 1e-15
+    assert np.min(gammas @ s) >= t - 1e-15
+
+
+@pytest.mark.parametrize("gammas, value", [
+    ([[1.0, 1.0, 0.0], [0.375, 0.25, 1.0], [0.5, 0.0, -1.0]], (7, 17)),
+    ([[0.0, 0.0, -0.09375, -0.125], [0.25, -0.5, 0.0, 0.25], [-0.5, 0.0, -0.09375, -1.0],
+      [-1.0, 0.0, 0.0, -0.0625]], (-3, 38)),
+    ([[0.0, -1.0, 0.0, 0.0], [0.0, 0.0, -0.0625, -1.0], [0.0, 1.0, -0.5, 0.0],
+      [-0.96875, -0.9375, 0.0, 0.0]], (-124, 721))])
+def test_positive_normal_lp_gives_the_exact_game_value(gammas, value):
+    # games whose rational value HiGHS misses by 1.2e-15 to 1.6e-15; the
+    # vertex solve rounds it correctly
+    k = len(gammas)
+    t = dom.positive_normal_lp(np.eye(k), np.array(gammas), np.zeros(k))[2]
+    assert abs(t - value[0] / value[1]) <= 1e-16
+
+
+def test_vertex_lp_takes_the_lexicographically_largest_optimal_vertex():
+    # max x0 + x1 over the triangle x >= 0, x0 + x1 <= 1: the optimal edge
+    # has vertices (1, 0) and (0, 1), and (1, 0) is returned whatever the
+    # row order
+    A = np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    b = np.array([1.0, 0.0, 0.0])
+    for perm in itertools.permutations(range(3)):
+        assert np.array_equal(dom.vertex_lp([1.0, 1.0], A[list(perm)], b[list(perm)]),
+                              [1.0, 0.0])
+    # an unbounded optimal face {x1 = 1, x0 >= 0}: its one vertex
+    assert np.array_equal(dom.vertex_lp([0.0, 1.0], [[-1.0, 0.0], [0.0, 1.0]], [0.0, 1.0]),
+                          [0.0, 1.0])
+    # an equality row repeated, and a dependent one, reduce to one basis row
+    x = dom.vertex_lp([0.0, 1.0], A, b, [[1.0, -1.0], [2.0, -2.0], [1.0, -1.0]], [0.0] * 3)
+    assert np.array_equal(x, [0.5, 0.5])
+
+
+def test_vertex_lp_pivots_where_enumeration_could_not_finish():
+    # C(300, 6) ~ 1e12 square subsystems: the simplex visits a few dozen
+    # vertices; HiGHS, an independent solver, finds the same optimum
+    from scipy.optimize import linprog
+    rng = np.random.default_rng(3)
+    A, c = rng.standard_normal((300, 6)), rng.standard_normal(6)
+    x = dom.vertex_lp(c, A, np.ones(300))
+    ref = linprog(-c, A_ub=A, b_ub=np.ones(300), bounds=[(None, None)] * 6, method="highs")
+    assert np.all(A @ x <= 1.0 + 1e-12)
+    assert abs(c @ x + ref.fun) <= 1e-9 * abs(ref.fun)
+    # every stratum of the 6-D orthant (3J - s + 1 rows each) and the
+    # pointedness axis of its corner's fattened cone (2J^2 = 72 generators)
+    # in well under a second each; enumeration needed ~250k and C(72, 6)
+    # ~ 1.6e8 systems
+    import time
+    from refdiff.cones import PolyCone, fattened_generators
+    t0 = time.perf_counter()
+    report = rd.check_completely_s(rd.make_example("orthant", J=6).domain)
+    G = fattened_generators(-np.eye(6), 0.1)
+    axis = PolyCone(G).axis
+    assert time.perf_counter() - t0 < 5.0
+    assert len(report.strata) == 63 and report.boundary_is_certified
+    assert np.all(G @ axis > 0.0)
+
+
+def test_vertex_lp_accepts_a_feasible_set_that_is_about_one_point():
+    # about half of 36 rows tight at one point: rounding leaves a cluster of
+    # vertices there, and on these draws phase 1 ends at a point that misses
+    # a row by more than its own 16 eps bound, though its shift s* is 0.
+    # HiGHS, an independent solver, finds them feasible, and so must vertex_lp
+    from scipy.optimize import linprog
+    for seed in (163, 235, 724, 1468):
+        rng = np.random.default_rng(seed)
+        A, xs = rng.standard_normal((36, 5)), rng.standard_normal(5)
+        b = A @ xs + np.where(rng.random(36) < 0.5, 0.0, rng.random(36))
+        c = rng.standard_normal(5)
+        x = dom.vertex_lp(c, A, b)
+        ref = linprog(-c, A_ub=A, b_ub=b, bounds=[(None, None)] * 5, method="highs")
+        assert ref.status == 0
+        assert abs(c @ x + ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
+
+
+def test_vertex_lp_failures_name_the_problem_size():
+    with pytest.raises(LPFailure, match="2 variables, 2 inequalities and 0 equalities"
+                                         " has no feasible vertex"):
+        dom.vertex_lp([1.0, 0.0], [[1.0, 0.0], [-1.0, 0.0]], [-1.0, -1.0])
+    with pytest.raises(LPFailure, match="2 variables, 2 inequalities and 0 equalities"
+                                         " is unbounded"):
+        dom.vertex_lp([1.0, 1.0], [[-1.0, 0.0], [0.0, -1.0]], [0.0, 0.0])
+    with pytest.raises(LPFailure, match="1 equalities has no feasible vertex"):
+        dom.vertex_lp([1.0], [[1.0]], [1.0], [[1.0]], [2.0])
+
+
+def test_empty_stratum_has_no_representative():
+    # two parallel faces of a slab never meet; a face beyond the box is empty
+    pieces = [dom.BoundaryPiece("half-space", normal=[1.0, 0.0], offset=0.0, gamma=[1.0, 0.0]),
+              dom.BoundaryPiece("half-space", normal=[-1.0, 0.0], offset=-1.0, gamma=[-1.0, 0.0]),
+              dom.BoundaryPiece("half-space", normal=[0.0, 1.0], offset=-5.0, gamma=[0.0, 1.0])]
+    d = dom.DomainSpec(2, pieces, bbox=([-2.0, -2.0], [2.0, 2.0]))
+    assert dom._stratum_representative(d, (0, 1)) is None
+    assert dom._stratum_representative(d, (2,)) is None
+    assert np.array_equal(dom._stratum_representative(d, (0,)), [0.0, 2.0])

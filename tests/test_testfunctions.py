@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import refdiff as rd
-from refdiff import cli
+from refdiff import cli, cones
 from refdiff import domain as dom
 from refdiff import testfunctions as tf
 from refdiff.cones import MollifiedConeDistance, PolyCone, fattened_generators
-from refdiff.errors import NotInU, RadiusTooLarge, SamplingFailure, TooClose
+from refdiff.errors import NotInU, QPFailure, RadiusTooLarge, SamplingFailure, TooClose
 from refdiff.profiles import rising_cutoff
 from refdiff.solver import coordinate_step, radial_step
 from refdiff.testfunctions import StratumModel, _stratum_model, combine
@@ -75,6 +75,59 @@ def test_polycone_3d_matches_nnls():
         G = gens.T
         d_ref = np.array([np.linalg.norm(z - G @ nnls(G, z)[0]) for z in Z])
         assert np.allclose(d_fast, d_ref, atol=1e-9)
+
+
+@pytest.mark.parametrize("gens", [
+    [[0.6, -0.8]],                                     # one generator in 2D
+    [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 2.0], [0.2, 1.0, 1.2]],   # coplanar in 3D
+    [[1.0, 0.0, 0.0]], [[1.0, 2.0, 0.5], [2.0, 4.0, 1.0]]])       # a 3D ray, once and twice
+def test_polycone_axis_is_strictly_positive_on_degenerate_cones(gens):
+    # the pointedness LP has no vertex in R^J when the generators do not
+    # span it; the axis is found in their span
+    G = np.array(gens)
+    cone = PolyCone(G)
+    assert abs(np.linalg.norm(cone.axis) - 1.0) <= 1e-15
+    assert np.all(G @ cone.axis > 0.0)
+    assert np.linalg.matrix_rank(np.vstack([G, cone.axis])) == np.linalg.matrix_rank(G)
+    Z = np.random.default_rng(5).standard_normal((30, G.shape[1]))
+    assert np.all(np.isfinite(cone.distance(Z)))
+
+
+@pytest.mark.parametrize("gens", [
+    fattened_generators(-np.array([[1.0, -0.5, 0.2], [-0.3, 1.0, 0.1]]), 0.2),
+    fattened_generators(-np.eye(4), 0.1),
+    np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 0.0], [1.0, 1.0]])])
+def test_polycone_axis_does_not_depend_on_the_generator_order(gens):
+    # the axis is the lexicographically largest minimizer of sum <c, g>/|g|
+    # over <c, g> >= |g|, in the original coordinates: one point, whatever
+    # the order of the rows
+    axis = PolyCone(gens).axis
+    for seed in range(3):
+        perm = np.random.default_rng(seed).permutation(len(gens))
+        assert np.max(np.abs(PolyCone(gens[perm]).axis - axis)) <= 1e-15
+
+
+def test_polycone_rejects_a_cone_that_is_not_pointed():
+    with pytest.raises(QPFailure, match="not pointed"):
+        PolyCone([[1.0, 0.5], [-1.0, -0.5]])
+    with pytest.raises(QPFailure, match="not pointed"):
+        PolyCone([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, -1.0, 0.0]])
+
+
+@pytest.mark.parametrize("gens", [
+    fattened_generators(-np.array([[1.0, -0.5, 0.2], [-0.3, 1.0, 0.1]]), 0.2),
+    fattened_generators(-np.array([[1.0, 0.0, 0.3], [0.2, 1.0, 0.0], [0.0, 0.4, 1.0]]), 0.1),
+    np.array([[0.3, 1.0], [1.0, 0.1], [1.0, 1.0], [0.1, 1.0]])])
+def test_polycone_keeps_rays_and_facets_in_generator_order(gens):
+    # the axis sets only the hull's cross-section, so it cannot reach the
+    # projection through ConvexHull's vertex order
+    cone = PolyCone(gens)
+    units = gens / np.linalg.norm(gens, axis=1)[:, None]
+    idx = [int(np.argmin(np.linalg.norm(units - r, axis=1))) for r in cone.rays]
+    assert idx == sorted(idx)
+    if gens.shape[1] == 3:
+        assert cone.facets == sorted(cone.facets)
+        assert all(i < j for i, j in cone.facets)
 
 
 def test_polycone_4d_orthant_projects_to_the_positive_part():
@@ -401,16 +454,16 @@ def test_separation_is_the_certificate_margin(name, params):
     ("gps", {"J": 3}, [0.0, 0.0, 1.0]), ("wedge", {}, [1.0, 0.0])])
 def test_stratum_model_solves_one_certificate_lp(monkeypatch, name, params, x):
     # the completely-S LP and the cone's pointedness LP; nothing else
-    import scipy.optimize
     d = rd.make_example(name, **params).domain
     calls = []
-    linprog = scipy.optimize.linprog
+    vertex_lp = dom.vertex_lp
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return linprog(*args, **kwargs)
+        return vertex_lp(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.optimize, "linprog", counted)
+    monkeypatch.setattr(dom, "vertex_lp", counted)
+    monkeypatch.setattr(cones, "vertex_lp", counted)
     StratumModel(d, np.array(x))
     assert len(calls) == 2
 
