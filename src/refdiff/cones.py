@@ -13,12 +13,52 @@ Hessian.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .domain import row_dot, tangent_basis, vertex_lp
 from .errors import BandEmpty, LPFailure, QPFailure
+
+
+def _hull_2d(P) -> list:
+    """The vertices of the convex hull of the rows of P (m, 2), counter-
+    clockwise, by Andrew's monotone chain (Andrew 1979, Inf. Proc. Letters
+    9(5)); of equal rows only the first can be a vertex.  A vertex within
+    16 eps max|P| of the line through its two neighbours is then dropped,
+    one at a time, as Qhull's default merging drops it.  The chain itself
+    drops only exact collinear points: rounded ones can be sorted against
+    their line's direction, and a tolerance there would keep the wrong
+    one of them."""
+    _, first = np.unique(P, axis=0, return_index=True)
+    pts = P.tolist()
+    tol = 16 * np.finfo(float).eps * float(np.max(np.abs(P)))
+
+    def cross(o, a, b):
+        (ox, oy), (ax, ay), (bx, by) = pts[o], pts[a], pts[b]
+        return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
+
+    def flat(o, a, b):
+        (ox, oy), (bx, by) = pts[o], pts[b]
+        return cross(o, a, b) <= tol * math.hypot(bx - ox, by - oy)
+
+    def chain(idx):
+        h = []
+        for k in idx:
+            while len(h) >= 2 and cross(h[-2], h[-1], k) <= 0.0:
+                h.pop()
+            h.append(k)
+        return h
+
+    hull = chain(first.tolist())[:-1] + chain(first[::-1].tolist())[:-1]
+    while len(hull) > 3:
+        k = next((k for k in range(len(hull))
+                  if flat(hull[k - 1], hull[k], hull[(k + 1) % len(hull)])), None)
+        if k is None:
+            break
+        del hull[k]
+    return hull
 
 
 class PolyCone:
@@ -79,16 +119,15 @@ class PolyCone:
                 self._facet_normals = None
             return
         if J == 3 and len(P) >= 3 and np.linalg.matrix_rank(P - P[0]) == 2:
-            from scipy.spatial import ConvexHull
-            hull = ConvexHull(P)
+            hull = _hull_2d(P)
             # rays and facets in generator order, whatever the axis did to
             # the hull's vertex order
-            vidx = np.sort(hull.vertices)
+            vidx = np.sort(hull)
             self.rays = np.array([G[i] / np.linalg.norm(G[i]) for i in vidx])
             pos = {v: k for k, v in enumerate(vidx)}
             self.facets = []
             normals = []
-            for i, j in sorted(tuple(sorted(s)) for s in hull.simplices):
+            for i, j in sorted(tuple(sorted(s)) for s in zip(hull, hull[1:] + hull[:1])):
                 ri, rj = G[i], G[j]
                 nu = np.cross(ri, rj)
                 if np.linalg.norm(nu) < 1e-14:

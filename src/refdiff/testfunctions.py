@@ -691,9 +691,6 @@ class CoverFamily:
     def center_index(self, x) -> int:
         x = np.asarray(x, dtype=float)
         d = np.linalg.norm(self.centers - x, axis=1)
-        hits = np.flatnonzero(d < self.eps / 2.0)
-        if len(hits):
-            return int(hits[0])          # smallest index tie-break
         return int(np.argmin(d))
 
     def near(self, z) -> np.ndarray:
@@ -834,7 +831,7 @@ def _boundary_at(domain, x, eps):
                         f.info["plateau_radius"], f)
 
 
-# candidate pairs that _ball_pairs decides at a time
+# candidate pairs and box cells that _ball_pairs reads at a time
 _PAIR_CHUNK = 1 << 15
 
 
@@ -843,29 +840,77 @@ def _ball_pairs(X, bound, P):
     rounded as np.linalg.norm rounds a row: index arrays, b ascending and
     each ball's p ascending.
 
-    A k-d tree over P proposes the candidates, with each bound inflated by
-    1e-9 bound + 1e-12 so that no pair is missed however the distances are
-    rounded, and the exact expression decides them, about _PAIR_CHUNK
-    candidates at a time (a ball's candidates are never split)."""
-    from scipy.spatial import cKDTree
-
+    A uniform grid proposes the candidates.  Each ball's box is its bound
+    inflated by 1e-9 bound + 1e-12, so that no pair is missed however the
+    distances are rounded; the grid spans the points inside the boxes'
+    bounding box, one argsort buckets them by cell, and each ball reads
+    the cells that its box overlaps.  A point's cell and a box's end cells
+    come from one monotone expression, so rounding keeps every point of a
+    box inside the cells it reads.  The cells' side is the largest reach,
+    so that a box overlaps at most 3 cells on an axis, doubled until there
+    are no more cells than balls and points together.  A summed-area table
+    of the cell counts gives each box's candidate count, and the exact
+    expression decides the candidates, a chunk of about _PAIR_CHUNK
+    candidates and cells at a time (a ball's candidates are never split)."""
     bs, ps = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
-    if len(X) and len(P):
-        tree = cKDTree(P)
-        reach = bound * (1 + 1e-9) + 1e-12
-        counts = tree.query_ball_point(X, reach, return_length=True)
-        ends = np.cumsum(counts)
+    reach = bound * (1 + 1e-9) + 1e-12
+    low, high = X - reach[:, None], X + reach[:, None]
+    live = np.flatnonzero(np.all((P >= low.min(axis=0, initial=np.inf))
+                                 & (P <= high.max(axis=0, initial=-np.inf)), axis=1))
+    if len(live):
+        J = P.shape[1]
+        Q = P[live]
+        lo, top = Q.min(axis=0), Q.max(axis=0)
+        h = float(reach.max())
+        while np.prod(np.floor((top - lo) / h) + 1) > len(X) + len(P):
+            h *= 2.0
+
+        def cell(Z):
+            return np.floor((Z - lo) / h)
+
+        shape = cell(top).astype(np.intp) + 1
+        key = np.ravel_multi_index(tuple(cell(Q).astype(np.intp).T), shape)
+        order = np.argsort(key, kind="stable")
+        starts = np.searchsorted(key[order], np.arange(np.prod(shape) + 1))
+        order = live[order]
+        # each ball's box of cells, c0 <= cell < c1 on every axis, and the
+        # number of points in it
+        c0 = np.clip(cell(low), 0, shape).astype(np.intp)
+        c1 = np.clip(cell(high) + 1, 0, shape).astype(np.intp)
+        S = np.diff(starts).reshape(shape)
+        for a in range(J):
+            S = np.cumsum(S, axis=a)
+        S = np.pad(S, [(1, 0)] * J)
+        counts = np.zeros(len(X), np.intp)
+        for corner in itertools.product((False, True), repeat=J):
+            sign = -1 if (J - sum(corner)) % 2 else 1
+            counts += sign * S[tuple(np.where(corner, c1, c0).T)]
+        ncell = np.where(counts > 0, np.prod(c1 - c0, axis=1), 0)
+        work = counts + ncell
+        ends = np.cumsum(work)
         k0 = 0
         while k0 < len(X):
-            k1 = max(k0 + 1, int(np.searchsorted(ends, ends[k0] - counts[k0] + _PAIR_CHUNK,
+            k1 = max(k0 + 1, int(np.searchsorted(ends, ends[k0] - work[k0] + _PAIR_CHUNK,
                                                   side="right")))
-            n = counts[k0:k1]
-            b = np.repeat(np.arange(k0, k1), n)
-            near = tree.query_ball_point(X[k0:k1], reach[k0:k1], return_sorted=True)
-            p = np.fromiter(itertools.chain.from_iterable(near), np.intp, int(n.sum()))
+            # every (ball, cell) of the chunk's boxes, then the cells' points
+            ids = k0 + np.flatnonzero(counts[k0:k1])
+            m = ncell[ids]
+            t = np.arange(m.sum()) - np.repeat(np.cumsum(m) - m, m)
+            w = np.repeat(c1[ids] - c0[ids], m, axis=0)
+            coord = np.repeat(c0[ids], m, axis=0)
+            for a in range(J - 1, -1, -1):
+                t, r = np.divmod(t, w[:, a])
+                coord[:, a] += r
+            cells = np.ravel_multi_index(tuple(coord.T), shape)
+            s = starts[cells]
+            n = starts[cells + 1] - s
+            b = np.repeat(np.repeat(ids, m), n)
+            p = order[np.repeat(s - np.cumsum(n) + n, n) + np.arange(n.sum())]
             keep = np.linalg.norm(P[p] - X[b], axis=1) <= bound[b]
-            bs.append(b[keep])
-            ps.append(p[keep])
+            b, p = b[keep], p[keep]
+            o = np.lexsort((p, b))
+            bs.append(b[o])
+            ps.append(p[o])
             k0 = k1
     return np.concatenate(bs), np.concatenate(ps)
 

@@ -300,25 +300,41 @@ def test_missing_closed_form_is_a_usage_error(tmp_path, capsys):
             "error: no closed-form stationary density for 'cusp'\n"
 
 
-def test_import_leaves_scipy_optimize_unloaded(tmp_path):
-    # the certificate LPs are solved without scipy, and nnls is imported
-    # where it is used: start-up, every gallery preset, its completely-S
-    # sweep and a 2D orthant simulation never load scipy.optimize
+def test_import_leaves_scipy_unloaded(tmp_path):
+    # the certificate LPs, the cover family's pair search and the 3-D cone
+    # hulls use no scipy, and nnls is imported where it is used: start-up,
+    # every gallery preset and its completely-S sweep, make-tests and
+    # check-domain on the 3-D and wedge presets, the J = 3 orthant's cover
+    # family and a 2D orthant simulation load no scipy module
     src = str(Path(__file__).resolve().parents[1] / "src")
+    presets = Path(__file__).resolve().parents[1] / "presets"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     script = f"""
 import sys, refdiff, refdiff.cli
-assert 'scipy.optimize' not in sys.modules, 'import'
+
+def unloaded(step):
+    loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))
+    assert not loaded, (step, loaded[:5])
+
+unloaded('import')
 for name, params in [("halfline", {{}}), ("orthant", {{"J": 2}}), ("orthant", {{"J": 3}}),
                      ("gps", {{"J": 2}}), ("gps", {{"J": 3}}), ("wedge", {{}}),
                      ("disk", {{}}), ("cusp", {{}})]:
     d = refdiff.make_example(name, **params).domain
     refdiff.check_completely_s(d)
-    assert 'scipy.optimize' not in sys.modules, name
+    unloaded(name)
+for preset in ("gps3", "wedge_alpha1"):
+    for cmd in ("make-tests", "check-domain"):
+        assert refdiff.cli.main([cmd, "--config", {str(presets)!r} + "/" + preset + ".json",
+                                 "--output", {str(tmp_path / "out.json")!r}]) == 0
+        unloaded(cmd + " " + preset)
+s = refdiff.make_example("orthant", J=3)
+refdiff.assemble_cover_family(s.domain, s.coefficients, N=0.5, eps=0.3)
+unloaded('orthant J=3 cover family')
 assert refdiff.cli.main(["simulate", "--preset", "orthant", "--J", "2", "--x0", "0.5,0.5",
                          "--T", "0.5", "--dt", "0.01", "--output", {str(tmp_path / "t.csv")!r}]) == 0
-assert 'scipy.optimize' not in sys.modules, 'simulate'
+unloaded('simulate')
 """
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -120,7 +120,7 @@ def test_polycone_rejects_a_cone_that_is_not_pointed():
     np.array([[0.3, 1.0], [1.0, 0.1], [1.0, 1.0], [0.1, 1.0]])])
 def test_polycone_keeps_rays_and_facets_in_generator_order(gens):
     # the axis sets only the hull's cross-section, so it cannot reach the
-    # projection through ConvexHull's vertex order
+    # projection through the hull's vertex order
     cone = PolyCone(gens)
     units = gens / np.linalg.norm(gens, axis=1)[:, None]
     idx = [int(np.argmin(np.linalg.norm(units - r, axis=1))) for r in cone.rays]
@@ -128,6 +128,90 @@ def test_polycone_keeps_rays_and_facets_in_generator_order(gens):
     if gens.shape[1] == 3:
         assert cone.facets == sorted(cone.facets)
         assert all(i < j for i, j in cone.facets)
+
+
+def _qhull_cycle(P):
+    """Qhull's hull of the rows of P (m, 2): the reference that
+    cones._hull_2d replaced."""
+    from scipy.spatial import ConvexHull
+    return [int(v) for v in ConvexHull(P).vertices]
+
+
+@st.composite
+def _plane_points(draw):
+    """Lattice points with repeated rows, points on the segments between
+    them (rounded where t or the step is not dyadic) and points 1e-15 max|P|
+    inside them, rotated or not.  Qhull's own cut for points just outside
+    an edge is not one rule (it keeps some 5 eps out and drops others 15
+    eps out), so no point is drawn there."""
+    h = draw(st.sampled_from([1e-3, 0.1, 1.0, 3.0, 1e3]))
+    node = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+    P = h * np.array(draw(st.lists(node, min_size=3, max_size=12)), dtype=float)
+    extra = []
+    for kind, i, j, t in draw(st.lists(st.tuples(
+            st.sampled_from(["repeat", "on", "inside"]), st.integers(0, len(P) - 1),
+            st.integers(0, len(P) - 1), st.sampled_from([0.25, 0.5, 0.75, 1 / 3])),
+            max_size=8)):
+        a, b = P[i], P[j]
+        q = a.copy() if kind == "repeat" else a + t * (b - a)
+        if kind == "inside" and np.any(a != b):
+            n = np.array([a[1] - b[1], b[0] - a[0]]) / np.linalg.norm(b - a)
+            q += 1e-15 * np.max(np.abs(P)) * np.sign(n @ (P.mean(axis=0) - q)) * n
+        extra.append(q)
+    P = np.vstack([P] + extra)
+    rot = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    return P @ np.array([[np.cos(rot), np.sin(rot)], [-np.sin(rot), np.cos(rot)]])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(P=_plane_points())
+def test_hull_2d_is_qhulls_hull(P):
+    # the same vertices and edges, as points: of repeated rows Qhull may
+    # keep another one; counter-clockwise, as Qhull's 2-D vertices are
+    from scipy.spatial import QhullError
+
+    assume(np.linalg.matrix_rank(P - P[0]) == 2)
+    try:
+        ref = _qhull_cycle(P)
+    except QhullError:          # rounded collinear points that Qhull finds flat
+        reject()
+    hull = cones._hull_2d(P)
+
+    def edges(cycle):
+        return {frozenset([tuple(P[i]), tuple(P[j])]) for i, j in zip(cycle, np.roll(cycle, 1))}
+
+    assert {tuple(P[i]) for i in hull} == {tuple(P[i]) for i in ref}
+    assert edges(hull) == edges(ref)
+    x, y = P[hull].T
+    assert np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)) > 0.0
+
+
+def test_preset_cones_have_qhulls_rays_and_facets(monkeypatch, tmp_path):
+    # every 3-D cone that make-tests and check-domain build on the gps3
+    # preset has the rays, facets and facet normals of the Qhull hull; one
+    # of its cross-sections has points one ulp outside a hull edge, which
+    # Qhull does not count as vertices
+    built = []
+    build = PolyCone._build
+
+    def recorded(self):
+        build(self)
+        if self.dim == 3:
+            built.append(self)
+
+    monkeypatch.setattr(PolyCone, "_build", recorded)
+    presets = Path(__file__).resolve().parents[1] / "presets"
+    for cmd in ("make-tests", "check-domain"):
+        assert cli.main([cmd, "--config", str(presets / "gps3.json"),
+                         "--output", str(tmp_path / "out.json")]) == cli.EXIT_OK
+    monkeypatch.setattr(PolyCone, "_build", build)
+    monkeypatch.setattr(cones, "_hull_2d", _qhull_cycle)
+    assert len(built) > 1 and all(cone.facets for cone in built)
+    for cone in built:
+        ref = PolyCone(cone.generators)
+        assert np.array_equal(ref.rays, cone.rays)
+        assert ref.facets == cone.facets
+        assert np.array_equal(ref._facet_normals, cone._facet_normals)
 
 
 def test_polycone_4d_orthant_projects_to_the_positive_part():
@@ -791,9 +875,23 @@ def test_member_arrays_match_the_per_bump_loop(cover_families, system, N, eps, s
         if np.any(np.abs(np.linalg.norm(X - z, axis=1) - 2.0 * eps) < 1e-9):
             reference(j)
     for z in fam.centers[::stride]:
-        # a query's member is that of the first centre within eps/2 of it
+        # a query's member is that of its nearest centre
         for got, ref in zip(ev.member_arrays(z), reference(fam.center_index(z))):
             assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("system, N, eps", [(WEDGE, 1.0, 0.25), (GPS3, 0.5, 0.3)],
+                         ids=["wedge", "gps3"])
+def test_every_centre_resolves_to_itself(cover_families, system, N, eps):
+    # each centre's member is its own, and of equal centres the first's
+    # (the wedge family holds rows 0 and 13, and 5 and 18, twice)
+    _, fam = cover_families(system, N, eps)
+    first = {}
+    for j, z in enumerate(fam.centers.tolist()):
+        first.setdefault(tuple(z), j)
+    assert len(first) == {"wedge": 153, "gps": 296}[system[0]]
+    assert [fam.center_index(z) for z in fam.centers] == \
+        [first[tuple(z)] for z in fam.centers.tolist()]
 
 
 # the per-bump scans that the pair search replaced, kept as references
@@ -889,21 +987,42 @@ def test_pair_search_equals_the_per_bump_scans(cover_families, system, N, eps):
             assert np.array_equal(g, want)
 
 
-@settings(max_examples=80, deadline=None)
-@given(data=st.data())
-def test_ball_pairs_are_the_dense_scan(data):
-    # centres and points on a lattice of step h, so that many lie on the
-    # tree's splitting planes and at exactly their ball's radius; radii span
-    # several steps; chunks as small as one ball
-    J = data.draw(st.integers(1, 3))
-    h = data.draw(st.sampled_from([0.1, 0.3, 1.0]))
+@st.composite
+def _ball_cases(draw):
+    """(X, R, P, chunk): centres and points on a lattice of step h, so that
+    many lie on cell edges and at exactly their ball's radius; radii span
+    several steps; chunks as small as one ball."""
+    J = draw(st.integers(1, 3))
+    h = draw(st.sampled_from([0.1, 0.3, 1.0]))
     node = st.lists(st.integers(-5, 5), min_size=J, max_size=J)
-    P = h * np.array(data.draw(st.lists(node, min_size=1, max_size=60)), dtype=float)
-    X = h * np.array(data.draw(st.lists(node, min_size=1, max_size=30)), dtype=float)
+    P = h * np.array(draw(st.lists(node, min_size=1, max_size=60)), dtype=float)
+    X = h * np.array(draw(st.lists(node, min_size=1, max_size=30)), dtype=float)
     steps = st.sampled_from([0.0, 0.5, 1.0, math.sqrt(2.0), 2.0, math.sqrt(3.0), 3.0, 4.5])
-    R = h * np.array(data.draw(st.lists(steps | st.floats(0.0, 6.0),
-                                        min_size=len(X), max_size=len(X))))
-    chunk = data.draw(st.sampled_from([1, 7, tf._PAIR_CHUNK]))
+    R = h * np.array(draw(st.lists(steps | st.floats(0.0, 6.0),
+                                   min_size=len(X), max_size=len(X))))
+    return X, R, P, draw(st.sampled_from([1, 7, tf._PAIR_CHUNK]))
+
+
+_PLANE = 0.5 * np.array([[i, j, 0.0] for i in range(-3, 4) for j in range(-3, 4)])
+_SQUARE = np.array([[i, j] for i in range(200) for j in range(200)], dtype=float)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_ball_cases())
+# no balls; no points
+@example(case=(np.empty((0, 2)), np.empty(0), np.ones((3, 2)), 7))
+@example(case=(np.ones((2, 2)), np.ones(2), np.empty((0, 2)), 7))
+# the points' third axis has zero extent; balls in and off their plane
+@example(case=(np.array([[0.0, 0.0, 0.0], [0.5, 0.5, 0.5], [1.5, -1.0, -0.5], [9.0, 0.0, 0.0]]),
+               np.array([1.0, math.sqrt(0.75), 0.5, 1.0]), _PLANE, 7))
+# zero bounds: a ball holds only the points at its centre, none 1e-13 off it
+@example(case=(_PLANE[::5] + [0.0, 0.0, 1e-13], np.zeros(10), _PLANE, tf._PAIR_CHUNK))
+@example(case=(_PLANE[::5], np.zeros(10), np.vstack([_PLANE, _PLANE]), tf._PAIR_CHUNK))
+# one ball whose 40,000 candidates exceed the chunk, between two small ones
+@example(case=(np.array([[0.0, 0.0], [99.5, 99.5], [150.0, 10.0]]), np.array([2.0, 150.0, 1.0]),
+               _SQUARE, tf._PAIR_CHUNK))
+def test_ball_pairs_are_the_dense_scan(case):
+    X, R, P, chunk = case
     with mock.patch.object(tf, "_PAIR_CHUNK", chunk):
         b, p = tf._ball_pairs(X, R, P)
     dense = [(k, i) for k in range(len(X))
