@@ -25,8 +25,11 @@ from __future__ import annotations
 
 import numpy as np
 
+# a face residual below -_PTOL is a violated face (or an active face's negative eta)
+_PTOL = 1e-12
 
-def project_polyhedral(y, normals, offsets, gammas, ptol=1e-12):
+
+def project_polyhedral(y, normals, offsets, gammas):
     """Project y onto {normals @ x >= offsets} along the faces' reflection
     vectors: x = y + eta @ gammas with eta >= 0 only on faces active at x.
 
@@ -47,7 +50,7 @@ def project_polyhedral(y, normals, offsets, gammas, ptol=1e-12):
     resid = normals @ x - offsets        # eta on active faces, slack elsewhere
     for _ in range(16 * m + 64):
         # a list scan: numpy reductions cost more than the work on m <= 4 faces
-        bad = [i for i, r in enumerate(resid.tolist()) if r < -ptol]
+        bad = [i for i, r in enumerate(resid.tolist()) if r < -_PTOL]
         if not bad:
             return x, eta, (len(idx) < 2 or np.max(np.abs(
                 eta[idx] * (normals[idx] @ x - offsets[idx]))) <= 1e-9)
@@ -66,14 +69,13 @@ def project_polyhedral(y, normals, offsets, gammas, ptol=1e-12):
 
 # Free steps a walk sums ahead at once, and the face residual above which a
 # free step is kept without projection: `project_polyhedral` returns a step
-# whose residuals are all >= -ptol unchanged, and the screen's rounding of a
+# whose residuals are all >= -_PTOL unchanged, and the screen's rounding of a
 # residual differs from its own by far less than this margin.
 _WINDOW = 32
 _SCREEN = 1e-9
 
 
-def constrained_walk(x0, b, sigma, normals, offsets, gammas, noise, dt,
-                     steps, ptol=1e-12):
+def constrained_walk(x0, b, sigma, normals, offsets, gammas, noise, dt, steps):
     """Projected Euler walks from the rows of x0: path p takes steps[p]
     steps on the standard normal rows noise[p, :steps[p]], and dt is one
     step size or one per path.  No path steps past its own count.
@@ -136,8 +138,7 @@ def constrained_walk(x0, b, sigma, normals, offsets, gammas, noise, dt,
             # project, and go on projecting while the next free step also
             # reaches the margin, as it does on a face pushed against
             while True:
-                x, eta, ok = project_polyhedral(y, normals, offsets, gammas,
-                                                ptol)
+                x, eta, ok = project_polyhedral(y, normals, offsets, gammas)
                 if not ok:
                     fail[p] = s
                     break

@@ -54,7 +54,8 @@ def _first(s):
 
 
 # preset -> {config key: (make_example parameter, parser)}; a key the config
-# leaves out keeps the gallery's default
+# leaves out keeps the gallery's default, and a key that only other presets
+# read is a usage error
 _PRESET_PARAMS = {
     "halfline": {"b": ("b", _first), "sigma": ("sigma", _first)},
     "orthant": {"J": ("J", int), "b": ("b", _num_list)},
@@ -101,8 +102,13 @@ def _build_system(cfg):
     name = cfg.get("preset")
     if not name:
         raise errors.RefdiffError("a --preset or --system-file is required")
-    params = {param: parse(cfg[key])
-              for key, (param, parse) in _PRESET_PARAMS.get(name, {}).items()
+    table = _PRESET_PARAMS.get(name, {})
+    unread = sorted({key for other in _PRESET_PARAMS.values() for key in other
+                     if key in cfg} - set(table))
+    if table and unread:            # an unknown preset is make_example's error
+        raise errors.BadParameters(
+            f"preset {name!r} does not read {', '.join(map(repr, unread))}")
+    params = {param: parse(cfg[key]) for key, (param, parse) in table.items()
               if key in cfg}
     return make_example(name, **params)
 

@@ -2,8 +2,7 @@
 
 Cones are given by finite generator sets (conic hulls).  Distances are exact:
 in 1D/2D/3D the face structure is enumerated and evaluation is vectorized
-over query points; higher dimensions, and 3D generators in a plane, fall
-back to per-point NNLS.
+over query points; higher dimensions fall back to per-point NNLS.
 
 The mollified field averages the exact distance over a fixed quadrature
 stencil of a compactly supported radial C^2 kernel; its gradient and Hessian
@@ -13,6 +12,7 @@ Hessian.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -25,13 +25,17 @@ from .errors import BandEmpty, LPFailure, QPFailure
 def _hull_2d(P) -> list:
     """The vertices of the convex hull of the rows of P (m, 2), counter-
     clockwise, by Andrew's monotone chain (Andrew 1979, Inf. Proc. Letters
-    9(5)); of equal rows only the first can be a vertex.  A vertex within
-    16 eps max|P| of the line through its two neighbours is then dropped,
-    one at a time, as Qhull's default merging drops it.  The chain itself
-    drops only exact collinear points: rounded ones can be sorted against
-    their line's direction, and a tolerance there would keep the wrong
-    one of them."""
+    9(5)); of equal rows only the first can be a vertex.  A hull whose
+    vertices all lie within 16 eps max|P| of the line through its two
+    farthest ones is that segment, and one point when every row is equal.
+    Otherwise a vertex within 16 eps max|P| of the line through its two
+    neighbours is dropped, one at a time, as Qhull's default merging drops
+    it.  The chain itself drops only exact collinear points: rounded ones
+    can be sorted against their line's direction, and a tolerance there
+    would keep the wrong one of them."""
     _, first = np.unique(P, axis=0, return_index=True)
+    if len(first) == 1:
+        return [int(first[0])]
     pts = P.tolist()
     tol = 16 * np.finfo(float).eps * float(np.max(np.abs(P)))
 
@@ -40,8 +44,7 @@ def _hull_2d(P) -> list:
         return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
 
     def flat(o, a, b):
-        (ox, oy), (bx, by) = pts[o], pts[b]
-        return cross(o, a, b) <= tol * math.hypot(bx - ox, by - oy)
+        return cross(o, a, b) <= tol * math.dist(pts[o], pts[b])
 
     def chain(idx):
         h = []
@@ -52,6 +55,9 @@ def _hull_2d(P) -> list:
         return h
 
     hull = chain(first.tolist())[:-1] + chain(first[::-1].tolist())[:-1]
+    i, j = max(itertools.combinations(hull, 2), key=lambda e: math.dist(pts[e[0]], pts[e[1]]))
+    if all(abs(cross(i, j, k)) <= tol * math.dist(pts[i], pts[j]) for k in hull):
+        return [i, j]
     while len(hull) > 3:
         k = next((k for k in range(len(hull))
                   if flat(hull[k - 1], hull[k], hull[(k + 1) % len(hull)])), None)
@@ -92,42 +98,42 @@ class PolyCone:
             raise QPFailure("cone is not pointed (no strictly positive functional)") from None
         self.axis = c / np.linalg.norm(c)
 
-        if J == 1:
-            self.rays = np.array([[1.0 if G[0, 0] > 0 else -1.0]])
+        if J >= 4:
+            # the faces are not enumerated: NNLS at evaluation
+            self.rays = G / norms[:, None]
             return
-        # cross-section coordinates in the hyperplane <axis, y> = 1
-        scale = G @ self.axis
-        Q = G / scale[:, None]
-        T = tangent_basis(self.axis)
-        P = (Q - self.axis[None, :]) @ T.T          # (m, J-1)
-        if J == 2:
-            order = np.argsort(P[:, 0])
-            ray_idx = sorted([order[0], order[-1]])
-            if abs(P[order[0], 0] - P[order[-1], 0]) < 1e-13:
-                ray_idx = [order[0]]
-            self.rays = np.array([G[i] / np.linalg.norm(G[i]) for i in ray_idx])
-            if len(self.rays) == 2:
-                # outward normals of the two bounding half-planes
-                normals = []
-                for r in self.rays:
-                    nrm = np.array([-r[1], r[0]])
-                    if np.mean(self.generators @ nrm) > 0:
-                        nrm = -nrm
-                    normals.append(nrm)
-                self._facet_normals = np.array(normals)
+        # the faces are read off the hull of the generators' cross-section
+        # in the hyperplane <axis, y> = 1; for J = 1 it is the one ray
+        hull = [0]
+        if J > 1:
+            scale = G @ self.axis
+            Q = G / scale[:, None]
+            T = tangent_basis(self.axis)
+            P = (Q - self.axis[None, :]) @ T.T          # (m, J-1)
+            if J == 2:
+                order = np.argsort(P[:, 0])
+                hull = [order[0], order[-1]]
+                if abs(P[order[0], 0] - P[order[-1], 0]) < 1e-13:
+                    hull = [order[0]]
             else:
-                self._facet_normals = None
-            return
-        if J == 3 and len(P) >= 3 and np.linalg.matrix_rank(P - P[0]) == 2:
-            hull = _hull_2d(P)
-            # rays and facets in generator order, whatever the axis did to
-            # the hull's vertex order
-            vidx = np.sort(hull)
-            self.rays = np.array([G[i] / np.linalg.norm(G[i]) for i in vidx])
-            pos = {v: k for k, v in enumerate(vidx)}
-            self.facets = []
-            normals = []
-            for i, j in sorted(tuple(sorted(s)) for s in zip(hull, hull[1:] + hull[:1])):
+                hull = _hull_2d(P)
+        # rays and facets in generator order, whatever the axis did to the
+        # hull's vertex order
+        vidx = np.sort(hull)
+        self.rays = np.array([G[i] / np.linalg.norm(G[i]) for i in vidx])
+        pos = {v: k for k, v in enumerate(vidx)}
+        self.facets, self._facet_proj, normals = [], [], []
+        if J == 2 and len(hull) == 2:
+            # outward normals of the two bounding half-planes
+            for r in self.rays:
+                nrm = np.array([-r[1], r[0]])
+                if np.mean(self.generators @ nrm) > 0:
+                    nrm = -nrm
+                normals.append(nrm)
+        if J == 3:
+            # the distinct hull edges: one for a segment, and none for a
+            # point, whose edge (i, i) has cross(G_i, G_i) = 0
+            for i, j in sorted({tuple(sorted(s)) for s in zip(hull, hull[1:] + hull[:1])}):
                 ri, rj = G[i], G[j]
                 nu = np.cross(ri, rj)
                 if np.linalg.norm(nu) < 1e-14:
@@ -137,19 +143,13 @@ class PolyCone:
                     nu = -nu
                 self.facets.append((pos[i], pos[j]))
                 normals.append(nu)
-            self._facet_normals = np.array(normals)
-            # each facet's projector B B^T onto its span, B an orthonormal
-            # basis of its two rays
-            self._facet_proj = []
-            for ki, kj in self.facets:
-                B = np.linalg.qr(np.stack([self.rays[ki], self.rays[kj]], axis=1))[0]
-                self._facet_proj.append(B @ B.T)
-            return
-        # J >= 4, or J = 3 generators in a plane: exact structure not
-        # enumerated; NNLS at evaluation
-        self.rays = G / np.linalg.norm(G, axis=1)[:, None]
-        self.facets = None
-        self._facet_normals = None
+        # the interior test only where the hull spans the cross-section
+        self._facet_normals = np.array(normals) if len(hull) >= J and normals else None
+        # each facet's projector B B^T onto its span, B an orthonormal
+        # basis of its two rays
+        for ki, kj in self.facets:
+            B = np.linalg.qr(np.stack([self.rays[ki], self.rays[kj]], axis=1))[0]
+            self._facet_proj.append(B @ B.T)
 
     # -- distance --------------------------------------------------------------
     def project_info(self, Z):
@@ -161,54 +161,48 @@ class PolyCone:
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
         J = self.dim
         n = len(Z)
-        if J >= 3 and self.facets is None:
+        if J >= 4:
             return self._project_nnls(Z)
-        if J == 1:
-            r = self.rays[0, 0]
-            t = np.maximum(0.0, Z[:, 0] * r)
-            proj = (t * r)[:, None]
-            A = np.zeros((n, 1, 1))
-            A[t > 0] = 1.0
-            return proj, A
 
+        # every candidate is the orthogonal projection of z onto its face's
+        # span, so |z - c|^2 = |z|^2 - |c|^2: the nearest is the longest
         best = np.zeros_like(Z)                       # vertex candidate
-        best_d2 = np.einsum("ij,ij->i", Z, Z)
+        best_n2 = np.zeros(n)
         best_A = np.zeros((n, J, J))
 
         # ray candidates
         for r in self.rays:
             t = np.maximum(0.0, Z @ r)
             cand = t[:, None] * r[None, :]
-            d2 = np.einsum("ij,ij->i", Z - cand, Z - cand)
-            upd = d2 < best_d2
+            n2 = np.einsum("ij,ij->i", cand, cand)
+            upd = n2 > best_n2
             best[upd] = cand[upd]
-            best_d2[upd] = d2[upd]
+            best_n2[upd] = n2[upd]
             best_A[upd] = np.outer(r, r)[None, :, :]
 
-        if J == 3:
-            # facet candidates (2D subcones spanned by adjacent rays)
-            for (ki, kj), proj in zip(self.facets, self._facet_proj):
-                ri, rj = self.rays[ki], self.rays[kj]
-                g11, g12, g22 = ri @ ri, ri @ rj, rj @ rj
-                det = g11 * g22 - g12 * g12
-                if abs(det) < 1e-14:
-                    continue
-                b1, b2 = Z @ ri, Z @ rj
-                a1 = (g22 * b1 - g12 * b2) / det
-                a2 = (g11 * b2 - g12 * b1) / det
-                feas = (a1 >= -1e-12) & (a2 >= -1e-12)
-                if not feas.any():
-                    continue
-                cand = a1[:, None] * ri[None, :] + a2[:, None] * rj[None, :]
-                d2 = np.einsum("ij,ij->i", Z - cand, Z - cand)
-                upd = feas & (d2 < best_d2)
-                if upd.any():
-                    best[upd] = cand[upd]
-                    best_d2[upd] = d2[upd]
-                    best_A[upd] = proj[None, :, :]
+        # facet candidates (2D subcones spanned by adjacent rays)
+        for (ki, kj), proj in zip(self.facets, self._facet_proj):
+            ri, rj = self.rays[ki], self.rays[kj]
+            g11, g12, g22 = ri @ ri, ri @ rj, rj @ rj
+            det = g11 * g22 - g12 * g12
+            if abs(det) < 1e-14:
+                continue
+            b1, b2 = Z @ ri, Z @ rj
+            a1 = (g22 * b1 - g12 * b2) / det
+            a2 = (g11 * b2 - g12 * b1) / det
+            feas = (a1 >= -1e-12) & (a2 >= -1e-12)
+            if not feas.any():
+                continue
+            cand = a1[:, None] * ri[None, :] + a2[:, None] * rj[None, :]
+            n2 = np.einsum("ij,ij->i", cand, cand)
+            upd = feas & (n2 > best_n2)
+            if upd.any():
+                best[upd] = cand[upd]
+                best_n2[upd] = n2[upd]
+                best_A[upd] = proj[None, :, :]
 
         # interior of the full cone
-        if self._facet_normals is not None and len(self._facet_normals):
+        if self._facet_normals is not None:
             inside = np.all(Z @ self._facet_normals.T <= 1e-12, axis=1)
             best[inside] = Z[inside]
             best_A[inside] = np.eye(J)[None, :, :]

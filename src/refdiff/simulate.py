@@ -23,8 +23,6 @@ from ._csv import write_csv
 from .coefficients import CoefficientField
 from .errors import NoConvergence
 
-_PTOL = 1e-12
-
 
 def _key(seed: int, path: int, block: int) -> np.ndarray:
     return np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF),
@@ -63,7 +61,7 @@ def reflect(domain: dom.DomainSpec, y):
     """
     y = np.asarray(y, dtype=float)
     if domain.constant_reflection:
-        x, eta, ok = _kernels.project_polyhedral(y, *domain.face_arrays, _PTOL)
+        x, eta, ok = _kernels.project_polyhedral(y, *domain.face_arrays)
         if not ok:
             raise NoConvergence("active-set projection failed", point=y)
         return x, eta
@@ -286,7 +284,7 @@ def _simulate_paths(domain, coef, X0, n_steps, h, seed, paths):
 
         def walk(X, noise, h, steps):
             return _kernels.constrained_walk(X, b, sigma, normals, offsets,
-                                             gammas, noise, h, steps, _PTOL)
+                                             gammas, noise, h, steps)
     else:
         def walk(X, noise, h, steps):
             return _euler_walk(domain, coef, X, noise, h, steps)

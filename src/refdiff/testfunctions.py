@@ -495,8 +495,7 @@ def _stratum_model(domain: dom.DomainSpec, x) -> StratumModel:
                          lambda: StratumModel(domain, x))
 
 
-def boundary_bump(domain: dom.DomainSpec, x, r: float,
-                  model: Optional[StratumModel] = None) -> TestFunction:
+def boundary_bump(domain: dom.DomainSpec, x, r: float) -> TestFunction:
     """Plateau bump at a nonsingular boundary point.
 
     One near the point, zero outside the r-ball, with the boundary sign
@@ -505,8 +504,7 @@ def boundary_bump(domain: dom.DomainSpec, x, r: float,
     certified positive.
     """
     x = np.asarray(x, dtype=float)
-    if model is None:
-        model = _stratum_model(domain, x)
+    model = _stratum_model(domain, x)
     cap = model.r_cap(x)
     if not 0.0 < r <= cap:
         raise RadiusTooLarge(f"need r in (0, {cap:.3g}] at {x}, got {r}")

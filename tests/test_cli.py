@@ -292,6 +292,20 @@ def test_numeric_failures_exit_numeric(exc, monkeypatch, capsys):
     assert capsys.readouterr().err == "numeric failure: at x = [0.0]\n"
 
 
+def test_a_key_the_preset_does_not_read_is_a_usage_error(tmp_path, capsys):
+    # the wedge has no drift key, and the disk and the orthant no sigma: such
+    # a key is named, not dropped
+    for args, key in [(["--preset", "wedge", "--b=-3,-0.1"], "'wedge' does not read 'b'"),
+                      (["--preset", "disk", "--sigma", "2"], "'disk' does not read 'sigma'"),
+                      (["--preset", "orthant", "--J", "2", "--sigma", "2"],
+                       "'orthant' does not read 'sigma'")]:
+        assert run(["check-domain", *args, "--output", str(tmp_path / "out")]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == f"error: preset {key}\n"
+    # every shipped config reads all the preset keys it sets
+    for path in sorted(PRESETS.glob("*.json")):
+        cli._build_system(json.loads(path.read_text()))
+
+
 def test_missing_closed_form_is_a_usage_error(tmp_path, capsys):
     for cmd in ("verify-bar", "weak-check"):
         code = run([cmd, "--preset", "cusp", "--output", str(tmp_path / "out")])
@@ -305,13 +319,14 @@ def test_import_leaves_scipy_unloaded(tmp_path):
     # hulls use no scipy, and nnls is imported where it is used: start-up,
     # every gallery preset and its completely-S sweep, make-tests and
     # check-domain on the 3-D and wedge presets, the J = 3 orthant's cover
-    # family and a 2D orthant simulation load no scipy module
+    # family, 3-D cones with one, two and planar generators, and a 2D
+    # orthant simulation load no scipy module
     src = str(Path(__file__).resolve().parents[1] / "src")
     presets = Path(__file__).resolve().parents[1] / "presets"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     script = f"""
-import sys, refdiff, refdiff.cli
+import sys, refdiff, refdiff.cli, refdiff.cones
 
 def unloaded(step):
     loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))
@@ -332,6 +347,10 @@ for preset in ("gps3", "wedge_alpha1"):
 s = refdiff.make_example("orthant", J=3)
 refdiff.assemble_cover_family(s.domain, s.coefficients, N=0.5, eps=0.3)
 unloaded('orthant J=3 cover family')
+for gens in ([[1.0, 2.0, 0.5]], [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]],
+             [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 2.0], [0.2, 1.0, 1.2]]):
+    refdiff.cones.PolyCone(gens).project_info([[0.5, -1.0, 2.0], [-1.0, -1.0, -1.0]])
+    unloaded(f'{{len(gens)}}-generator 3-D cone')
 assert refdiff.cli.main(["simulate", "--preset", "orthant", "--J", "2", "--x0", "0.5,0.5",
                          "--T", "0.5", "--dt", "0.01", "--output", {str(tmp_path / "t.csv")!r}]) == 0
 unloaded('simulate')

@@ -366,7 +366,7 @@ def _constrained_loop(x0, b, sigma, normals, offsets, gammas, noise, dt):
     x = states[0] = x0
     for k, z in enumerate(noise):
         x, eta, ok = _kernels.project_polyhedral(x + (b * dt + z @ M), normals,
-                                                 offsets, gammas, 1e-12)
+                                                 offsets, gammas)
         if not ok:
             return states[:k + 1], push[:k + 1], k
         states[k + 1] = x

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, reject, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -165,17 +165,26 @@ def _plane_points(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(P=_plane_points())
+# the last row is a rotated point of the segment between the first and the
+# third, off it by rounding: Qhull finds the set flat
+@example(P=np.array([[-5.0, 5.0], [-5.0, 5.0], [-1.0, 2.0],
+                     [-3.999999999999997, 4.250000000000004]]))
 def test_hull_2d_is_qhulls_hull(P):
     # the same vertices and edges, as points: of repeated rows Qhull may
-    # keep another one; counter-clockwise, as Qhull's 2-D vertices are
+    # keep another one; counter-clockwise, as Qhull's 2-D vertices are.
+    # Where Qhull finds the points flat, exactly or to rounding, the hull is
+    # the segment between the two farthest points
     from scipy.spatial import QhullError
 
-    assume(np.linalg.matrix_rank(P - P[0]) == 2)
+    hull = cones._hull_2d(P)
     try:
         ref = _qhull_cycle(P)
-    except QhullError:          # rounded collinear points that Qhull finds flat
-        reject()
-    hull = cones._hull_2d(P)
+    except QhullError:
+        D = np.linalg.norm(P[:, None] - P[None], axis=2)
+        a, b = np.unravel_index(np.argmax(D), D.shape)
+        assert {tuple(P[i]) for i in hull} == {tuple(P[a]), tuple(P[b])}
+        assert len(hull) == len({tuple(P[a]), tuple(P[b])})
+        return
 
     def edges(cycle):
         return {frozenset([tuple(P[i]), tuple(P[j])]) for i, j in zip(cycle, np.roll(cycle, 1))}
@@ -212,6 +221,71 @@ def test_preset_cones_have_qhulls_rays_and_facets(monkeypatch, tmp_path):
         assert np.array_equal(ref.rays, cone.rays)
         assert ref.facets == cone.facets
         assert np.array_equal(ref._facet_normals, cone._facet_normals)
+
+
+@st.composite
+def _low_dim_cones(draw):
+    """(generators, query rows) of a pointed cone in J = 1, 2 or 3 with 1-8
+    generators: lattice rows, some repeated or rescaled, and in 3-D also
+    rows in a plane, exactly (lattice combinations) or to rounding (a
+    rotated plane).  Rows are flipped into the half-space <c, g> > 0.  The
+    queries lie on a grid of step 1/8: scipy's nnls, the reference, returns
+    a point far from the cone's projection for a query whose inner products
+    with the generators are below about 1e-16 of its norm but not zero."""
+    J, kind = draw(st.sampled_from([(1, "full"), (2, "full"), (3, "full"),
+                                    (3, "planar"), (3, "rotated")]))
+    m = draw(st.integers(1, 8))
+    lattice = st.integers(-4, 4)
+    if kind == "full":
+        G = np.array(draw(st.lists(st.lists(lattice, min_size=J, max_size=J),
+                                   min_size=m, max_size=m)), dtype=float)
+    else:
+        xy = np.array(draw(st.lists(st.tuples(lattice, lattice), min_size=m,
+                                    max_size=m)), dtype=float)
+        if kind == "planar":
+            UV = np.array(draw(st.lists(st.lists(lattice, min_size=3, max_size=3),
+                                        min_size=2, max_size=2)), dtype=float)
+        else:
+            a, b = draw(st.sampled_from([0.3, 1.0, 2.2])), draw(st.sampled_from([0.7, 1.9]))
+            UV = np.array([[np.cos(a), np.sin(a), 0.0],
+                           [-np.sin(a) * np.cos(b), np.cos(a) * np.cos(b), np.sin(b)]])
+        G = xy @ UV
+    for i, scale in draw(st.lists(st.tuples(st.integers(0, m - 1),
+                                            st.sampled_from([1.0, 2.0, 0.3])), max_size=3)):
+        G = np.vstack([G, scale * G[i]])
+    c = np.array([1.0, 2 ** 0.5 / 3, 3 ** 0.5 / 7])[:J] * draw(st.sampled_from([1.0, -1.0]))
+    G = G[np.any(G != 0.0, axis=1)]
+    s = G @ c
+    assume(len(G) and np.all(np.abs(s) > 1e-9 * np.linalg.norm(G, axis=1)))
+    G *= np.sign(s)[:, None]
+    Z = draw(arrays(float, (12, J), elements=st.integers(-64, 64).map(lambda k: k / 8)))
+    return G, np.vstack([Z, G, -G, G[:1] + G[-1:], G[:1] - G[-1:]])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_low_dim_cones())
+# a projection 1e-9 of the query's norm: its squared distance ties the
+# vertex's to rounding, so the scan picks the longest candidate instead
+@example(case=(np.array([[0.0, 1.0]]), np.array([[1.0, 1e-9], [-3.0, 1e-9]])))
+def test_low_dim_projection_is_one_face_scan(case):
+    # for J <= 3 every cone, flat or not, projects by its face list, never
+    # by NNLS: the residual lies in the polar cone and is orthogonal to the
+    # projection, the face projector fixes the projection, and scipy's nnls
+    # (the reference) gives the same point
+    from scipy.optimize import nnls
+
+    G, Z = case
+    with mock.patch.object(PolyCone, "_project_nnls", side_effect=AssertionError):
+        proj, A = PolyCone(G).project_info(Z)
+    scale = 1.0 + np.linalg.norm(Z, axis=1)
+    tol = 1e-12 * scale
+    R = Z - proj
+    U = G / np.linalg.norm(G, axis=1)[:, None]
+    assert np.all(np.max(R @ U.T, axis=1) <= tol)
+    assert np.all(np.abs(np.einsum("ij,ij->i", proj, R)) <= tol * scale)
+    assert np.all(np.linalg.norm(np.einsum("nij,nj->ni", A, proj) - proj, axis=1) <= tol)
+    ref = np.array([G.T @ nnls(G.T, z)[0] for z in Z])
+    assert np.all(np.linalg.norm(proj - ref, axis=1) <= tol)
 
 
 def test_polycone_4d_orthant_projects_to_the_positive_part():
