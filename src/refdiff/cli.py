@@ -205,7 +205,8 @@ def cmd_make_tests(cfg):
                                 eps=_num(cfg.get("eps", 0.25)),
                                 seed=int(cfg.get("seed", 0)))
     out = cfg.get("output", "family.json")
-    _write_json(out, fam.manifest(), cfg)
+    with open(out, "w") as fh:
+        fam.write_manifest(fh, _meta=_header(cfg))
     print(f"wrote {out}: {len(fam.bumps)} bumps, {len(fam.centers)} centers, "
           f"C={fam.C:.6g}")
     return EXIT_OK

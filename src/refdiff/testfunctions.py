@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -220,11 +221,11 @@ def _radial_bump(J: int, x, r: float) -> TestFunction:
     def flat(Y):
         return _XI.constant_at(_radial_arg(Y - x, r))
 
-    rho, bounds = _radial_constants(J, r)
+    rho, bounds = _radial_constants(J, np.array([r]))
     return TestFunction.from_jet(
-        J, jet, flat=flat, center=x, support_radius=rho,
+        J, jet, flat=flat, center=x, support_radius=rho[0],
         constant_outside=0.0, claims_in_class=True, claims_negated_in_class=True,
-        bound_triple=bounds, info={"kind": "interior", "r": r})
+        bound_triple=tuple(bounds[0].tolist()), info={"kind": "interior", "r": r})
 
 
 def _radial_jet(D, r, c2, c4):
@@ -243,14 +244,21 @@ def _radial_arg(D, r):
     return np.einsum("ij,ij->i", D, D) / r
 
 
-def _radial_constants(J: int, r: float):
-    """Support radius sqrt(r) and bound triple of the radial bump
-    xi(|y - x|^2 / r) in dimension J."""
-    rho = math.sqrt(r)
+def _radial_constants(J: int, r):
+    """Support radii sqrt(r) (n,) and bound triples (n, 3) of the radial
+    bumps xi(|y - x|^2 / r) in dimension J, one per entry of the array r."""
+    rho = np.sqrt(r)
     sup_d1, sup_d2 = _XI_SUP
     # |grad| <= 2 ||xi'|| / rho and sum |d2| <= (4 J^2 ||xi''|| + 2 J ||xi'||) / rho^2
-    return rho, (1.0, 2.0 * sup_d1 / rho,
-                 (4.0 * J * J * sup_d2 + 2.0 * J * sup_d1) / rho ** 2)
+    return rho, np.column_stack([np.ones_like(rho), 2.0 * sup_d1 / rho,
+                                 (4.0 * J * J * sup_d2 + 2.0 * J * sup_d1) / _pow2(rho)])
+
+
+def _pow2(a):
+    """a ** 2 per entry, rounded as C's pow(a, 2) rounds it, as Python's
+    float ** 2 does (numpy's square rounds about one entry in 1000
+    differently)."""
+    return np.fromiter(map(math.pow, a.tolist(), itertools.repeat(2.0)), float, len(a))
 
 
 # ---------------------------------------------------------------------------
@@ -437,21 +445,26 @@ class StratumModel:
             return None
         return float(np.min(self.mol.jet(Z[band])[1] @ self.gammas.T))
 
-    def r_cap(self, x) -> float:
-        """Largest admissible bump radius at a stratum point."""
-        x = np.asarray(x, dtype=float)
-        cap = np.inf
+    def r_cap(self, x):
+        """Largest admissible bump radius at a stratum point (a float), or
+        at each row of a batch (an (n,) array): 0.99 times the distance to
+        the nearest inactive piece or singular point, each distance rounded
+        as at the point alone."""
+        X, single = dom.as_batch(x, self.domain.dimension)
+        cap = np.full(len(X), np.inf)
         for i, p in enumerate(self.domain.pieces):
             if i in self.idx:
                 continue
             if p.kind == "half-space":
-                cap = min(cap, abs(p.value(x)))
+                cap = np.minimum(cap, np.abs(p.value(X)))
             else:
-                y = dom.project_to_piece(self.domain, i, x)
-                cap = min(cap, float(np.linalg.norm(y - x)))
+                D = dom.project_to_piece(self.domain, i, X) - X
+                cap = np.minimum(cap, np.sqrt(dom.row_dot(D, D)))
         for sp in self.domain.singular_points:
-            cap = min(cap, float(np.linalg.norm(sp.x - x)))
-        return 0.99 * cap
+            D = sp.x - X
+            cap = np.minimum(cap, np.sqrt(dom.row_dot(D, D)))
+        cap = 0.99 * cap
+        return float(cap[0]) if single else cap
 
     @functools.cached_property
     def bump_constants(self):
@@ -636,35 +649,85 @@ def check_admissible(f: TestFunction, domain: dom.DomainSpec, samples: int = 200
 # Cover family (separation test functions)
 # ---------------------------------------------------------------------------
 
-class _LatticeBump:
-    """A placed bump: centre x, kind, radius parameter r (an interior bump's
-    is its squared radius) and plateau radius.  An interior bump builds its
-    function on first use of func; its support radius and bound triple come
-    from r alone."""
+# the bump kinds, in the order of their codes in a bump table
+_KINDS = ("interior", "boundary", "singular")
+_INTERIOR, _BOUNDARY, _SINGULAR = range(3)
 
-    __slots__ = ("x", "kind", "r", "plateau", "_func")
+# bump and centre rows per write of a manifest
+_MANIFEST_ROWS = 1024
 
-    def __init__(self, x, kind, r, plateau, func=None):
+
+class _BumpTable:
+    """Placed bumps in bump order, one array per column: centres x (B, J),
+    kind codes into _KINDS, r (an interior bump's is its squared radius),
+    plateau radius, support radius and bound triple (B, 3).
+
+    funcs maps the index of each boundary and singular bump to its
+    TestFunction.  An interior bump is lazy: func(k) builds its function on
+    first use and keeps it there.  As a sequence the table is sized,
+    ordered and read-only, one _Bump view per row."""
+
+    _COLUMNS = ("x", "kind", "r", "plateau", "support", "bounds")
+
+    def __init__(self, x, kind, r, plateau, support, bounds, funcs=None):
         self.x, self.kind, self.r, self.plateau = x, kind, r, plateau
-        self._func = func
+        self.support, self.bounds = support, bounds
+        self.funcs = {} if funcs is None else funcs
+        for name in self._COLUMNS:
+            getattr(self, name).flags.writeable = False
 
-    @property
-    def func(self) -> TestFunction:
-        if self._func is None:
-            self._func = _radial_bump(len(self.x), self.x, self.r)
-        return self._func
+    @classmethod
+    def of_functions(cls, kind, X, r, funcs):
+        """The bumps of the given kind at the rows of X with parameters r
+        and their functions, whose plateau radius, support radius and bound
+        triple they keep."""
+        return cls(np.asarray(X, dtype=float), np.full(len(funcs), kind, np.int8),
+                   np.asarray(r, dtype=float),
+                   np.array([f.info["plateau_radius"] for f in funcs]),
+                   np.array([f.support_radius for f in funcs]),
+                   np.array([f.bound_triple for f in funcs]), dict(enumerate(funcs)))
 
-    @property
-    def support_radius(self) -> float:
-        if self.kind == "interior":
-            return _radial_constants(len(self.x), self.r)[0]
-        return self._func.support_radius
+    @classmethod
+    def concat(cls, tables):
+        """One table of the tables' rows, in order."""
+        starts = itertools.accumulate([len(t) for t in tables], initial=0)
+        funcs = {s + k: f for s, t in zip(starts, tables) for k, f in t.funcs.items()}
+        return cls(*(np.concatenate([getattr(t, name) for t in tables])
+                     for name in cls._COLUMNS), funcs)
 
-    @property
-    def bound_triple(self):
-        if self.kind == "interior":
-            return _radial_constants(len(self.x), self.r)[1]
-        return self._func.bound_triple
+    def __len__(self):
+        return len(self.r)
+
+    def __getitem__(self, k):
+        if not -len(self) <= k < len(self):
+            raise IndexError(k)
+        return _Bump(self, k % len(self))
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def func(self, k) -> TestFunction:
+        f = self.funcs.get(k)
+        if f is None:
+            f = self.funcs[k] = _radial_bump(self.x.shape[1], self.x[k], float(self.r[k]))
+        return f
+
+
+class _Bump:
+    """Row k of a bump table, read off its columns."""
+
+    __slots__ = ("_table", "_k")
+
+    def __init__(self, table, k):
+        self._table, self._k = table, k
+
+    x = property(lambda self: self._table.x[self._k])
+    kind = property(lambda self: _KINDS[self._table.kind[self._k]])
+    r = property(lambda self: float(self._table.r[self._k]))
+    plateau = property(lambda self: float(self._table.plateau[self._k]))
+    support_radius = property(lambda self: float(self._table.support[self._k]))
+    bound_triple = property(lambda self: tuple(self._table.bounds[self._k].tolist()))
+    func = property(lambda self: self._table.func(self._k))
 
 
 class CoverFamily:
@@ -672,7 +735,8 @@ class CoverFamily:
 
     Each member is a finite sum of admissible bumps vanishing on an eps/2
     ball around its query point and exceeding one half beyond 3 eps, with a
-    reported uniform bound on the generator applied to any member.
+    reported uniform bound on the generator applied to any member.  bumps
+    is the family's _BumpTable.
     """
 
     def __init__(self, domain, coefficients, N, eps, bumps, centers, c_const, C_bound):
@@ -684,7 +748,6 @@ class CoverFamily:
         self.centers = centers
         self.c = c_const
         self.C = C_bound
-        self._bump_x = np.stack([b.x for b in bumps])
 
     def center_index(self, x) -> int:
         x = np.asarray(x, dtype=float)
@@ -694,12 +757,12 @@ class CoverFamily:
     def near(self, z) -> np.ndarray:
         """Mask of the bumps centred within 2 eps of z (each distance rounded
         as a 1-D norm rounds it)."""
-        D = self._bump_x - np.asarray(z, dtype=float)
+        D = self.bumps.x - np.asarray(z, dtype=float)
         return np.sqrt(dom.row_dot(D, D)) < 2.0 * self.eps
 
     def member(self, x) -> TestFunction:
         z = self.centers[self.center_index(x)]
-        f = combine([b.func for b, near in zip(self.bumps, self.near(z)) if not near])
+        f = combine([self.bumps.func(k) for k in np.flatnonzero(~self.near(z))])
         f.info.update(kind="cover-member", z=z, eps=self.eps)
         return f
 
@@ -707,16 +770,73 @@ class CoverFamily:
         """Batch-evaluate every bump once on Y for fast member sums."""
         return FamilyEvaluation(self, Y, coefficients or self.coefficients)
 
-    def manifest(self) -> dict:
-        return {
-            "N": self.N,
-            "eps": self.eps,
-            "c": self.c,
-            "C": self.C,
-            "centers": [list(map(float, z)) for z in self.centers],
-            "bumps": [{"x": list(map(float, b.x)), "kind": b.kind,
-                       "r": b.r, "plateau": b.plateau} for b in self.bumps],
+    def write_manifest(self, fh, **header):
+        """Write the manifest to the text file fh: byte for byte the text of
+        json.dump({**header, N, eps, c, C, centers, bumps}, fh,
+        sort_keys=True, indent=1, default=float), where a centre is a list
+        of floats and a bump {x, kind, r, plateau}.  The small keys go
+        through json; the centres and bumps are formatted off the arrays,
+        _MANIFEST_ROWS of them per write."""
+        t, J = self.bumps, self.bumps.x.shape[1]
+        kinds = np.array([json.dumps(k) for k in _KINDS], dtype=object)
+
+        def bump_texts(rows):
+            floats = _json_floats(np.column_stack([t.plateau[rows], t.r[rows], t.x[rows]]))
+            return np.column_stack([kinds[t.kind[rows]], floats])
+
+        lists = {
+            "centers": ("  " + _json_list(J, 2), lambda rows: _json_floats(self.centers[rows]),
+                        len(self.centers)),
+            "bumps": ('  {\n   "kind": %s,\n   "plateau": %s,\n   "r": %s,\n   "x": '
+                      + _json_list(J, 3) + "\n  }", bump_texts, len(t)),
         }
+        head = dict(header, N=self.N, eps=self.eps, c=self.c, C=self.C)
+        sep = "{\n"
+        for key in sorted([*head, *lists]):
+            if key in lists:
+                fh.write(f'{sep} "{key}": ')
+                _write_json_items(fh, *lists[key])
+            else:
+                fh.write(sep + json.dumps({key: head[key]}, sort_keys=True, indent=1,
+                                          default=float)[2:-2])
+            sep = ",\n"
+        fh.write("\n}")
+
+
+def _write_json_items(fh, template, texts, n):
+    """Write a list of n items at depth 1 of an indent-1 JSON text: item k
+    is the %-template filled with row k of texts(rows), an object array of
+    JSON texts, one block of _MANIFEST_ROWS items per write."""
+    if not n:
+        fh.write("[]")
+        return
+    sep = "[\n"
+    for s in range(0, n, _MANIFEST_ROWS):
+        block = texts(slice(s, s + _MANIFEST_ROWS))
+        fh.write(sep + ",\n".join([template] * len(block)) % tuple(block.ravel().tolist()))
+        sep = ",\n"
+    fh.write("\n ]")
+
+
+def _json_list(n, depth):
+    """The %-template of a list of n items at the given depth of an
+    indent-1 JSON text."""
+    if not n:
+        return "[]"
+    return "[\n" + ",\n".join([" " * (depth + 1) + "%s"] * n) + "\n" + " " * depth + "]"
+
+
+def _json_floats(a):
+    """The JSON text of each float of a, as json writes it: repr for a finite
+    value, json's own spelling for any other; an object array of a's
+    shape.  Each distinct bit pattern is spelt once."""
+    a = np.ascontiguousarray(a, dtype=float)
+    bits, inv = np.unique(a.view(np.int64), return_inverse=True)
+    u = bits.view(float)
+    text = np.array(list(map(float.__repr__, u.tolist())), dtype=object)
+    odd = ~np.isfinite(u)
+    text[odd] = [json.dumps(v) for v in u[odd].tolist()]
+    return text[inv].reshape(a.shape)
 
 
 class FamilyEvaluation:
@@ -738,8 +858,7 @@ class FamilyEvaluation:
         # bump order and ascending rows; _owner[e] is the bump of entry e, and
         # bump k's entries are _starts[k]:_starts[k + 1]
         bumps = family.bumps
-        radii = np.array([b.support_radius for b in bumps])
-        self._owner, self._flat_idx = _ball_pairs(family._bump_x, radii * (1 + 1e-12),
+        self._owner, self._flat_idx = _ball_pairs(bumps.x, bumps.support * (1 + 1e-12),
                                                   self.Y)
         self._starts = np.searchsorted(self._owner, np.arange(len(bumps) + 1))
         m = len(self._flat_idx)
@@ -748,16 +867,14 @@ class FamilyEvaluation:
         self._flat_lfs = np.empty(m)
         # the interior bumps' entries from one radial jet over their offsets,
         # with each bump's constants computed as its own jet computes them
-        interior = np.array([b.kind == "interior" for b in bumps], dtype=bool)
+        interior = bumps.kind == _INTERIOR
         radial = np.flatnonzero(interior[self._owner])
         if len(radial):
             ks, inv = np.unique(self._owner[radial], return_inverse=True)
-            r = [bumps[k].r for k in ks]
-            c2 = np.array([2.0 / q for q in r])[inv]
-            c4 = np.array([4.0 / q ** 2 for q in r])[inv]
+            r = bumps.r[ks]
             pts = self.Y[self._flat_idx[radial]]
-            D = pts - family._bump_x[self._owner[radial]]
-            v, g, H = _radial_jet(D, np.array(r)[inv], c2, c4)
+            D = pts - bumps.x[self._owner[radial]]
+            v, g, H = _radial_jet(D, r[inv], (2.0 / r)[inv], (4.0 / _pow2(r))[inv])
             self._flat_vals[radial], self._flat_grads[radial] = v, g
             self._flat_lfs[radial] = coefficients.generator(pts, g, H)
         # the other bumps' entries from their own jets; only a bump with a
@@ -765,7 +882,7 @@ class FamilyEvaluation:
         for k in np.unique(self._owner[~interior[self._owner]]):
             e = slice(self._starts[k], self._starts[k + 1])
             pts = self.Y[self._flat_idx[e]]
-            v, g, H = bumps[k].func._jet(pts)
+            v, g, H = bumps.func(k)._jet(pts)
             self._flat_vals[e], self._flat_grads[e] = v, g
             self._flat_lfs[e] = coefficients.generator(pts, g, H)
         # one unbuffered addition per array over the entries in bump order,
@@ -797,36 +914,57 @@ def _lattice_points(lo, hi, spacing):
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def _interior_bumps(X, d, eps) -> list:
+def _interior_bumps(X, d, eps) -> _BumpTable:
     """The interior bumps of radius rho = 0.95 min(eps, d) at the rows of X,
     whose depths are d, skipping each row whose rho is below eps / 1000; each
-    radius-rho ball fits, since rho < d."""
+    radius-rho ball fits, since rho < d.  r is rho ** 2 and the plateau
+    radius rho / 2."""
     rho = 0.95 * np.minimum(eps, d)
     keep = rho > eps * 1e-3
-    return [_LatticeBump(x, "interior", p ** 2, p / 2.0)
-            for x, p in zip(X[keep], rho[keep].tolist())]
+    rho = rho[keep]
+    r = _pow2(rho)
+    support, bounds = _radial_constants(X.shape[1], r)
+    return _BumpTable(X[keep], np.full(len(r), _INTERIOR, np.int8), r, rho / 2.0,
+                      support, bounds)
 
 
 def _interior_at(x, eps, d):
     """The interior bump at one point x of depth d, or None."""
     bumps = _interior_bumps(np.asarray(x, float)[None], np.array([d]), eps)
-    return bumps[0] if bumps else None
+    return bumps if len(bumps) else None
 
 
-def _boundary_at(domain, x, eps):
-    """The boundary bump of radius min(eps, r_cap) at x, or None when x has
-    no stratum model or that radius is below eps / 1000."""
-    try:
-        model = _stratum_model(domain, x)
-    except (NotInU, QPFailure):
+def _boundary_at(domain, X, eps):
+    """The boundary bumps of radius min(eps, r_cap) at the rows of X, in row
+    order, or None when there are none: a row is skipped when it has no
+    stratum model or that radius is below eps / 1000.
+
+    On a constant-reflection polyhedron the rows' active sets are taken at
+    once, and the rows that share one share its cached model and one r_cap
+    call; elsewhere each row builds its own model."""
+    X = np.asarray(X, dtype=float)
+    if domain.constant_reflection:
+        act = np.abs(domain.piece_values(X)) <= domain.tol_at(X)[:, None]
+        _, first, group = np.unique(act, axis=0, return_index=True, return_inverse=True)
+        groups = [np.flatnonzero(group.ravel() == g) for g in np.argsort(first)]
+    else:
+        groups = [[k] for k in range(len(X))]
+    r = np.zeros(len(X))
+    model = [None] * len(X)
+    for rows in groups:
+        try:
+            m = _stratum_model(domain, X[rows[0]])
+        except (NotInU, QPFailure):
+            continue
+        r[rows] = np.minimum(eps, m.r_cap(X[rows]))
+        for k in rows:
+            model[k] = m
+    keep = np.flatnonzero(r > eps * 1e-3)
+    if not len(keep):
         return None
-    x = np.asarray(x, dtype=float)
-    r = min(eps, model.r_cap(x))
-    if r <= eps * 1e-3:
-        return None
-    f = _boundary_function(model, x, r)
-    return _LatticeBump(x, "boundary", r,
-                        f.info["plateau_radius"], f)
+    return _BumpTable.of_functions(
+        _BOUNDARY, X[keep], r[keep],
+        [_boundary_function(model[k], X[k], r[k]) for k in keep.tolist()])
 
 
 # candidate pairs and box cells that _ball_pairs reads at a time
@@ -919,19 +1057,16 @@ def _covers(bumps, P) -> np.ndarray:
     interior bump's value is xi on the pairs' z, as its jet computes it;
     another bump's is its function's, called once on its rows."""
     covered = np.zeros(len(P), dtype=bool)
-    if not bumps:
-        return covered
-    X = np.stack([b.x for b in bumps])
-    plateau = np.array([b.plateau for b in bumps])
-    b, p = _ball_pairs(X, plateau * (1 - 1e-12), P)
+    b, p = _ball_pairs(bumps.x, bumps.plateau * (1 - 1e-12), P)
     one = np.zeros(len(b), dtype=bool)
-    interior = np.array([bumps[k].kind == "interior" for k in b], dtype=bool)
-    r = np.array([bumps[k].r for k in b[interior]], dtype=float)
-    one[interior] = _XI.value(_radial_arg(P[p[interior]] - X[b[interior]], r)) >= 1.0 - 1e-12
+    interior = bumps.kind[b] == _INTERIOR
+    bi = b[interior]
+    one[interior] = _XI.value(_radial_arg(P[p[interior]] - bumps.x[bi], bumps.r[bi])) \
+        >= 1.0 - 1e-12
     rest = np.flatnonzero(~interior)
     for e in np.split(rest, np.flatnonzero(np.diff(b[rest])) + 1):
         if len(e):
-            one[e] = bumps[b[e[0]]].func._value(P[p[e]]) >= 1.0 - 1e-12
+            one[e] = bumps.func(b[e[0]])._value(P[p[e]]) >= 1.0 - 1e-12
     covered[p[one]] = True
     return covered
 
@@ -970,12 +1105,13 @@ def assemble_cover_family(domain: dom.DomainSpec, coefficients, N: float,
     lo = np.maximum(domain.bbox[0], -reach * np.ones(J))
     hi = np.minimum(domain.bbox[1], reach * np.ones(J))
 
-    bumps: list = []
-    for sp in domain.singular_points:
-        r = min(eps, 0.999 * sp.radius) / sp.c2
-        f = singular_bump(domain, sp, r)
-        bumps.append(_LatticeBump(sp.x, "singular", r,
-                                  f.info["plateau_radius"], f))
+    # the bumps in blocks, in bump order
+    tables = []
+    if domain.singular_points:
+        r = [min(eps, 0.999 * sp.radius) / sp.c2 for sp in domain.singular_points]
+        tables.append(_BumpTable.of_functions(
+            _SINGULAR, [sp.x for sp in domain.singular_points], r,
+            [singular_bump(domain, sp, q) for sp, q in zip(domain.singular_points, r)]))
 
     if polyhedral:
         # deepest strata first; a stratum that is only a singular point gets
@@ -992,7 +1128,7 @@ def assemble_cover_family(domain: dom.DomainSpec, coefficients, N: float,
         pts = _stratum_lattice(domain, subset, lo, hi, eps, guard)
         if pts is None or not len(pts):
             continue
-        bumps += [b for b in (_boundary_at(domain, x, eps) for x in pts) if b]
+        tables.append(_boundary_at(domain, pts, eps))
 
     # interior lattices: a deep coarse lattice plus graded shell bands whose
     # spacing tracks the local plateau scale (overlapping in depth; the
@@ -1006,10 +1142,11 @@ def assemble_cover_family(domain: dom.DomainSpec, coefficients, N: float,
     deep = _lattice_points(lo, hi, spacing)
     deep = deep[np.linalg.norm(deep, axis=1) <= reach]
     dd = depths_of(deep)
-    bumps += _interior_bumps(deep[dd >= eps], dd[dd >= eps], eps)
+    tables = [t for t in tables if t is not None]
+    tables.append(_interior_bumps(deep[dd >= eps], dd[dd >= eps], eps))
 
-    face_plateau = max([b.plateau for b in bumps if b.kind == "boundary"],
-                       default=0.27 * eps)
+    face = np.concatenate([t.plateau[t.kind == _BOUNDARY] for t in tables])
+    face_plateau = face.max() if len(face) else 0.27 * eps
     t = max(0.75 * face_plateau, eps / 24.0)
     bands = []
     while t < eps:
@@ -1021,13 +1158,15 @@ def assemble_cover_family(domain: dom.DomainSpec, coefficients, N: float,
         P = P[np.linalg.norm(P, axis=1) <= reach]
         dP = depths_of(P)
         keep = (dP >= 0.7 * t_lo_band) & (dP < 1.3 * t_hi_band)
-        bumps += _interior_bumps(P[keep], dP[keep], eps)
+        tables.append(_interior_bumps(P[keep], dP[keep], eps))
 
+    bumps = _BumpTable.concat(tables)
     probes = _coverage_probes(domain, reach, seed)
     covered = _covers(bumps, probes)
     # a probe that no bump can cover is given up for good: an attempt's
     # outcome depends on the probe alone
     blocked = np.zeros(len(probes), dtype=bool)
+    repairs = []
     for _ in range(60):
         todo = np.flatnonzero(~covered & ~blocked)
         if not len(todo):
@@ -1048,8 +1187,8 @@ def assemble_cover_family(domain: dom.DomainSpec, coefficients, N: float,
                 for sub in ([tuple(sorted(near))] if len(near) > 1 else []) + \
                         [(k,) for k in near]:
                     xq = _project_to_stratum(domain, sub, y)
-                    b = None if xq is None else _boundary_at(domain, xq, eps)
-                    if b is not None and _covers([b], y[None])[0]:
+                    b = None if xq is None else _boundary_at(domain, xq[None], eps)
+                    if b is not None and _covers(b, y[None])[0]:
                         added = b
                         break
             if added is None and d > 0.02 * eps:
@@ -1057,8 +1196,9 @@ def assemble_cover_family(domain: dom.DomainSpec, coefficients, N: float,
             if added is None:
                 blocked[i] = True
                 continue
-            bumps.append(added)
-            covered |= _covers([added], probes)
+            repairs.append(added)
+            covered |= _covers(added, probes)
+    bumps = _BumpTable.concat([bumps, *repairs])
     if not covered.all():
         missing = probes[~covered][:5]
         raise SamplingFailure(
@@ -1087,11 +1227,8 @@ def assemble_cover_family(domain: dom.DomainSpec, coefficients, N: float,
     Bv = coefficients.b(B_pts)
     sup_b = float(np.max(np.sqrt(dom.row_dot(Bv, Bv))))
     sup_a = float(np.max(np.abs(coefficients.a(B_pts))))
-    lb = np.array([sup_b * A1 + 0.5 * sup_a * A2
-                   for _, A1, A2 in (b.bound_triple for b in bumps)])
-    radii = np.array([b.support_radius for b in bumps])
-    owner, row = _ball_pairs(np.stack([b.x for b in bumps]), radii,
-                             np.vstack([B_pts, probes[:400]]))
+    lb = sup_b * bumps.bounds[:, 1] + 0.5 * sup_a * bumps.bounds[:, 2]
+    owner, row = _ball_pairs(bumps.x, bumps.support, np.vstack([B_pts, probes[:400]]))
     # one np.sum per point over its bumps in bump order: the sums of a dense
     # scan, bit for bit
     order = np.argsort(row, kind="stable")

@@ -1,4 +1,6 @@
 import collections
+import io
+import json
 import math
 from pathlib import Path
 from unittest import mock
@@ -1157,12 +1159,189 @@ def test_repair_gives_up_an_uncoverable_probe(monkeypatch):
     assert max(tried.values()) <= 3
 
 
-def test_family_manifest(small_family):
+def test_family_manifest(small_family, tmp_path):
     _, fam = small_family
-    man = fam.manifest()
+    path = tmp_path / "family.json"
+    with open(path, "w") as fh:
+        fam.write_manifest(fh)
+    man = json.loads(path.read_text())
     assert man["c"] == 0.5
     assert len(man["bumps"]) == len(fam.bumps)
     assert man["C"] >= 1.0
+
+
+def _manifest_oracle(fam, **header):
+    """The manifest as one dict through json.dump: the expression that the
+    streamed manifest replaced, kept as its reference."""
+    fh = io.StringIO()
+    json.dump({**header, "N": fam.N, "eps": fam.eps, "c": fam.c, "C": fam.C,
+               "centers": [list(map(float, z)) for z in fam.centers],
+               "bumps": [{"x": list(map(float, b.x)), "kind": b.kind,
+                          "r": b.r, "plateau": b.plateau} for b in fam.bumps]},
+              fh, sort_keys=True, indent=1, default=float)
+    return fh.getvalue()
+
+
+def _hand_built_family(x, kind, r, plateau, centers, N=1.0, eps=0.25, c=0.5, C=2.0):
+    """A family of a hand-built bump table: centres x (B, J), kind codes, r
+    and plateau radii; its support radii and bound triples are never
+    written."""
+    B = len(r)
+    table = tf._BumpTable(np.asarray(x, float), np.asarray(kind, np.int8),
+                          np.asarray(r, float), np.asarray(plateau, float), np.zeros(B),
+                          np.zeros((B, 3)))
+    return tf.CoverFamily(None, None, N, eps, table, np.asarray(centers, float), c, C)
+
+
+# any double, with the spellings that json and repr could disagree on drawn
+# often: signed zeros, subnormal and tiny values, whole numbers, non-finite
+_MANIFEST_FLOATS = st.floats() | st.sampled_from(
+    [-0.0, 0.0, 1e-300, 5e-324, 1.0, -2.0, 1e16, 123456789.0, 0.1, math.inf, math.nan])
+# header values as a caller may hand them over, numpy scalars included
+_HEADER_VALUES = _MANIFEST_FLOATS | st.integers(-10, 10) | st.sampled_from(
+    [np.float64(0.3), np.float32(0.1), np.int64(3), np.float64(-0.0), np.float64(np.nan)])
+
+
+@st.composite
+def _hand_built_cases(draw):
+    """(family, header, rows per write): a small random table, centres and
+    header."""
+    J = draw(st.integers(1, 3))
+    B, n = draw(st.integers(0, 9)), draw(st.integers(0, 5))
+
+    def floats(size):
+        return draw(st.lists(_MANIFEST_FLOATS, min_size=size, max_size=size))
+
+    fam = _hand_built_family(
+        np.reshape(floats(B * J), (B, J)),
+        draw(st.lists(st.integers(0, 2), min_size=B, max_size=B)),
+        floats(B), floats(B), np.reshape(floats(n * J), (n, J)),
+        *(draw(_HEADER_VALUES) for _ in range(4)))
+    return fam, {"_meta": draw(st.text(max_size=8))}, draw(st.sampled_from([1, 2, 1024]))
+
+
+_FAMILY_CASES = [(("halfline", {}), 1.0, 0.25), (("orthant", {"J": 2}), 1.0, 0.25),
+                 (("gps", {"J": 2}), 1.0, 0.25), (GPS3, 0.5, 0.3), (WEDGE, 1.0, 0.25),
+                 (DISK, 0.5, 0.3)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=_hand_built_cases())
+# the families that make-tests writes for the gps3 and wedge_alpha1 presets,
+# the disk at N 0.5, eps 0.3 and the halfline, orthant and gps J = 2 defaults
+@example(case=(_FAMILY_CASES[0], {"_meta": "config=0123abcd seed=0"}, 1024))
+@example(case=(_FAMILY_CASES[1], {"_meta": "config=0123abcd seed=0"}, 1024))
+@example(case=(_FAMILY_CASES[2], {"_meta": "config=0123abcd seed=0"}, 1024))
+@example(case=(_FAMILY_CASES[3], {"_meta": "config=0123abcd seed=0"}, 1024))
+@example(case=(_FAMILY_CASES[4], {"_meta": "config=0123abcd seed=0"}, 1024))
+@example(case=(_FAMILY_CASES[5], {"_meta": "config=0123abcd seed=0"}, 7))
+# signed zeros, tiny and whole-number floats, numpy-scalar header values
+@example(case=(_hand_built_family([[-0.0, 0.0], [1e-300, 3.0]], [0, 1], [1.0, 2.0],
+                                  [-0.0, 1e-300], [[0.0, -0.0], [5.0, 1e-300]],
+                                  np.float64(1.0), np.float32(0.1), np.int64(1),
+                                  np.float64(7.31e6)), {"_meta": "m"}, 1))
+# an empty centre list; an empty bump table
+@example(case=(_hand_built_family([[0.5]], [2], [0.25], [0.1], np.empty((0, 1))), {}, 1024))
+@example(case=(_hand_built_family(np.empty((0, 3)), [], [], [], [[0.0, 1.0, 2.0]]), {}, 1024))
+def test_streamed_manifest_is_the_json_dump(cover_families, case):
+    fam, header, rows = case
+    if not isinstance(fam, tf.CoverFamily):
+        _, fam = cover_families(*fam)
+    fh = io.StringIO()
+    with mock.patch.object(tf, "_MANIFEST_ROWS", rows):
+        fam.write_manifest(fh, **header)
+    assert fh.getvalue() == _manifest_oracle(fam, **header)
+
+
+def test_make_tests_streams_its_manifest(monkeypatch, tmp_path):
+    # no write of gps3's make-tests holds more than 1 MiB, so that the whole
+    # text (3.7 MB) is never built at once
+    writes = []
+
+    class Recording:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, text):
+            writes.append(len(text))
+            return self.fh.write(text)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    def recording_open(path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        return Recording(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)
+    presets = Path(__file__).resolve().parents[1] / "presets"
+    out = tmp_path / "family.json"
+    assert cli.main(["make-tests", "--config", str(presets / "gps3.json"),
+                     "--output", str(out)]) == cli.EXIT_OK
+    assert sum(writes) == len(out.read_text()) > 3_000_000
+    assert len(writes) > 20 and max(writes) <= 1 << 20
+
+
+@pytest.mark.parametrize("system, N, eps", [(WEDGE, 1.0, 0.25), (GPS3, 0.5, 0.3)],
+                         ids=["wedge", "gps3"])
+def test_bump_view_reads_the_table(cover_families, system, N, eps):
+    _, fam = cover_families(system, N, eps)
+    t = fam.bumps
+    views = list(t)
+    assert len(t) == len(views) == len(t.x) > 0
+    for k, b in enumerate(views):
+        assert np.array_equal(b.x, t.x[k])
+        assert b.kind == tf._KINDS[t.kind[k]]
+        assert (b.r, b.plateau, b.support_radius) == (t.r[k], t.plateau[k], t.support[k])
+        assert b.bound_triple == tuple(t.bounds[k])
+        if b.kind != "interior":
+            assert b.func is t.funcs[k]
+    kinds = collections.Counter(b.kind for b in views)
+    assert kinds["boundary"] > 0 and kinds["singular"] == 1
+    # a lazy interior bump's support radius and bound triple are those of
+    # the function it builds
+    for b in views[::997]:
+        assert (b.support_radius, b.bound_triple) == \
+            (b.func.support_radius, b.func.bound_triple)
+    assert np.array_equal(t[-1].x, t.x[-1])
+    with pytest.raises(IndexError):
+        t[len(t)]
+    with pytest.raises(ValueError):
+        t.r[0] = 1.0
+    with pytest.raises(AttributeError):
+        views[0].r = 1.0
+
+
+@pytest.mark.parametrize("system", [("orthant", {"J": 2}), WEDGE, GPS3],
+                         ids=["orthant2", "wedge", "gps3"])
+def test_boundary_lattice_is_the_per_point_placement(system):
+    # a stratum's lattice placed in one batch gives, bit for bit, the bumps
+    # and radii of placing its points one at a time
+    s = rd.make_example(system[0], **system[1])
+    eps, J = 0.3, s.domain.dimension
+    guard = [sp.x for sp in s.domain.singular_points]
+    lo, hi = np.maximum(s.domain.bbox[0], -2.0), np.minimum(s.domain.bbox[1], 2.0)
+    placed = 0
+    for faces in s.domain.strata:
+        pts = tf._stratum_lattice(s.domain, faces, lo, hi, eps, guard)
+        if pts is None or not len(pts):
+            continue
+        batch = tf._boundary_at(s.domain, pts, eps)
+        single = [b for b in (tf._boundary_at(s.domain, x[None], eps) for x in pts) if b]
+        if batch is None:
+            assert not single
+            continue
+        one_by_one = tf._BumpTable.concat(single)
+        for name in tf._BumpTable._COLUMNS:
+            assert np.array_equal(getattr(batch, name), getattr(one_by_one, name))
+        for k in range(len(batch)):
+            f, g = batch.funcs[k], one_by_one.funcs[k]
+            assert np.array_equal(f.center, g.center) and f.info == g.info
+        placed += len(batch)
+    assert placed > 10 * J
 
 
 def test_family_members_translate_on_halfline():
