@@ -1220,7 +1220,10 @@ def assemble_cover_family(domain: dom.DomainSpec, coefficients, N: float,
         centers.append(z)
     if not centers:
         raise SamplingFailure("no cover centers inside the domain")
+    # two exterior lattice points can project onto one boundary point:
+    # equal centres are kept once, the first
     centers = np.array(centers)
+    centers = centers[np.sort(np.unique(centers, axis=0, return_index=True)[1])]
 
     # uniform generator bound: per-bump certified bound times sampled overlap
     B_pts = dom.sample_closure(domain, 400, seed=seed + 9)

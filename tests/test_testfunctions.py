@@ -959,15 +959,13 @@ def test_member_arrays_match_the_per_bump_loop(cover_families, system, N, eps, s
 @pytest.mark.parametrize("system, N, eps", [(WEDGE, 1.0, 0.25), (GPS3, 0.5, 0.3)],
                          ids=["wedge", "gps3"])
 def test_every_centre_resolves_to_itself(cover_families, system, N, eps):
-    # each centre's member is its own, and of equal centres the first's
-    # (the wedge family holds rows 0 and 13, and 5 and 18, twice)
+    # the centres are distinct, and each centre's member is its own (the
+    # wedge's lattice projects two pairs of exterior points onto one
+    # boundary point each; the first of each pair is kept)
     _, fam = cover_families(system, N, eps)
-    first = {}
-    for j, z in enumerate(fam.centers.tolist()):
-        first.setdefault(tuple(z), j)
-    assert len(first) == {"wedge": 153, "gps": 296}[system[0]]
-    assert [fam.center_index(z) for z in fam.centers] == \
-        [first[tuple(z)] for z in fam.centers.tolist()]
+    distinct = {tuple(z) for z in fam.centers.tolist()}
+    assert len(distinct) == len(fam.centers) == {"wedge": 153, "gps": 296}[system[0]]
+    assert [fam.center_index(z) for z in fam.centers] == list(range(len(fam.centers)))
 
 
 # the per-bump scans that the pair search replaced, kept as references
