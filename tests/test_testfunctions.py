@@ -1313,11 +1313,45 @@ def test_bump_view_reads_the_table(cover_families, system, N, eps):
         views[0].r = 1.0
 
 
+def _point_r_cap(model, x):
+    """The per-point r_cap that the batched one replaced, kept as its
+    reference."""
+    cap = np.inf
+    for i, p in enumerate(model.domain.pieces):
+        if i in model.idx:
+            continue
+        if p.kind == "half-space":
+            cap = min(cap, abs(p.value(x)))
+        else:
+            y = dom.project_to_piece(model.domain, i, x)
+            cap = min(cap, float(np.linalg.norm(y - x)))
+    for sp in model.domain.singular_points:
+        cap = min(cap, float(np.linalg.norm(sp.x - x)))
+    return 0.99 * cap
+
+
+def _point_placement(domain, pts, eps):
+    """(centres, radii) of the per-point placement that the batched
+    _boundary_at replaced: each point's own model and radius min(eps,
+    r_cap), kept above eps / 1000."""
+    kept = []
+    for x in pts:
+        try:
+            model = _stratum_model(domain, x)
+        except (NotInU, QPFailure):
+            continue
+        r = min(eps, _point_r_cap(model, x))
+        if r > eps * 1e-3:
+            kept.append((x, r))
+    return np.array([x for x, _ in kept]), np.array([r for _, r in kept])
+
+
 @pytest.mark.parametrize("system", [("orthant", {"J": 2}), WEDGE, GPS3],
                          ids=["orthant2", "wedge", "gps3"])
 def test_boundary_lattice_is_the_per_point_placement(system):
     # a stratum's lattice placed in one batch gives, bit for bit, the bumps
-    # and radii of placing its points one at a time
+    # and radii of placing its points one at a time, and the centres and
+    # radii of the per-point r_cap
     s = rd.make_example(system[0], **system[1])
     eps, J = 0.3, s.domain.dimension
     guard = [sp.x for sp in s.domain.singular_points]
@@ -1329,9 +1363,11 @@ def test_boundary_lattice_is_the_per_point_placement(system):
             continue
         batch = tf._boundary_at(s.domain, pts, eps)
         single = [b for b in (tf._boundary_at(s.domain, x[None], eps) for x in pts) if b]
+        X, r = _point_placement(s.domain, pts, eps)
         if batch is None:
-            assert not single
+            assert not single and not len(r)
             continue
+        assert np.array_equal(batch.x, X) and np.array_equal(batch.r, r)
         one_by_one = tf._BumpTable.concat(single)
         for name in tf._BumpTable._COLUMNS:
             assert np.array_equal(getattr(batch, name), getattr(one_by_one, name))
