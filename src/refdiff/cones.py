@@ -271,6 +271,10 @@ def _sphere_directions(J: int) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
+# stencil points that MollifiedConeDistance projects at a time
+_STENCIL_ROWS = 1 << 13
+
+
 @dataclass
 class MollifiedConeDistance:
     """Smoothed distance field to a polyhedral cone on a band of distances.
@@ -323,14 +327,28 @@ class MollifiedConeDistance:
         d = np.linalg.norm(w, axis=1)
         return n, q, J, w, d, A
 
+    def _blocks(self, Z):
+        """The rows of Z in blocks whose stencils hold about _STENCIL_ROWS
+        points together; a row's results do not depend on its block."""
+        Z = np.atleast_2d(np.asarray(Z, dtype=float))
+        step = max(1, _STENCIL_ROWS // len(self._nodes))
+        return [Z[s:s + step] for s in range(0, len(Z), step)] or [Z]
+
     def value(self, Z) -> np.ndarray:
-        n, q, J, w, d, A = self._node_data(Z)
-        return row_dot(d.reshape(n, q), self._weights)
+        return np.concatenate([self._value(B) for B in self._blocks(Z)])
 
     def jet(self, Z):
         """(value, gradient, Hessian) from one stencil projection: the
         stencil averages of dist, of the exact gradient (z' - proj z') /
         dist and of the exact a.e. Hessian (I - A - gg') / dist."""
+        parts = [self._jet(B) for B in self._blocks(Z)]
+        return tuple(np.concatenate(p) for p in zip(*parts))
+
+    def _value(self, Z) -> np.ndarray:
+        n, q, J, w, d, A = self._node_data(Z)
+        return row_dot(d.reshape(n, q), self._weights)
+
+    def _jet(self, Z):
         n, q, J, w, d, A = self._node_data(Z)
         safe = np.maximum(d, 1e-300)
         g = w / safe[:, None]

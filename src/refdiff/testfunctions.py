@@ -908,10 +908,35 @@ class FamilyEvaluation:
         return v, g, lf
 
 
+# lattice rows that an interior lattice reads at a time
+_LATTICE_ROWS = 1 << 13
+
+
+def _lattice_axes(lo, hi, spacing):
+    return [np.arange(l, h + spacing / 2, spacing) for l, h in zip(lo, hi)]
+
+
+def _grid(axes):
+    """Every point of the grid on the axes, the last axis fastest: one row
+    of no columns when there are no axes."""
+    if not axes:
+        return np.empty((1, 0))
+    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+
+
 def _lattice_points(lo, hi, spacing):
-    axes = [np.arange(l, h + spacing / 2, spacing) for l, h in zip(lo, hi)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    return _grid(_lattice_axes(lo, hi, spacing))
+
+
+def _lattice_blocks(lo, hi, spacing):
+    """The rows of _lattice_points(lo, hi, spacing), in its order, in blocks
+    of whole slabs of the first axis, about _LATTICE_ROWS rows each."""
+    first, *rest = _lattice_axes(lo, hi, spacing)
+    tail = _grid(rest)
+    step = max(1, _LATTICE_ROWS // max(1, len(tail)))
+    for s in range(0, len(first), step):
+        a = first[s:s + step]
+        yield np.column_stack([np.repeat(a, len(tail)), np.tile(tail, (len(a), 1))])
 
 
 def _interior_bumps(X, d, eps) -> _BumpTable:
@@ -967,8 +992,8 @@ def _boundary_at(domain, X, eps):
         [_boundary_function(model[k], X[k], r[k]) for k in keep.tolist()])
 
 
-# candidate pairs and box cells that _ball_pairs reads at a time
-_PAIR_CHUNK = 1 << 15
+# balls, and candidate pairs and box cells, that _ball_pairs reads at a time
+_PAIR_CHUNK = 1 << 12
 
 
 def _ball_pairs(X, bound, P):
@@ -987,12 +1012,13 @@ def _ball_pairs(X, bound, P):
     are no more cells than balls and points together.  A summed-area table
     of the cell counts gives each box's candidate count, and the exact
     expression decides the candidates, a chunk of about _PAIR_CHUNK
-    candidates and cells at a time (a ball's candidates are never split)."""
+    candidates and cells at a time (a ball's candidates are never split)
+    from a group of _PAIR_CHUNK balls at a time."""
     bs, ps = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
     reach = bound * (1 + 1e-9) + 1e-12
-    low, high = X - reach[:, None], X + reach[:, None]
-    live = np.flatnonzero(np.all((P >= low.min(axis=0, initial=np.inf))
-                                 & (P <= high.max(axis=0, initial=-np.inf)), axis=1))
+    live = np.flatnonzero(np.all((P >= (X - reach[:, None]).min(axis=0, initial=np.inf))
+                                 & (P <= (X + reach[:, None]).max(axis=0, initial=-np.inf)),
+                                 axis=1))
     if len(live):
         J = P.shape[1]
         Q = P[live]
@@ -1009,45 +1035,48 @@ def _ball_pairs(X, bound, P):
         order = np.argsort(key, kind="stable")
         starts = np.searchsorted(key[order], np.arange(np.prod(shape) + 1))
         order = live[order]
-        # each ball's box of cells, c0 <= cell < c1 on every axis, and the
-        # number of points in it
-        c0 = np.clip(cell(low), 0, shape).astype(np.intp)
-        c1 = np.clip(cell(high) + 1, 0, shape).astype(np.intp)
         S = np.diff(starts).reshape(shape)
         for a in range(J):
             S = np.cumsum(S, axis=a)
         S = np.pad(S, [(1, 0)] * J)
-        counts = np.zeros(len(X), np.intp)
-        for corner in itertools.product((False, True), repeat=J):
-            sign = -1 if (J - sum(corner)) % 2 else 1
-            counts += sign * S[tuple(np.where(corner, c1, c0).T)]
-        ncell = np.where(counts > 0, np.prod(c1 - c0, axis=1), 0)
-        work = counts + ncell
-        ends = np.cumsum(work)
-        k0 = 0
-        while k0 < len(X):
-            k1 = max(k0 + 1, int(np.searchsorted(ends, ends[k0] - work[k0] + _PAIR_CHUNK,
-                                                  side="right")))
-            # every (ball, cell) of the chunk's boxes, then the cells' points
-            ids = k0 + np.flatnonzero(counts[k0:k1])
-            m = ncell[ids]
-            t = np.arange(m.sum()) - np.repeat(np.cumsum(m) - m, m)
-            w = np.repeat(c1[ids] - c0[ids], m, axis=0)
-            coord = np.repeat(c0[ids], m, axis=0)
-            for a in range(J - 1, -1, -1):
-                t, r = np.divmod(t, w[:, a])
-                coord[:, a] += r
-            cells = np.ravel_multi_index(tuple(coord.T), shape)
-            s = starts[cells]
-            n = starts[cells + 1] - s
-            b = np.repeat(np.repeat(ids, m), n)
-            p = order[np.repeat(s - np.cumsum(n) + n, n) + np.arange(n.sum())]
-            keep = np.linalg.norm(P[p] - X[b], axis=1) <= bound[b]
-            b, p = b[keep], p[keep]
-            o = np.lexsort((p, b))
-            bs.append(b[o])
-            ps.append(p[o])
-            k0 = k1
+        for g0 in range(0, len(X), _PAIR_CHUNK):
+            # each ball's box of cells, c0 <= cell < c1 on every axis, and
+            # the number of points in it
+            Xg, rg = X[g0:g0 + _PAIR_CHUNK], reach[g0:g0 + _PAIR_CHUNK, None]
+            c0 = np.clip(cell(Xg - rg), 0, shape).astype(np.intp)
+            c1 = np.clip(cell(Xg + rg) + 1, 0, shape).astype(np.intp)
+            counts = np.zeros(len(Xg), np.intp)
+            for corner in itertools.product((False, True), repeat=J):
+                sign = -1 if (J - sum(corner)) % 2 else 1
+                counts += sign * S[tuple(np.where(corner, c1, c0).T)]
+            ncell = np.where(counts > 0, np.prod(c1 - c0, axis=1), 0)
+            work = counts + ncell
+            ends = np.cumsum(work)
+            k0 = 0
+            while k0 < len(Xg):
+                k1 = max(k0 + 1, int(np.searchsorted(ends, ends[k0] - work[k0] + _PAIR_CHUNK,
+                                                      side="right")))
+                # every (ball, cell) of the chunk's boxes, then the cells'
+                # points
+                ids = k0 + np.flatnonzero(counts[k0:k1])
+                m = ncell[ids]
+                t = np.arange(m.sum()) - np.repeat(np.cumsum(m) - m, m)
+                w = np.repeat(c1[ids] - c0[ids], m, axis=0)
+                coord = np.repeat(c0[ids], m, axis=0)
+                for a in range(J - 1, -1, -1):
+                    t, r = np.divmod(t, w[:, a])
+                    coord[:, a] += r
+                cells = np.ravel_multi_index(tuple(coord.T), shape)
+                s = starts[cells]
+                n = starts[cells + 1] - s
+                b = np.repeat(np.repeat(g0 + ids, m), n)
+                p = order[np.repeat(s - np.cumsum(n) + n, n) + np.arange(n.sum())]
+                keep = np.linalg.norm(P[p] - X[b], axis=1) <= bound[b]
+                b, p = b[keep], p[keep]
+                o = np.lexsort((p, b))
+                bs.append(b[o])
+                ps.append(p[o])
+                k0 = k1
     return np.concatenate(bs), np.concatenate(ps)
 
 
@@ -1083,29 +1112,14 @@ def _coverage_probes(domain, reach, seed):
     return probes[np.linalg.norm(probes, axis=1) <= reach]
 
 
-def assemble_cover_family(domain: dom.DomainSpec, coefficients, N: float,
-                          eps: float, seed: int = 0) -> CoverFamily:
-    """Build the separation family on the N-ball for scale eps.
-
-    Bumps are laid out in three passes: singular-point bumps, per-stratum
-    boundary lattices (deepest strata first, graded toward the singular set),
-    and a deep interior lattice; a greedy repair loop then inserts bumps at
-    sampled points not yet inside any plateau, for up to 60 rounds, trying
-    each point until it is covered or found uncoverable.  Every
-    volume and boundary sample in the reach ball (3000 and 1000 drawn) must
-    end inside a plateau, or SamplingFailure names the gap.
-    """
+def _laid_out_bumps(domain, lo, hi, reach, eps) -> _BumpTable:
+    """The family's bumps before its repair, in bump order: the
+    singular-point bumps, the boundary lattices and the interior lattices
+    of the box lo..hi.  Each part is a table of its own and only their join
+    is returned, so the parts are freed here; an interior lattice is read
+    in blocks of rows, never whole."""
     polyhedral = domain.constant_reflection
-    if not (polyhedral or domain.bounded
-            or getattr(domain, "allow_curved_family", False)):
-        raise UnboundedUnsupported(
-            "family assembly needs a polyhedral constant-reflection or bounded domain")
     J = domain.dimension
-    reach = N + 3.5 * eps
-    lo = np.maximum(domain.bbox[0], -reach * np.ones(J))
-    hi = np.minimum(domain.bbox[1], reach * np.ones(J))
-
-    # the bumps in blocks, in bump order
     tables = []
     if domain.singular_points:
         r = [min(eps, 0.999 * sp.radius) / sp.c2 for sp in domain.singular_points]
@@ -1132,18 +1146,26 @@ def assemble_cover_family(domain: dom.DomainSpec, coefficients, N: float,
 
     # interior lattices: a deep coarse lattice plus graded shell bands whose
     # spacing tracks the local plateau scale (overlapping in depth; the
-    # repair pass below guarantees the remaining coverage)
+    # family's repair pass guarantees the remaining coverage)
     def depths_of(P):
         if polyhedral:
             return np.min(domain.piece_values(P), axis=1)
         return dom.distance_to_boundary(domain, P)
 
-    spacing = 0.85 * eps / math.sqrt(J)
-    deep = _lattice_points(lo, hi, spacing)
-    deep = deep[np.linalg.norm(deep, axis=1) <= reach]
-    dd = depths_of(deep)
+    def lattice_bumps(spacing, band):
+        """The interior bumps at the points of the spacing lattice in the
+        reach ball whose depths d have band(d), in lattice order."""
+        X, d = [np.empty((0, J))], [np.empty(0)]
+        for P in _lattice_blocks(lo, hi, spacing):
+            P = P[np.linalg.norm(P, axis=1) <= reach]
+            dP = depths_of(P)
+            keep = band(dP)
+            X.append(P[keep])
+            d.append(dP[keep])
+        return _interior_bumps(np.concatenate(X), np.concatenate(d), eps)
+
     tables = [t for t in tables if t is not None]
-    tables.append(_interior_bumps(deep[dd >= eps], dd[dd >= eps], eps))
+    tables.append(lattice_bumps(0.85 * eps / math.sqrt(J), lambda d: d >= eps))
 
     face = np.concatenate([t.plateau[t.kind == _BOUNDARY] for t in tables])
     face_plateau = face.max() if len(face) else 0.27 * eps
@@ -1154,13 +1176,35 @@ def assemble_cover_family(domain: dom.DomainSpec, coefficients, N: float,
         t *= 1.8
     for t_lo_band, t_hi_band in zip(bands, bands[1:] + [eps * 1.01]):
         s_k = max(0.855 * min(eps, t_lo_band) / math.sqrt(J), eps / 200.0)
-        P = _lattice_points(lo, hi, s_k)
-        P = P[np.linalg.norm(P, axis=1) <= reach]
-        dP = depths_of(P)
-        keep = (dP >= 0.7 * t_lo_band) & (dP < 1.3 * t_hi_band)
-        tables.append(_interior_bumps(P[keep], dP[keep], eps))
+        tables.append(lattice_bumps(
+            s_k, lambda d: (d >= 0.7 * t_lo_band) & (d < 1.3 * t_hi_band)))
 
-    bumps = _BumpTable.concat(tables)
+    return _BumpTable.concat(tables)
+
+
+def assemble_cover_family(domain: dom.DomainSpec, coefficients, N: float,
+                          eps: float, seed: int = 0) -> CoverFamily:
+    """Build the separation family on the N-ball for scale eps.
+
+    Bumps are laid out in three passes: singular-point bumps, per-stratum
+    boundary lattices (deepest strata first, graded toward the singular set),
+    and a deep interior lattice; a greedy repair loop then inserts bumps at
+    sampled points not yet inside any plateau, for up to 60 rounds, trying
+    each point until it is covered or found uncoverable.  Every
+    volume and boundary sample in the reach ball (3000 and 1000 drawn) must
+    end inside a plateau, or SamplingFailure names the gap.
+    """
+    polyhedral = domain.constant_reflection
+    if not (polyhedral or domain.bounded
+            or getattr(domain, "allow_curved_family", False)):
+        raise UnboundedUnsupported(
+            "family assembly needs a polyhedral constant-reflection or bounded domain")
+    J = domain.dimension
+    reach = N + 3.5 * eps
+    lo = np.maximum(domain.bbox[0], -reach * np.ones(J))
+    hi = np.minimum(domain.bbox[1], reach * np.ones(J))
+
+    bumps = _laid_out_bumps(domain, lo, hi, reach, eps)
     probes = _coverage_probes(domain, reach, seed)
     covered = _covers(bumps, probes)
     # a probe that no bump can cover is given up for good: an attempt's

@@ -346,6 +346,23 @@ def test_mollified_distance_bounds_and_descent():
     assert np.max(np.abs(H)) <= 3.0 / 0.12 + 1.0
 
 
+@pytest.mark.parametrize("stencil_rows", [1, 130, 1000])
+def test_mollified_distance_rows_do_not_depend_on_their_block(stencil_rows):
+    # value and jet project the stencils of a block of rows at a time; each
+    # row is the same, bit for bit, in blocks of one row (a 130-point
+    # stencil exceeds one stencil row), of one stencil or of several
+    gens = fattened_generators(-np.array([[1.0, 0.2, 0.1], [0.1, 1.0, 0.3],
+                                          [0.2, 0.1, 1.0]]), 0.3)
+    mol = MollifiedConeDistance(PolyCone(gens), eta=0.12, lam=0.8, eps=0.05)
+    assert len(mol._nodes) == 130
+    Z = np.random.default_rng(3).standard_normal((61, 3))
+    whole = (mol.value(Z), *mol.jet(Z))
+    with mock.patch.object(cones, "_STENCIL_ROWS", stencil_rows):
+        for got, want in zip((mol.value(Z), *mol.jet(Z)), whole):
+            assert got.tobytes() == want.tobytes()
+        assert [a.shape for a in mol.jet(Z[:0])] == [(0,), (0, 3), (0, 3, 3)]
+
+
 # ---------------------------------------------------------------------------
 # interior bumps
 # ---------------------------------------------------------------------------
@@ -1102,6 +1119,19 @@ def test_ball_pairs_are_the_dense_scan(case):
     dense = [(k, i) for k in range(len(X))
              for i in np.flatnonzero(np.linalg.norm(P - X[k], axis=1) <= R[k])]
     assert list(zip(b.tolist(), p.tolist())) == dense
+
+
+@pytest.mark.parametrize("J", [1, 2, 3])
+@pytest.mark.parametrize("rows", [1, 7, 1 << 13])
+def test_lattice_blocks_are_the_lattice_in_order(J, rows):
+    lo, hi = -np.linspace(1.0, 1.5, J), np.linspace(0.7, 1.3, J)
+    with mock.patch.object(tf, "_LATTICE_ROWS", rows):
+        blocks = list(tf._lattice_blocks(lo, hi, 0.1))
+    assert np.vstack(blocks).tobytes() == tf._lattice_points(lo, hi, 0.1).tobytes()
+    # whole slabs of the first axis, no more than one when a slab exceeds rows
+    slab = len(tf._lattice_points(lo[1:], hi[1:], 0.1))
+    assert {len(b) % slab for b in blocks} == {0}
+    assert max(len(b) for b in blocks) <= max(rows, slab)
 
 
 def test_make_tests_and_precompute_build_interior_functions_lazily(
